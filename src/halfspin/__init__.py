@@ -33,10 +33,6 @@ from .quiver import (
     dim_vector,
     weight_u,
     state_u,
-    y_vector,
-    z_vector,
-    star_involution,
-    validate_orbit_function,
 )
 from .spinrep import (
     SpinVector,
@@ -54,7 +50,6 @@ from .clifford import (
     CliffordElement,
     create,
     annihilate,
-    clifford_multiply,
     act,
     embed_generator,
     fock_weight,
@@ -94,10 +89,6 @@ __all__ = [
     "dim_vector",
     "weight_u",
     "state_u",
-    "y_vector",
-    "z_vector",
-    "star_involution",
-    "validate_orbit_function",
     "SpinVector",
     "highest_weight_vector",
     "apply_E",
@@ -111,7 +102,6 @@ __all__ = [
     "CliffordElement",
     "create",
     "annihilate",
-    "clifford_multiply",
     "act",
     "embed_generator",
     "fock_weight",

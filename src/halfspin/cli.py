@@ -2,7 +2,7 @@
 
 Commands: enumerate, act, weight, clifford, verify, export-matrix.
 Exit status: 0 on success, 1 when a verification suite fails, 2 on usage
-errors.  --json switches every command to machine-readable output;
+and I/O errors.  --json switches every command to machine-readable output;
 rationals are serialized as strings "p/q" so nothing is rounded.
 """
 
@@ -474,8 +474,11 @@ def cmd_export_matrix(args, out):
         lines += ["%d %d %s" % (i, j, v) for (i, j), v in triplets]
         text = "\n".join(lines)
     if args.out_path:
-        with open(args.out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError("cannot write %s: %s" % (args.out_path, exc.strerror or exc)) from None
         _emit("wrote %d entries to %s" % (len(triplets), args.out_path), out)
     else:
         _emit(text, out)

@@ -27,7 +27,7 @@ from .diagram import (
     parse_fock_index,
 )
 from .quiver import RankContext
-from .spinrep import SpinVector
+from .spinrep import SpinVector, format_terms, parse_terms, tokenize
 
 
 class FockVector:
@@ -249,27 +249,8 @@ class CliffordElement:
                     out[key] = out.get(key, Fraction(0)) + c1 * c2 * c
         return CliffordElement(out)
 
-    def max_index(self):
-        top = 0
-        for s, t in self.terms:
-            for i in s:
-                top = max(top, i)
-            for i in t:
-                top = max(top, i)
-        return top
-
     def __repr__(self):
         return "CliffordElement(%s)" % format_clifford_element(self)
-
-
-def clifford_multiply(x: CliffordElement, y: CliffordElement, ctx=None) -> CliffordElement:
-    if ctx is not None:
-        for e in (x, y):
-            if e.max_index() > ctx.n:
-                raise ValueError(
-                    "generator index %d exceeds rank %d" % (e.max_index(), ctx.n)
-                )
-    return x * y
 
 
 def act(x: CliffordElement, vec: FockVector, ctx: RankContext) -> FockVector:
@@ -360,71 +341,18 @@ def _fock_sort_key(idx):
     return (len(idx), tuple(sorted(idx)))
 
 
-def _joined_terms(chunks):
-    return "".join(chunks) if chunks else "0"
-
-
-def _term_text(coeff, body, first):
-    sgn = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
-    if body:
-        shown = body if mag == 1 else "%s * %s" % (mag, body)
-    else:
-        shown = str(mag)
-    if first:
-        return ("-" if coeff < 0 else "") + shown
-    return " %s %s" % (sgn, shown)
-
-
 def format_fock_vector(vec: FockVector) -> str:
-    chunks = []
-    for idx in sorted(vec.terms, key=_fock_sort_key):
-        chunks.append(_term_text(vec.terms[idx], format_fock_index(idx), not chunks))
-    return _joined_terms(chunks)
-
-
-_FOCK_TOKEN = re.compile(r"\s*(\{[^{}]*\}|\d+(?:/\d+)?|[+\-*])")
+    return format_terms(vec.terms, _fock_sort_key, format_fock_index)
 
 
 def parse_fock_vector(text: str, ctx=None) -> FockVector:
-    stripped = text.strip()
-    if stripped == "0":
-        return FockVector()
-    tokens = []
-    pos = 0
-    while pos < len(stripped):
-        m = _FOCK_TOKEN.match(stripped, pos)
-        if m is None:
-            raise ValueError("cannot tokenize %r at position %d" % (text, pos))
-        tokens.append(m.group(1))
-        pos = m.end()
-    terms = []
-    i = 0
-    first = True
-    while i < len(tokens):
-        sgn = Fraction(1)
-        if tokens[i] in ("+", "-"):
-            if tokens[i] == "-":
-                sgn = -sgn
-            i += 1
-        elif not first:
-            raise ValueError("expected + or - in %r" % text)
-        first = False
-        coeff = Fraction(1)
-        if i < len(tokens) and not tokens[i].startswith("{") and tokens[i] not in ("+", "-", "*"):
-            coeff = Fraction(tokens[i])
-            i += 1
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-        if i >= len(tokens) or not tokens[i].startswith("{"):
-            raise ValueError("expected index set in %r" % text)
-        idx = parse_fock_index(tokens[i], ctx.n if ctx is not None else None)
-        terms.append((idx, sgn * coeff))
-        i += 1
+    n = ctx.n if ctx is not None else None
+    terms = parse_terms(text, r"\{[^{}]*\}", lambda tok: parse_fock_index(tok, n), "index set")
     return FockVector(terms)
 
 
-def _monomial_word(creators, annihilators):
+def _monomial_word(key):
+    creators, annihilators = key
     letters = ["b%d" % i for i in creators] + ["a%d" % i for i in annihilators]
     return " ".join(letters)
 
@@ -435,10 +363,7 @@ def _monomial_sort_key(key):
 
 
 def format_clifford_element(x: CliffordElement) -> str:
-    chunks = []
-    for key in sorted(x.terms, key=_monomial_sort_key):
-        chunks.append(_term_text(x.terms[key], _monomial_word(*key), not chunks))
-    return _joined_terms(chunks)
+    return format_terms(x.terms, _monomial_sort_key, _monomial_word)
 
 
 _CLIFF_TOKEN = re.compile(r"\s*([ab]\d+|\d+(?:/\d+)?|[+\-*()])")
@@ -450,15 +375,7 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
     Juxtaposition multiplies ("b1 b3 a2"), so canonical output re-parses to
     an equal element.  Numbers are rational scalars; parentheses group.
     """
-    tokens = []
-    stripped = text.strip()
-    pos = 0
-    while pos < len(stripped):
-        m = _CLIFF_TOKEN.match(stripped, pos)
-        if m is None:
-            raise ValueError("cannot tokenize %r at position %d" % (text, pos))
-        tokens.append(m.group(1))
-        pos = m.end()
+    tokens = tokenize(text.strip(), _CLIFF_TOKEN)
     state = {"pos": 0}
 
     def peek():

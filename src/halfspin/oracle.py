@@ -1,10 +1,17 @@
 """Exact verification engine for the two models.
 
 Everything here reduces claims about the operators to finite linear
-algebra over the rationals: operators are tabulated as sparse exact
-matrices over an explicitly ordered basis, and each check suite evaluates
-a family of operator identities, reporting pass/fail per identity with a
+algebra over the rationals, reporting pass/fail per identity with a
 concrete witness on failure.
+
+The operator identities (Chevalley and degree-bound relations, ladder
+anticommutators, the dictionary's intertwining, the quadratic
+factorization) are declared once, in the table of `identities`, as
+expressions over operator names.  Two evaluators read it.  The bounded
+suites tabulate each operator as a sparse exact matrix over the whole
+rank-n basis and compare matrices.  The rank-free `check_dinfty` applies
+both sides to one box-capped basis state at a time.  The module, weight
+and faithfulness suites are written out on their own.
 
 Reports are plain dicts, deterministic for a given (suite, rank), with
 entry statuses pass / fail / xfail / xpass / skip.  An xfail entry is a
@@ -203,6 +210,9 @@ def fock_basis(ctx: RankContext) -> IndexedBasis:
     return IndexedBasis([frozenset(s) for s in subsets], label=format_fock_index)
 
 
+# the operators that act on the wedge side
+WEDGE_OPS = ("create", "annihilate")
+
 _SPIN_OPS = {
     "E": spinrep.apply_E,
     "F": spinrep.apply_F,
@@ -218,7 +228,7 @@ def parse_operator_token(token: str):
     if token in ("kappa", "identity", "id"):
         return ("identity" if token == "id" else token, None)
     name, sep, idx = token.partition("_")
-    if sep and name in ("E", "F", "H", "a", "b", "create", "annihilate"):
+    if sep and name in ("E", "F", "H", "a", "b") + WEDGE_OPS:
         try:
             return (name, int(idx))
         except ValueError:
@@ -251,9 +261,8 @@ def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatr
     name, k = parse_operator_token(op)
     size = len(basis)
     entries = {}
-    fock_side = name in ("create", "annihilate")
     for j, state in enumerate(basis.states):
-        if fock_side:
+        if name in WEDGE_OPS:
             vec = apply_fock_operator(name, k, FockVector.from_index(state), ctx)
         else:
             vec = apply_spin_operator(name, k, SpinVector.from_state(*state), ctx)
@@ -306,159 +315,200 @@ def _finalize(suite, n, entries, t0, **extra):
     return report
 
 
-def _matrix_witness(got: ExactMatrix, want: ExactMatrix, basis: IndexedBasis):
+def _matrix_witness(got: ExactMatrix, want: ExactMatrix, rows: IndexedBasis, cols: IndexedBasis):
+    """The first differing entry, its row labelled from rows and its column from cols."""
     keys = sorted(set(got.entries) | set(want.entries))
     for i, j in keys:
         a = got.entry(i, j)
         b = want.entry(i, j)
         if a != b:
             return "entry (%s <- %s): got %s, expected %s" % (
-                basis.label(basis.states[i]),
-                basis.label(basis.states[j]),
+                rows.label(rows.states[i]),
+                cols.label(cols.states[j]),
                 a,
                 b,
             )
     return None
 
 
-def _matrix_check(identity, got, want, basis, expected_fail=False):
-    ok = got == want
-    witness = None if ok else _matrix_witness(got, want, basis)
-    return _entry(identity, ok, witness, expected_fail)
+# ---------------------------------------------------------------------------
+# the identity table
+#
+# A side of an identity is a token or a tuple.  A token names an operator
+# ("E_3", "a_2", "annihilate_2", "phi") or is "0" (zero) or "1" (the
+# identity); zero and the identity act on the shape space.  A tuple is
+# ("product", x, y) for x after y, ("commutator", x, y),
+# ("anticommutator", x, y) or ("scale", c, x) for an integer c.  Tokens are
+# names, never functions: each evaluator dispatches them when it runs, so
+# the operators it calls are the ones bound at that time.  Each side is
+# computed from its own tokens: "E_k" is always the dimension-vector
+# operator, never its ladder factorization.
+
+
+def _op(name, k):
+    return "%s_%d" % (name, k)
+
+
+def identities(suite: str, ctx: RankContext) -> list:
+    """The operator identities of one suite at rank ctx.n, as (label, lhs, rhs)."""
+    n = ctx.n
+    vertices = range(1, n + 1)
+    rows = []
+    if suite == "chevalley":
+        for i in vertices:
+            for j in vertices:
+                want = _op("H", i) if i == j else "0"
+                label = "[E_%d,F_%d] = %s" % (i, j, want)
+                rows.append((label, ("commutator", _op("E", i), _op("F", j)), want))
+        for i in vertices:
+            for j in vertices:
+                c = ctx.cartan[i - 1][j - 1]
+                for x, scale in (("E", c), ("F", -c)):
+                    xj = _op(x, j)
+                    label = "[H_%d,%s] = %d %s" % (i, xj, scale, xj)
+                    rows.append((label, ("commutator", _op("H", i), xj), ("scale", scale, xj)))
+        for i in vertices:
+            for j in range(i + 1, n + 1):
+                label = "[H_%d,H_%d] = 0" % (i, j)
+                rows.append((label, ("commutator", _op("H", i), _op("H", j)), "0"))
+    elif suite == "serre":
+        for i in vertices:
+            for j in vertices:
+                if i == j:
+                    continue
+                for x in "EF":
+                    xi, xj = _op(x, i), _op(x, j)
+                    if ctx.adjacent(i, j):
+                        label = "ad(%s)^2 %s = 0" % (xi, xj)
+                        rows.append((label, ("commutator", xi, ("commutator", xi, xj)), "0"))
+                    else:
+                        rows.append(("[%s,%s] = 0" % (xi, xj), ("commutator", xi, xj), "0"))
+    elif suite == "clifford":
+        for i in vertices:
+            for j in range(i, n + 1):
+                for x in "ab":
+                    xi, xj = _op(x, i), _op(x, j)
+                    rows.append(("{%s,%s} = 0" % (xi, xj), ("anticommutator", xi, xj), "0"))
+        for i in vertices:
+            for j in vertices:
+                want = "1" if i == j else "0"
+                label = "{a_%d,b_%d} = %s" % (i, j, want)
+                rows.append((label, ("anticommutator", _op("a", i), _op("b", j)), want))
+    elif suite == "intertwiner":
+        for k in vertices:
+            for ladder, twin in (("a", "annihilate"), ("b", "create")):
+                x, y = _op(ladder, k), _op(twin, k)
+                label = "phi %s = %s phi" % (x, y)
+                rows.append((label, ("product", "phi", x), ("product", y, "phi")))
+    elif suite == "factorization":
+        words = []
+        for k in range(1, n):
+            words.append((_op("E", k), _op("b", k + 1), _op("a", k)))
+            words.append((_op("F", k), _op("b", k), _op("a", k + 1)))
+        words.append((_op("E", n), _op("a", n), _op("a", n - 1)))
+        words.append((_op("F", n), _op("b", n - 1), _op("b", n)))
+        rows = [("%s = %s %s" % (x, p, q), x, ("product", p, q)) for x, p, q in words]
+    else:
+        raise ValueError("no identity table for suite %r" % suite)
+    return rows
+
+
+def _matrix(expr, leaf):
+    """Bounded evaluator of one side: an exact matrix, tokens tabulated by leaf."""
+    if isinstance(expr, str):
+        return leaf(expr)
+    op, x, y = expr
+    if op == "scale":
+        return _matrix(y, leaf).scale(x)
+    x, y = _matrix(x, leaf), _matrix(y, leaf)
+    if op == "product":
+        return x * y
+    return commutator(x, y) if op == "commutator" else anticommutator(x, y)
+
+
+def _table_entries(suite, ctx, sbasis, fbasis=None, phi=None):
+    """The bounded evaluator: every row of the suite's table, as exact matrices.
+
+    Each token is tabulated at most once per call.  The sides map the shape
+    basis to itself, or to the wedge basis when fbasis is given (phi is then
+    the dictionary's matrix).
+    """
+    size = len(sbasis)
+    tabulated = {"0": ExactMatrix.zero(size, size), "1": ExactMatrix.identity(size), "phi": phi}
+
+    def leaf(token):
+        if token not in tabulated:
+            name, _ = parse_operator_token(token)
+            tabulated[token] = operator_matrix(token, fbasis if name in WEDGE_OPS else sbasis, ctx)
+        return tabulated[token]
+
+    rows = sbasis if fbasis is None else fbasis
+    entries = []
+    for label, lhs, rhs in identities(suite, ctx):
+        got, want = _matrix(lhs, leaf), _matrix(rhs, leaf)
+        ok = got == want
+        entries.append(_entry(label, ok, None if ok else _matrix_witness(got, want, rows, sbasis)))
+    return entries
+
+
+def _apply_token(token: str, vec, ctx: RankContext):
+    """One table token applied to a shape or wedge vector."""
+    if token == "0":
+        return vec.scale(0)
+    if token == "1":
+        return vec
+    if token == "phi":
+        return cliff.phi(vec, ctx)
+    name, k = parse_operator_token(token)
+    if name in WEDGE_OPS:
+        return apply_fock_operator(name, k, vec, ctx)
+    return apply_spin_operator(name, k, vec, ctx)
+
+
+def _image(expr, vec, images, ctx):
+    """Rank-free evaluator of one side: its image of vec.
+
+    images caches each token's image of each vector it has met; the caller
+    keeps it for one column only.
+    """
+    if isinstance(expr, str):
+        key = (expr, vec)
+        if key not in images:
+            images[key] = _apply_token(expr, vec, ctx)
+        return images[key]
+    op, x, y = expr
+    if op == "scale":
+        return _image(y, vec, images, ctx).scale(x)
+    xy = _image(x, _image(y, vec, images, ctx), images, ctx)
+    if op == "product":
+        return xy
+    yx = _image(y, _image(x, vec, images, ctx), images, ctx)
+    return xy - yx if op == "commutator" else xy + yx
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def check_chevalley(n: int):
-    """[E_i,F_j] = delta_ij H_i and the H brackets, as exact matrices."""
+def _bounded_suite(suite, n):
     t0 = time.perf_counter()
     ctx = RankContext(n)
-    basis = spin_basis(ctx)
-    E = {k: operator_matrix("E_%d" % k, basis, ctx) for k in range(1, n + 1)}
-    F = {k: operator_matrix("F_%d" % k, basis, ctx) for k in range(1, n + 1)}
-    H = {k: operator_matrix("H_%d" % k, basis, ctx) for k in range(1, n + 1)}
-    zero = ExactMatrix.zero(len(basis), len(basis))
-    entries = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            want = H[i] if i == j else zero
-            entries.append(
-                _matrix_check(
-                    "[E_%d,F_%d] = %s" % (i, j, "H_%d" % i if i == j else "0"),
-                    commutator(E[i], F[j]),
-                    want,
-                    basis,
-                )
-            )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            c = ctx.cartan[i - 1][j - 1]
-            entries.append(
-                _matrix_check(
-                    "[H_%d,E_%d] = %d E_%d" % (i, j, c, j),
-                    commutator(H[i], E[j]),
-                    E[j].scale(c),
-                    basis,
-                )
-            )
-            entries.append(
-                _matrix_check(
-                    "[H_%d,F_%d] = %d F_%d" % (i, j, -c, j),
-                    commutator(H[i], F[j]),
-                    F[j].scale(-c),
-                    basis,
-                )
-            )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            entries.append(
-                _matrix_check(
-                    "[H_%d,H_%d] = 0" % (i, j), commutator(H[i], H[j]), zero, basis
-                )
-            )
-    return _finalize("chevalley", n, entries, t0)
+    return _finalize(suite, n, _table_entries(suite, ctx, spin_basis(ctx)), t0)
+
+
+def check_chevalley(n: int):
+    """[E_i,F_j] = delta_ij H_i and the H brackets, as exact matrices."""
+    return _bounded_suite("chevalley", n)
 
 
 def check_serre(n: int):
     """Degree bounds on the raising/lowering operators between vertices."""
-    t0 = time.perf_counter()
-    ctx = RankContext(n)
-    basis = spin_basis(ctx)
-    E = {k: operator_matrix("E_%d" % k, basis, ctx) for k in range(1, n + 1)}
-    F = {k: operator_matrix("F_%d" % k, basis, ctx) for k in range(1, n + 1)}
-    zero = ExactMatrix.zero(len(basis), len(basis))
-    entries = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            if ctx.adjacent(i, j):
-                entries.append(
-                    _matrix_check(
-                        "ad(E_%d)^2 E_%d = 0" % (i, j),
-                        commutator(E[i], commutator(E[i], E[j])),
-                        zero,
-                        basis,
-                    )
-                )
-                entries.append(
-                    _matrix_check(
-                        "ad(F_%d)^2 F_%d = 0" % (i, j),
-                        commutator(F[i], commutator(F[i], F[j])),
-                        zero,
-                        basis,
-                    )
-                )
-            else:
-                entries.append(
-                    _matrix_check(
-                        "[E_%d,E_%d] = 0" % (i, j), commutator(E[i], E[j]), zero, basis
-                    )
-                )
-                entries.append(
-                    _matrix_check(
-                        "[F_%d,F_%d] = 0" % (i, j), commutator(F[i], F[j]), zero, basis
-                    )
-                )
-    return _finalize("serre", n, entries, t0)
+    return _bounded_suite("serre", n)
 
 
 def check_clifford(n: int):
     """Anticommutation of the row ladder operators on the shape basis."""
-    t0 = time.perf_counter()
-    ctx = RankContext(n)
-    basis = spin_basis(ctx)
-    A = {k: operator_matrix("a_%d" % k, basis, ctx) for k in range(1, n + 1)}
-    B = {k: operator_matrix("b_%d" % k, basis, ctx) for k in range(1, n + 1)}
-    ident = ExactMatrix.identity(len(basis))
-    zero = ExactMatrix.zero(len(basis), len(basis))
-    entries = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            entries.append(
-                _matrix_check(
-                    "{a_%d,a_%d} = 0" % (i, j), anticommutator(A[i], A[j]), zero, basis
-                )
-            )
-            entries.append(
-                _matrix_check(
-                    "{b_%d,b_%d} = 0" % (i, j), anticommutator(B[i], B[j]), zero, basis
-                )
-            )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            want = ident if i == j else zero
-            entries.append(
-                _matrix_check(
-                    "{a_%d,b_%d} = %s" % (i, j, "1" if i == j else "0"),
-                    anticommutator(A[i], B[j]),
-                    want,
-                    basis,
-                )
-            )
-    return _finalize("clifford", n, entries, t0)
+    return _bounded_suite("clifford", n)
 
 
 def check_intertwiner(n: int):
@@ -468,7 +518,6 @@ def check_intertwiner(n: int):
     sbasis = spin_basis(ctx)
     fbasis = fock_basis(ctx)
     P = phi_matrix(ctx, sbasis, fbasis)
-    entries = []
     size = len(sbasis)
     ok_bijection = (
         P.nnz == size
@@ -476,73 +525,20 @@ def check_intertwiner(n: int):
         and len({i for (i, _) in P.entries}) == size
         and len({j for (_, j) in P.entries}) == size
     )
-    entries.append(
+    entries = [
         _entry(
             "phi is a basis bijection (all coefficients 1)",
             ok_bijection,
             None if ok_bijection else "phi matrix nnz=%d" % P.nnz,
         )
-    )
-    for k in range(1, n + 1):
-        a_spin = operator_matrix("a_%d" % k, sbasis, ctx)
-        b_spin = operator_matrix("b_%d" % k, sbasis, ctx)
-        ann = operator_matrix("annihilate_%d" % k, fbasis, ctx)
-        cre = operator_matrix("create_%d" % k, fbasis, ctx)
-        entries.append(
-            _matrix_check(
-                "phi a_%d = annihilate_%d phi" % (k, k), P * a_spin, ann * P, fbasis
-            )
-        )
-        entries.append(
-            _matrix_check(
-                "phi b_%d = create_%d phi" % (k, k), P * b_spin, cre * P, fbasis
-            )
-        )
+    ]
+    entries += _table_entries("intertwiner", ctx, sbasis, fbasis, P)
     return _finalize("intertwiner", n, entries, t0)
 
 
 def check_factorization(n: int):
     """Chevalley operators factor through quadratic ladder words."""
-    t0 = time.perf_counter()
-    ctx = RankContext(n)
-    basis = spin_basis(ctx)
-    A = {k: operator_matrix("a_%d" % k, basis, ctx) for k in range(1, n + 1)}
-    B = {k: operator_matrix("b_%d" % k, basis, ctx) for k in range(1, n + 1)}
-    entries = []
-    for k in range(1, n):
-        entries.append(
-            _matrix_check(
-                "E_%d = b_%d a_%d" % (k, k + 1, k),
-                operator_matrix("E_%d" % k, basis, ctx),
-                B[k + 1] * A[k],
-                basis,
-            )
-        )
-        entries.append(
-            _matrix_check(
-                "F_%d = b_%d a_%d" % (k, k, k + 1),
-                operator_matrix("F_%d" % k, basis, ctx),
-                B[k] * A[k + 1],
-                basis,
-            )
-        )
-    entries.append(
-        _matrix_check(
-            "E_%d = a_%d a_%d" % (n, n, n - 1),
-            operator_matrix("E_%d" % n, basis, ctx),
-            A[n] * A[n - 1],
-            basis,
-        )
-    )
-    entries.append(
-        _matrix_check(
-            "F_%d = b_%d b_%d" % (n, n - 1, n),
-            operator_matrix("F_%d" % n, basis, ctx),
-            B[n - 1] * B[n],
-            basis,
-        )
-    )
-    return _finalize("factorization", n, entries, t0)
+    return _bounded_suite("factorization", n)
 
 
 def _f_closure(sign: Sign, ctx: RankContext):
@@ -634,18 +630,31 @@ def check_module_structure(n: int):
     return _finalize("module", n, entries, t0)
 
 
+def _wedge_weight(state, ctx: RankContext) -> tuple:
+    return cliff.fock_weight(cliff.phi_state(state, ctx), ctx)
+
+
+def weight_routes() -> list:
+    """The four independent weight routes as (name, route), the reference first.
+
+    Built on each call rather than held in a module-level tuple, so that
+    each route is looked up on its module when it is used.
+    """
+    return [
+        ("cartan eigenvalue route", spinrep.weight_eps),
+        ("simple-root route", spinrep.weight_eps_alpha),
+        ("closed form", spinrep.weight_eps_closed),
+        ("wedge-side weight", _wedge_weight),
+    ]
+
+
 def check_weight_consistency(n: int):
     """All weight routes agree on every basis state; the near-miss variant is pinned."""
     t0 = time.perf_counter()
     ctx = RankContext(n)
     basis = spin_basis(ctx)
     entries = []
-    routes = (
-        ("cartan eigenvalue route", spinrep.weight_eps),
-        ("simple-root route", spinrep.weight_eps_alpha),
-        ("closed form", spinrep.weight_eps_closed),
-        ("wedge-side weight", lambda st, c: cliff.fock_weight(cliff.phi_state(st, c), c)),
-    )
+    routes = weight_routes()
     reference_name, reference = routes[0]
     for name, route in routes[1:]:
         bad = None
@@ -741,19 +750,27 @@ def check_faithfulness(n: int):
 
 
 # ---------------------------------------------------------------------------
-# rank-free mode: pointwise identities on a box-capped state family
+# rank-free mode: the same table, pointwise on a box-capped state family
+
+# one entry per family: the rows of a suite's identity table, or the weight routes
+_DINFTY_FAMILIES = (
+    ("chevalley", "Chevalley brackets on all pairs"),
+    ("serre", "degree bounds between vertices"),
+    ("clifford", "ladder anticommutators"),
+    ("intertwiner", "dictionary intertwines the ladder operators"),
+    ("factorization", "quadratic factorization of E/F"),
+    ("weights", "weight routes agree"),
+)
 
 
-def _pointwise(entries, identity, states, predicate):
-    bad = None
-    for state in states:
-        witness = predicate(state)
-        if witness is not None:
-            bad = witness
-            break
-    entries.append(
-        _entry("%s (pointwise on %d states)" % (identity, len(states)), bad is None, bad)
-    )
+def _format_vector(vec):
+    if isinstance(vec, FockVector):
+        return cliff.format_fock_vector(vec)
+    return spinrep.format_spin_vector(vec)
+
+
+def _pointwise_witness(identity, state, got, want):
+    return "%s at state %s: got %s, expected %s" % (identity, format_basis_state(state), got, want)
 
 
 def check_dinfty(max_boxes: int = 6, n: int = 12):
@@ -762,200 +779,42 @@ def check_dinfty(max_boxes: int = 6, n: int = 12):
     The operators never need the full rank-n state space, so the identities
     can be evaluated exactly on the capped family inside a large ambient
     rank; agreement here is what makes the rank-free limit well defined.
+    Both sides of every row are applied to one basis state (one column) at
+    a time; the operator images are cached for that column only, since a
+    cache kept for the whole run costs memory for little more reuse.
     """
     t0 = time.perf_counter()
     ctx = RankContext(n)
-    basis = truncated_spin_basis(ctx, max_boxes)
-    states = basis.states
-    entries = []
-
-    def vec(state):
-        return SpinVector.from_state(*state)
-
-    def describe(state, got, want):
-        return "state %s: got %s, expected %s" % (
-            format_basis_state(state),
-            spinrep.format_spin_vector(got),
-            spinrep.format_spin_vector(want),
-        )
-
-    E = spinrep.apply_E
-    F = spinrep.apply_F
-    H = spinrep.apply_H
-
-    def chev_pred(pair):
-        i, j = pair
-
-        def inner(state):
-            x = vec(state)
-            got = E(i, F(j, x, ctx), ctx) - F(j, E(i, x, ctx), ctx)
-            want = H(i, x, ctx) if i == j else SpinVector()
-            if got != want:
-                return describe(state, got, want)
-            got_he = H(i, E(j, x, ctx), ctx) - E(j, H(i, x, ctx), ctx)
-            want_he = E(j, x, ctx).scale(ctx.cartan[i - 1][j - 1])
-            if got_he != want_he:
-                return describe(state, got_he, want_he)
-            got_hf = H(i, F(j, x, ctx), ctx) - F(j, H(i, x, ctx), ctx)
-            want_hf = F(j, x, ctx).scale(-ctx.cartan[i - 1][j - 1])
-            if got_hf != want_hf:
-                return describe(state, got_hf, want_hf)
-            return None
-
-        return inner
-
-    bad = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            pred = chev_pred((i, j))
-            for state in states:
-                w = pred(state)
-                if w is not None:
-                    bad = "pair (%d,%d): %s" % (i, j, w)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    entries.append(
-        _entry(
-            "Chevalley brackets on all pairs (pointwise on %d states)" % len(states),
-            bad is None,
-            bad,
-        )
-    )
-
-    bad = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
+    states = truncated_spin_basis(ctx, max_boxes).states
+    tables = [(s, identities(s, ctx)) for s, _ in _DINFTY_FAMILIES if s != "weights"]
+    routes = weight_routes()
+    bad = {}  # suite -> witness of the family's first failure
+    for state in states:
+        x = SpinVector.from_state(*state)
+        images = {}
+        for suite, rows in tables:
+            if suite in bad:
                 continue
-            for state in states:
-                x = vec(state)
-                if ctx.adjacent(i, j):
-                    got = (
-                        E(i, E(i, E(j, x, ctx), ctx), ctx)
-                        - E(i, E(j, E(i, x, ctx), ctx), ctx).scale(2)
-                        + E(j, E(i, E(i, x, ctx), ctx), ctx)
-                    )
-                    gotf = (
-                        F(i, F(i, F(j, x, ctx), ctx), ctx)
-                        - F(i, F(j, F(i, x, ctx), ctx), ctx).scale(2)
-                        + F(j, F(i, F(i, x, ctx), ctx), ctx)
-                    )
-                else:
-                    got = E(i, E(j, x, ctx), ctx) - E(j, E(i, x, ctx), ctx)
-                    gotf = F(i, F(j, x, ctx), ctx) - F(j, F(i, x, ctx), ctx)
-                if got or gotf:
-                    bad = "pair (%d,%d) at state %s" % (
-                        i,
-                        j,
-                        format_basis_state(state),
+            for label, lhs, rhs in rows:
+                got, want = _image(lhs, x, images, ctx), _image(rhs, x, images, ctx)
+                if got != want:
+                    bad[suite] = _pointwise_witness(
+                        label, state, _format_vector(got), _format_vector(want)
                     )
                     break
-            if bad:
-                break
-        if bad:
-            break
-    entries.append(
-        _entry(
-            "degree bounds between vertices (pointwise on %d states)" % len(states),
-            bad is None,
-            bad,
-        )
-    )
-
-    ga = spinrep.geometric_a
-    gb = spinrep.geometric_b
-    bad = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for state in states:
-                x = vec(state)
-                aa = ga(i, ga(j, x, ctx), ctx) + ga(j, ga(i, x, ctx), ctx)
-                bb = gb(i, gb(j, x, ctx), ctx) + gb(j, gb(i, x, ctx), ctx)
-                ab = ga(i, gb(j, x, ctx), ctx) + gb(j, ga(i, x, ctx), ctx)
-                want_ab = x if i == j else SpinVector()
-                if aa or bb or ab != want_ab:
-                    bad = "pair (%d,%d) at state %s" % (i, j, format_basis_state(state))
+        if "weights" not in bad:
+            want = routes[0][1](state, ctx)
+            for name, route in routes[1:]:
+                got = route(state, ctx)
+                if got != want:
+                    bad["weights"] = _pointwise_witness(
+                        name, state, _format_eps(got), _format_eps(want)
+                    )
                     break
-            if bad:
-                break
-        if bad:
-            break
-    entries.append(
-        _entry(
-            "ladder anticommutators (pointwise on %d states)" % len(states),
-            bad is None,
-            bad,
-        )
-    )
-
-    bad = None
-    for k in range(1, n + 1):
-        for state in states:
-            x = vec(state)
-            lhs = cliff.phi(ga(k, x, ctx), ctx)
-            rhs = cliff.annihilate(k, cliff.phi(x, ctx), ctx)
-            lhs_b = cliff.phi(gb(k, x, ctx), ctx)
-            rhs_b = cliff.create(k, cliff.phi(x, ctx), ctx)
-            if lhs != rhs or lhs_b != rhs_b:
-                bad = "mode %d at state %s" % (k, format_basis_state(state))
-                break
-        if bad:
-            break
-    entries.append(
-        _entry(
-            "dictionary intertwines the ladder operators (pointwise on %d states)"
-            % len(states),
-            bad is None,
-            bad,
-        )
-    )
-
-    bad = None
-    for state in states:
-        x = vec(state)
-        for k in range(1, n):
-            if E(k, x, ctx) != gb(k + 1, ga(k, x, ctx), ctx):
-                bad = "E_%d at %s" % (k, format_basis_state(state))
-                break
-            if F(k, x, ctx) != gb(k, ga(k + 1, x, ctx), ctx):
-                bad = "F_%d at %s" % (k, format_basis_state(state))
-                break
-        if bad:
-            break
-        if E(n, x, ctx) != ga(n, ga(n - 1, x, ctx), ctx):
-            bad = "E_%d at %s" % (n, format_basis_state(state))
-            break
-        if F(n, x, ctx) != gb(n - 1, gb(n, x, ctx), ctx):
-            bad = "F_%d at %s" % (n, format_basis_state(state))
-            break
-    entries.append(
-        _entry(
-            "quadratic factorization of E/F (pointwise on %d states)" % len(states),
-            bad is None,
-            bad,
-        )
-    )
-
-    bad = None
-    for state in states:
-        u_route = spinrep.weight_eps(state, ctx)
-        if (
-            spinrep.weight_eps_alpha(state, ctx) != u_route
-            or spinrep.weight_eps_closed(state, ctx) != u_route
-            or cliff.fock_weight(cliff.phi_state(state, ctx), ctx) != u_route
-        ):
-            bad = "state %s" % format_basis_state(state)
-            break
-    entries.append(
-        _entry(
-            "weight routes agree (pointwise on %d states)" % len(states),
-            bad is None,
-            bad,
-        )
-    )
+    entries = []
+    for suite, family in _DINFTY_FAMILIES:
+        label = "%s (pointwise on %d states)" % (family, len(states))
+        entries.append(_entry(label, suite not in bad, bad.get(suite)))
     return _finalize("dinfty", n, entries, t0, max_boxes=max_boxes, mode="truncated")
 
 

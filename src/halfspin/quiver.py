@@ -52,9 +52,7 @@ class StringInterval:
     kind "plain" with end <= n-1 is the chain start..end through vertex
     n-1's branch; end == n is the chain that finishes at vertex n instead
     of n-1 (start == n means the single vertex n); end == n+1 is the full
-    fork through both branch tips.  kind "double" is the string start..end
-    folded back through the fork, where the chain end..n-2 carries
-    dimension 2.
+    fork through both branch tips.
     """
 
     kind: str
@@ -62,29 +60,21 @@ class StringInterval:
     end: int
 
     def __str__(self):
-        mark = "~" if self.kind == "double" else ""
-        return "V%s(%d,%d)" % (mark, self.start, self.end)
+        return "V(%d,%d)" % (self.start, self.end)
 
 
 def validate_string_interval(s: StringInterval, ctx: RankContext) -> StringInterval:
     n = ctx.n
-    if s.kind == "plain":
-        if s.end <= n - 1:
-            if not 1 <= s.start <= s.end:
-                raise ValueError("bad interval %s for rank %d" % (s, n))
-        elif s.end == n:
-            if not (s.start == n or 1 <= s.start <= n - 2):
-                raise ValueError("bad interval %s for rank %d" % (s, n))
-        elif s.end == n + 1:
-            if not 1 <= s.start <= n - 2:
-                raise ValueError("bad interval %s for rank %d" % (s, n))
-        else:
-            raise ValueError("bad interval %s for rank %d" % (s, n))
-    elif s.kind == "double":
-        if not 1 <= s.start < s.end <= n - 2:
-            raise ValueError("bad interval %s for rank %d" % (s, n))
-    else:
+    if s.kind != "plain":
         raise ValueError("unknown string kind %r" % s.kind)
+    if s.end <= n - 1:
+        ok = 1 <= s.start <= s.end
+    elif s.end == n:
+        ok = s.start == n or 1 <= s.start <= n - 2
+    else:
+        ok = s.end == n + 1 and 1 <= s.start <= n - 2
+    if not ok:
+        raise ValueError("bad interval %s for rank %d" % (s, n))
     return s
 
 
@@ -93,13 +83,6 @@ def string_dim_vector(s: StringInterval, ctx: RankContext) -> tuple:
     validate_string_interval(s, ctx)
     n = ctx.n
     v = [0] * n
-    if s.kind == "double":
-        # chain end..n plus a second copy of start..n-2
-        for i in range(s.end, n + 1):
-            v[i - 1] += 1
-        for i in range(s.start, n - 1):
-            v[i - 1] += 1
-        return tuple(v)
     if s.end <= n - 1:
         for i in range(s.start, s.end + 1):
             v[i - 1] = 1
@@ -170,45 +153,6 @@ def state_u(rows, sign: Sign, ctx: RankContext) -> tuple:
     return weight_u(dim_vector(rows, sign, ctx), framing_vector(sign, ctx), ctx)
 
 
-def y_vector(k: int, ctx: RankContext) -> tuple:
-    """Ones on k..n-1: the dimension change of a row addition ending at n-1."""
-    n = ctx.n
-    if not 1 <= k <= n - 1:
-        raise ValueError("endpoint %r out of range 1..%d" % (k, n - 1))
-    return tuple(1 if k <= i <= n - 1 else 0 for i in range(1, n + 1))
-
-
-def z_vector(k: int, ctx: RankContext) -> tuple:
-    """Ones on k..n-2 and at n: the row addition ending at n instead."""
-    n = ctx.n
-    if not 1 <= k <= n - 1:
-        raise ValueError("endpoint %r out of range 1..%d" % (k, n - 1))
-    return tuple(1 if (k <= i <= n - 2 or i == n) else 0 for i in range(1, n + 1))
-
-
-def star_involution(v, ctx: RankContext) -> tuple:
-    """Swap the entries at the two branch tips n-1 and n."""
-    n = ctx.n
-    if len(v) != n:
-        raise ValueError("dimension vector length must equal rank %d" % n)
-    v = list(v)
-    v[n - 2], v[n - 1] = v[n - 1], v[n - 2]
-    return tuple(v)
-
-
-def validate_orbit_function(f, v, ctx: RankContext) -> bool:
-    """True iff the multiset of strings f adds up to the dimension vector v."""
-    n = ctx.n
-    total = [0] * n
-    for s, mult in f.items():
-        if mult < 0:
-            raise ValueError("multiplicities must be non-negative")
-        sv = string_dim_vector(s, ctx)
-        for i in range(n):
-            total[i] += mult * sv[i]
-    return tuple(total) == tuple(v)
-
-
 def format_dim_vector(v) -> str:
     return "(%s)" % ",".join(str(x) for x in v)
 
@@ -228,31 +172,3 @@ def parse_dim_vector(text: str, ctx=None) -> tuple:
         raise ValueError("expected %d entries, got %d" % (ctx.n, len(v)))
     return v
 
-
-def format_string_interval(s: StringInterval) -> str:
-    return str(s)
-
-
-def parse_string_interval(text: str, ctx=None) -> StringInterval:
-    text = text.strip()
-    kind = "plain"
-    body = text
-    if text.startswith("V~"):
-        kind = "double"
-        body = text[2:]
-    elif text.startswith("V"):
-        body = text[1:]
-    else:
-        raise ValueError("cannot parse string interval %r" % text)
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError("cannot parse string interval %r" % text)
-    parts = body[1:-1].split(",")
-    if len(parts) != 2:
-        raise ValueError("cannot parse string interval %r" % text)
-    try:
-        s = StringInterval(kind, int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise ValueError("cannot parse string interval %r" % text) from None
-    if ctx is not None:
-        validate_string_interval(s, ctx)
-    return s

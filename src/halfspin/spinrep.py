@@ -375,36 +375,39 @@ def _state_sort_key(state):
     return (0 if sign is Sign.PLUS else 1, diagram_sort_key(rows))
 
 
-def format_coeff_term(coeff, body, first):
-    sgn = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
-    mag_text = "" if mag == 1 else "%s * " % mag
-    if first:
-        lead = "-" if coeff < 0 else ""
-        return "%s%s%s" % (lead, mag_text, body)
-    return " %s %s%s" % (sgn, mag_text, body)
+def format_terms(terms, sort_key, body) -> str:
+    """Text of a finite combination {key: coeff}, its terms ordered by sort_key.
+
+    body(key) is the text of a term; a coefficient of magnitude 1 is not
+    shown unless the body is empty.  The empty combination is "0".
+    """
+    out = []
+    for key in sorted(terms, key=sort_key):
+        coeff = terms[key]
+        mag = abs(coeff)
+        text = body(key)
+        if not text:
+            text = str(mag)
+        elif mag != 1:
+            text = "%s * %s" % (mag, text)
+        if out:
+            out.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            out.append("-")
+        out.append(text)
+    return "".join(out) or "0"
 
 
 def format_spin_vector(vec: SpinVector) -> str:
-    if vec.is_zero():
-        return "0"
-    chunks = []
-    for state in sorted(vec.terms, key=_state_sort_key):
-        chunks.append(
-            format_coeff_term(vec.terms[state], format_basis_state(state), not chunks)
-        )
-    return "".join(chunks)
+    return format_terms(vec.terms, _state_sort_key, format_basis_state)
 
 
-_TOKEN = re.compile(r"\s*(\([^()]*\)|\d+(?:/\d+)?|[+\-*])")
-
-
-def _tokenize(text):
+def tokenize(text: str, token) -> list:
+    """Split text into the tokens that the compiled pattern token captures."""
     tokens = []
     pos = 0
-    end = len(text)
-    while pos < end:
-        m = _TOKEN.match(text, pos)
+    while pos < len(text):
+        m = token.match(text, pos)
         if m is None:
             raise ValueError("cannot tokenize %r at position %d" % (text, pos))
         tokens.append(m.group(1))
@@ -412,32 +415,40 @@ def _tokenize(text):
     return tokens
 
 
-def parse_spin_vector(text: str, ctx=None) -> SpinVector:
-    """Inverse of format_spin_vector (also accepts unnormalized sums)."""
+def parse_terms(text: str, atom: str, parse_atom, what: str) -> list:
+    """Parse a signed sum such as "2 * X - 1/2 * Y" into (value, coefficient) pairs.
+
+    atom is the regular expression of one atom token, parse_atom turns such
+    a token into its value and what names it in error messages.  "0" is
+    the empty sum; repeated atoms are not merged.
+    """
     stripped = text.strip()
     if stripped == "0":
-        return SpinVector()
-    tokens = _tokenize(stripped)
+        return []
+    tokens = tokenize(stripped, re.compile(r"\s*(%s|\d+(?:/\d+)?|[+\-*])" % atom))
     terms = []
     i = 0
-    first = True
     while i < len(tokens):
-        sgn = Fraction(1)
+        sgn = 1
         if tokens[i] in ("+", "-"):
-            if tokens[i] == "-":
-                sgn = -sgn
+            sgn = -1 if tokens[i] == "-" else 1
             i += 1
-        elif not first:
+        elif terms:
             raise ValueError("expected + or - in %r" % text)
-        first = False
         coeff = Fraction(1)
-        if i < len(tokens) and tokens[i] not in ("+", "-", "*") and not tokens[i].startswith("("):
+        if i < len(tokens) and tokens[i][0].isdigit():
             coeff = Fraction(tokens[i])
             i += 1
             if i < len(tokens) and tokens[i] == "*":
                 i += 1
-        if i >= len(tokens) or not tokens[i].startswith("("):
-            raise ValueError("expected basis state in %r" % text)
-        terms.append((parse_basis_state(tokens[i], ctx), sgn * coeff))
+        if i >= len(tokens) or tokens[i] in ("+", "-", "*") or tokens[i][0].isdigit():
+            raise ValueError("expected %s in %r" % (what, text))
+        terms.append((parse_atom(tokens[i]), sgn * coeff))
         i += 1
+    return terms
+
+
+def parse_spin_vector(text: str, ctx=None) -> SpinVector:
+    """Inverse of format_spin_vector (also accepts unnormalized sums)."""
+    terms = parse_terms(text, r"\([^()]*\)", lambda tok: parse_basis_state(tok, ctx), "basis state")
     return SpinVector(terms)

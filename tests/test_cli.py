@@ -288,3 +288,10 @@ def test_verify_failure_exit_code_via_stub(monkeypatch):
     assert "stub n=2: fail" in text
     assert "stub witness" in text
     assert text.splitlines()[-1] == "overall: fail"
+
+
+def test_export_matrix_io_error(tmp_path, capsys):
+    rc, text = run("export-matrix", "--n", "2", "F_1", "--out", str(tmp_path / "missing" / "f1.txt"))
+    assert rc == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: cannot write ")

@@ -1,5 +1,6 @@
 """The exact linear-algebra engine and the verification suites."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -232,9 +233,9 @@ def test_matrix_witness_names_states():
     basis = spin_basis(ctx)
     got = operator_matrix("F_2", basis, ctx)
     want = ExactMatrix.zero(4, 4)
-    w = oracle._matrix_witness(got, want, basis)
+    w = oracle._matrix_witness(got, want, basis, basis)
     assert w == "entry ((plus,1) <- (plus,-)): got 1, expected 0"
-    assert oracle._matrix_witness(got, got, basis) is None
+    assert oracle._matrix_witness(got, got, basis, basis) is None
 
 
 REPORT_KEYS = {"suite", "n", "status", "counts", "checks", "duration"}
@@ -311,3 +312,70 @@ def test_run_suites():
         run_suites(["bogus"], [2])
     assert not all_pass([{"status": "fail"}])
     assert all_pass([])
+
+
+def test_identity_table_covers_the_bounded_suites():
+    ctx = RankContext(4)
+    for suite, count in (
+        ("chevalley", 54),
+        ("serre", 24),
+        ("clifford", 36),
+        ("intertwiner", 8),
+        ("factorization", 8),
+    ):
+        rows = oracle.identities(suite, ctx)
+        assert len(rows) == count
+        assert len({label for label, _, _ in rows}) == count
+    rows = dict((label, (lhs, rhs)) for label, lhs, rhs in oracle.identities("chevalley", ctx))
+    assert rows["[E_2,F_2] = H_2"] == (("commutator", "E_2", "F_2"), "H_2")
+    assert rows["[H_2,F_4] = 1 F_4"] == (("commutator", "H_2", "F_4"), ("scale", 1, "F_4"))
+    assert rows["[H_1,H_3] = 0"] == (("commutator", "H_1", "H_3"), "0")
+    with pytest.raises(ValueError):
+        oracle.identities("module", ctx)
+
+
+def _flip_ladder(monkeypatch, k):
+    """Inject a fault: a_k acts with the opposite sign."""
+    from halfspin import spinrep
+
+    def flipped(j, vec, ctx):
+        image = spinrep.geometric_a(j, vec, ctx)
+        return image.scale(-1) if j == k else image
+
+    monkeypatch.setitem(oracle._SPIN_OPS, "a", flipped)
+
+
+def test_intertwiner_witness_labels_rows_and_columns(monkeypatch):
+    _flip_ladder(monkeypatch, 1)
+    report = oracle.check_intertwiner(3)
+    assert report["status"] == "fail"
+    (bad,) = [e for e in report["checks"] if e["status"] == "fail"]
+    assert bad["identity"] == "phi a_1 = annihilate_1 phi"
+    # rows live in the wedge basis, columns in the shape basis
+    assert re.fullmatch(
+        r"entry \(\{[\d,]*\} <- \((plus|minus),[-\d,]+\)\): got -?1, expected -?1", bad["witness"]
+    ), bad["witness"]
+
+
+def test_a_ladder_fault_fails_both_modes(monkeypatch):
+    n = 3
+    _flip_ladder(monkeypatch, n - 1)
+    for check in (oracle.check_clifford, oracle.check_intertwiner, oracle.check_factorization):
+        report = check(n)
+        assert report["status"] == "fail", report["suite"]
+        for entry in report["checks"]:
+            if entry["status"] == "fail":
+                assert entry["witness"].startswith("entry (")
+    # at ambient rank 6, a_5 removes the length-1 row of capped shapes,
+    # while a_1 would kill them all and hide the fault
+    _flip_ladder(monkeypatch, 5)
+    report = oracle.check_dinfty(3, 6)
+    assert report["status"] == "fail"
+    failed = {e["identity"].split(" (")[0]: e["witness"] for e in report["checks"] if e["status"] == "fail"}
+    assert set(failed) == {
+        "ladder anticommutators",
+        "dictionary intertwines the ladder operators",
+        "quadratic factorization of E/F",
+    }
+    for witness in failed.values():
+        assert re.search(r" at state \((plus|minus),[-\d,]+\): got .+, expected ", witness), witness
