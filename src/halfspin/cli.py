@@ -13,15 +13,13 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import oracle
 from . import spinrep
 from . import clifford as cliff
-from .diagram import Sign, format_diagram, format_fock_index, parse_fock_index
-from .quiver import RankContext, format_dim_vector, state_u, dim_vector, framing_vector
+from .diagram import format_diagram, format_fock_index
+from .quiver import RankContext, format_dim_vector, state_u, dim_vector
 from .spinrep import (
-    SpinVector,
     format_spin_vector,
     parse_spin_vector,
     format_basis_state,

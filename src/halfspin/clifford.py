@@ -20,7 +20,6 @@ import re
 from fractions import Fraction
 
 from .diagram import (
-    Sign,
     fock_index,
     fock_index_inverse,
     format_fock_index,

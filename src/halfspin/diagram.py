@@ -52,14 +52,6 @@ def validate_diagram(rows, n=None) -> tuple:
     return rows
 
 
-def is_valid_diagram(rows, n=None) -> bool:
-    try:
-        validate_diagram(rows, n)
-    except (ValueError, TypeError):
-        return False
-    return True
-
-
 def diagram_sort_key(rows):
     # total boxes first, then longest-row-first lexicographic order
     return (sum(rows), tuple(-r for r in rows))

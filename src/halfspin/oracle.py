@@ -29,7 +29,6 @@ from .diagram import (
     Sign,
     enumerate_diagrams,
     enumerate_diagrams_by_boxes,
-    format_diagram,
     format_fock_index,
 )
 from .quiver import RankContext
@@ -121,11 +120,6 @@ class ExactMatrix:
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
-    def transpose(self):
-        return ExactMatrix(
-            self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
     def rank(self):
         """Exact rank by fraction-free-enough Gaussian elimination."""
         rows = {}
@@ -175,9 +169,6 @@ class IndexedBasis:
 
     def __len__(self):
         return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
 
     def position(self, state):
         return self.index[state]
@@ -362,7 +353,7 @@ def identities(suite: str, ctx: RankContext) -> list:
                 rows.append((label, ("commutator", _op("E", i), _op("F", j)), want))
         for i in vertices:
             for j in vertices:
-                c = ctx.cartan[i - 1][j - 1]
+                c = ctx.cartan_entry(i, j)
                 for x, scale in (("E", c), ("F", -c)):
                     xj = _op(x, j)
                     label = "[H_%d,%s] = %d %s" % (i, xj, scale, xj)

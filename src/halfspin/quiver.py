@@ -4,6 +4,11 @@ Vertices are numbered 1..n with edges i - i+1 for i <= n-2 and the fork
 edge n-2 - n.  Dimension vectors are plain length-n tuples indexed by
 vertex (entry 0 is vertex 1).  The rank n=2 graph has no edges and n=3 has
 the fork at vertex 1.
+
+A `RankContext` holds the graph as neighbour lists, so building one and
+computing u = w - Cv both cost O(n), and it memoizes the dimension vector
+of every signed shape it has validated.  The memo lives and dies with its
+context.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from .diagram import Sign, validate_diagram
 
 
 class RankContext:
-    """Shared read-only rank data: vertex set, edge set, Cartan matrix."""
+    """Rank data: edges, neighbour lists, and the dimension-vector memo."""
 
     def __init__(self, n: int):
         if n < 2:
@@ -24,22 +29,23 @@ class RankContext:
         if n >= 3:
             edges.append((n - 2, n))
         self.edges = tuple(edges)
-        adjacency = {frozenset(e) for e in edges}
-        cartan = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                if i == j:
-                    row.append(2)
-                elif frozenset((i, j)) in adjacency:
-                    row.append(-1)
-                else:
-                    row.append(0)
-            cartan.append(tuple(row))
-        self.cartan = tuple(cartan)
+        neighbours = [[] for _ in range(n)]
+        for i, j in edges:
+            neighbours[i - 1].append(j)
+            neighbours[j - 1].append(i)
+        # neighbours[i - 1] lists the vertices joined to vertex i
+        self.neighbours = tuple(tuple(ns) for ns in neighbours)
+        # (sign, rows) -> dimension vector, filled by dim_vector
+        self._dim_vectors = {}
 
     def adjacent(self, i: int, j: int) -> bool:
-        return self.cartan[i - 1][j - 1] == -1
+        return j in self.neighbours[i - 1]
+
+    def cartan_entry(self, i: int, j: int) -> int:
+        """The Cartan matrix entry C_ij: 2 on the diagonal, -1 on edges, else 0."""
+        if i == j:
+            return 2
+        return -1 if self.adjacent(i, j) else 0
 
     def __repr__(self):
         return "RankContext(n=%d)" % self.n
@@ -49,13 +55,12 @@ class RankContext:
 class StringInterval:
     """An indecomposable string, named by its vertex interval.
 
-    kind "plain" with end <= n-1 is the chain start..end through vertex
-    n-1's branch; end == n is the chain that finishes at vertex n instead
-    of n-1 (start == n means the single vertex n); end == n+1 is the full
-    fork through both branch tips.
+    end <= n-1 is the chain start..end through vertex n-1's branch;
+    end == n is the chain that finishes at vertex n instead of n-1
+    (start == n means the single vertex n); end == n+1 is the full fork
+    through both branch tips.
     """
 
-    kind: str
     start: int
     end: int
 
@@ -65,8 +70,6 @@ class StringInterval:
 
 def validate_string_interval(s: StringInterval, ctx: RankContext) -> StringInterval:
     n = ctx.n
-    if s.kind != "plain":
-        raise ValueError("unknown string kind %r" % s.kind)
     if s.end <= n - 1:
         ok = 1 <= s.start <= s.end
     elif s.end == n:
@@ -110,22 +113,30 @@ def a_sets(rows, sign: Sign, ctx: RankContext) -> list:
         odd_role = (i % 2 == 1) if sign is Sign.PLUS else (i % 2 == 0)
         if odd_role:
             if l > 1:
-                out.append(StringInterval("plain", n - l, n))
+                out.append(StringInterval(n - l, n))
             else:
-                out.append(StringInterval("plain", n, n))
+                out.append(StringInterval(n, n))
         else:
-            out.append(StringInterval("plain", n - l, n - 1))
+            out.append(StringInterval(n - l, n - 1))
     return out
 
 
 def dim_vector(rows, sign: Sign, ctx: RankContext) -> tuple:
-    """Sum of the string dimension vectors over the rows."""
-    n = ctx.n
-    v = [0] * n
-    for s in a_sets(rows, sign, ctx):
-        for i, x in enumerate(string_dim_vector(s, ctx)):
-            v[i] += x
-    return tuple(v)
+    """Sum of the string dimension vectors over the rows.
+
+    Memoized on ctx: only validated shapes are stored, so invalid rows
+    raise on every call.
+    """
+    rows = tuple(rows)
+    key = (sign, rows)
+    v = ctx._dim_vectors.get(key)
+    if v is None:
+        total = [0] * ctx.n
+        for s in a_sets(rows, sign, ctx):
+            for i, x in enumerate(string_dim_vector(s, ctx)):
+                total[i] += x
+        v = ctx._dim_vectors[key] = tuple(total)
+    return v
 
 
 def unit_vector(k: int, ctx: RankContext) -> tuple:
@@ -140,12 +151,15 @@ def framing_vector(sign: Sign, ctx: RankContext) -> tuple:
 
 
 def weight_u(v, w, ctx: RankContext) -> tuple:
-    """u = w - C v, the Cartan eigenvalue vector (entries may be negative)."""
+    """u = w - C v, the Cartan eigenvalue vector (entries may be negative).
+
+    Row i of C v is 2 v_i minus the sum of v over the neighbours of i.
+    """
     n = ctx.n
     if len(v) != n or len(w) != n:
         raise ValueError("dimension vector length must equal rank %d" % n)
     return tuple(
-        w[i] - sum(ctx.cartan[i][j] * v[j] for j in range(n)) for i in range(n)
+        w[i] - 2 * v[i] + sum(v[j - 1] for j in ctx.neighbours[i]) for i in range(n)
     )
 
 
@@ -155,20 +169,3 @@ def state_u(rows, sign: Sign, ctx: RankContext) -> tuple:
 
 def format_dim_vector(v) -> str:
     return "(%s)" % ",".join(str(x) for x in v)
-
-
-def parse_dim_vector(text: str, ctx=None) -> tuple:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError("cannot parse dimension vector %r" % text)
-    body = text[1:-1].strip()
-    if not body:
-        raise ValueError("cannot parse dimension vector %r" % text)
-    try:
-        v = tuple(int(p) for p in body.split(","))
-    except ValueError:
-        raise ValueError("cannot parse dimension vector %r" % text) from None
-    if ctx is not None and len(v) != ctx.n:
-        raise ValueError("expected %d entries, got %d" % (ctx.n, len(v)))
-    return v
-

@@ -28,7 +28,7 @@ from .diagram import (
     validate_diagram,
     diagram_sort_key,
 )
-from .quiver import RankContext, dim_vector, framing_vector, state_u, unit_vector
+from .quiver import RankContext, dim_vector, state_u, unit_vector
 
 
 class SpinVector:

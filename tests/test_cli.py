@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 from jsonschema import validate
@@ -295,3 +296,19 @@ def test_export_matrix_io_error(tmp_path, capsys):
     assert rc == 2
     assert text == ""
     assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+def test_point_queries_are_linear_in_rank():
+    # a dense n x n Cartan matrix made each of these take seconds at n = 2000
+    def timed(*argv):
+        started = time.perf_counter()
+        rc, text = run(*argv)
+        assert time.perf_counter() - started < 0.5
+        assert rc == 0
+        return json.loads(text)
+
+    doc = timed("weight", "--n", "2000", "--json", "(plus,3,2)")
+    assert {i + 1: x for i, x in enumerate(doc["u"]) if x} == {1996: 1, 1998: -1, 2000: 1}
+    assert doc["fock_index"] == "{1997,1998}"
+    doc = timed("act", "--n", "2000", "--json", "F_1999 E_1998 H_5", "(plus,1)")
+    assert doc["result"] == "0"

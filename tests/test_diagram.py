@@ -7,7 +7,6 @@ from halfspin.diagram import (
     Sign,
     parse_sign,
     validate_diagram,
-    is_valid_diagram,
     diagram_sort_key,
     enumerate_diagrams,
     enumerate_diagrams_by_boxes,
@@ -59,8 +58,9 @@ def test_validate_diagram():
         validate_diagram((3,), 3)  # part exceeds n-1
     with pytest.raises(ValueError):
         validate_diagram((), 1)
-    assert is_valid_diagram((2, 1), 3)
-    assert not is_valid_diagram((2, 2), 5)
+    assert validate_diagram([2, 1], 3) == (2, 1)
+    with pytest.raises(ValueError):
+        validate_diagram((2, 2), 5)
 
 
 def test_enumerate_small_ranks():
@@ -206,7 +206,7 @@ def test_add_remove_are_mutually_inverse(nd, k):
     else:
         larger = add_row_with_endpoint(rows, k, n)
         assert larger is not None
-        assert is_valid_diagram(larger, n)
+        assert validate_diagram(larger, n) == larger
         assert remove_row_with_endpoint(larger, k, n) == rows
 
 
