@@ -9,8 +9,10 @@ Two constructions of the same pair of 2**(n-1)-dimensional modules:
 
 `oracle` proves, by exact rational linear algebra at small rank, that the
 two models agree operator by operator; `cli` exposes everything on the
-command line.  All arithmetic is exact (integers and fractions.Fraction);
-there is not a single floating-point tolerance in the package.
+command line.  All arithmetic is exact: a coefficient is stored as an int
+when it is integral and as a fractions.Fraction only when it is not
+(`spinrep.exact`), and there is not a single floating-point tolerance in
+the package.
 """
 
 from .diagram import (

@@ -4,6 +4,9 @@ Commands: enumerate, act, weight, clifford, verify, export-matrix.
 Exit status: 0 on success, 1 when a verification suite fails, 2 on usage
 and I/O errors.  --json switches every command to machine-readable output;
 rationals are serialized as strings "p/q" so nothing is rounded.
+
+Requests beyond the size caps below are refused with exit status 2 before
+any state is built; no option raises a cap.
 """
 
 from __future__ import annotations
@@ -29,6 +32,23 @@ from .spinrep import (
 
 class CliError(Exception):
     pass
+
+
+# act, weight and clifford: the work and memory of one query grow linearly in n
+MAX_RANK = 10000
+# enumerate and export-matrix: the whole basis of 2^n states
+MAX_BASIS_RANK = 14
+# verify: exact matrices over the 2^n states, for every suite
+MAX_VERIFY_RANK = 12
+# --dinfty: the capped family of shapes with at most this many boxes
+MAX_BOXES = 12
+# --dinfty: the ambient rank; the identity table has O(n^2) rows
+MAX_AMBIENT_RANK = 32
+
+
+def _check_cap(value, cap, name, what):
+    if value > cap:
+        raise CliError("%s %d exceeds %s = %d" % (what, value, name, cap))
 
 
 _RATIONAL = {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}
@@ -180,36 +200,43 @@ def _eps_strings(eps):
     return [str(c) for c in eps]
 
 
-def _require_rank(args):
+def _require_rank(args, cap=MAX_RANK, name="MAX_RANK"):
     if args.n is None:
         raise CliError("--n is required")
     if args.n < 2:
         raise CliError("rank must be at least 2, got %d" % args.n)
+    _check_cap(args.n, cap, name, "rank")
     return args.n
 
 
-def _parse_rank_range(text):
+def _parse_rank_range(text, cap, name):
+    """The ranks of "4" or "2..6"; the range is built only once it is within cap."""
     text = text.strip()
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            ranks = list(range(int(lo), int(hi) + 1))
-        else:
-            ranks = [int(lo)]
+        lo = int(lo)
+        hi = int(hi) if sep else lo
     except ValueError:
         raise CliError("cannot parse rank range %r" % text) from None
-    if not ranks or any(n < 2 for n in ranks):
+    if lo > hi or lo < 2:
         raise CliError("ranks must be at least 2, got %r" % text)
-    return ranks
+    _check_cap(hi, cap, name, "rank")
+    return list(range(lo, hi + 1))
+
+
+def _check_box_cap(max_boxes):
+    if max_boxes < 0:
+        raise CliError("--max-boxes must be non-negative")
+    _check_cap(max_boxes, MAX_BOXES, "MAX_BOXES", "box cap")
 
 
 def cmd_enumerate(args, out):
     if args.dinfty:
         if args.max_boxes is None:
             raise CliError("--dinfty needs --max-boxes")
-        if args.max_boxes < 0:
-            raise CliError("--max-boxes must be non-negative")
+        _check_box_cap(args.max_boxes)
         n = args.n if args.n is not None else max(args.max_boxes + 1, 2)
+        _check_cap(n, MAX_AMBIENT_RANK, "MAX_AMBIENT_RANK", "rank")
         if n < max(args.max_boxes + 1, 2):
             raise CliError(
                 "rank %d too small for box cap %d (need at least %d)"
@@ -219,7 +246,7 @@ def cmd_enumerate(args, out):
         basis = oracle.truncated_spin_basis(ctx, args.max_boxes)
         mode = "truncated"
     else:
-        n = _require_rank(args)
+        n = _require_rank(args, MAX_BASIS_RANK, "MAX_BASIS_RANK")
         ctx = RankContext(n)
         basis = oracle.spin_basis(ctx)
         mode = "bounded"
@@ -371,12 +398,11 @@ def cmd_clifford(args, out):
 def cmd_verify(args, out):
     if args.dinfty:
         max_boxes = args.max_boxes if args.max_boxes is not None else 6
-        if max_boxes < 0:
-            raise CliError("--max-boxes must be non-negative")
+        _check_box_cap(max_boxes)
         if args.ranks is None:
             n = 12
         else:
-            ranks = _parse_rank_range(args.ranks)
+            ranks = _parse_rank_range(args.ranks, MAX_AMBIENT_RANK, "MAX_AMBIENT_RANK")
             if len(ranks) != 1:
                 raise CliError("--dinfty takes a single ambient rank, got %r" % args.ranks)
             n = ranks[0]
@@ -388,7 +414,7 @@ def cmd_verify(args, out):
     else:
         if args.ranks is None:
             raise CliError("--n is required (a rank or a range like 2..6)")
-        ranks = _parse_rank_range(args.ranks)
+        ranks = _parse_rank_range(args.ranks, MAX_VERIFY_RANK, "MAX_VERIFY_RANK")
         if args.all or not args.suite:
             names = list(oracle.SUITE_NAMES)
         else:
@@ -426,7 +452,7 @@ def cmd_verify(args, out):
 
 
 def cmd_export_matrix(args, out):
-    n = _require_rank(args)
+    n = _require_rank(args, MAX_BASIS_RANK, "MAX_BASIS_RANK")
     ctx = RankContext(n)
     tokens = args.operator.split()
     if not tokens:
@@ -487,48 +513,64 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="halfspin",
         description="Exact combinatorial models of the half-spin modules of so(2n).",
+        epilog="A request beyond a size cap (see each command's --help) exits with status 2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rank_help = "rank, 2..%d (MAX_RANK)" % MAX_RANK
 
     p = sub.add_parser("enumerate", help="list all basis states with their invariants")
-    p.add_argument("--n", type=int, default=None, help="rank (at least 2)")
+    p.add_argument(
+        "--n",
+        type=int,
+        default=None,
+        help="rank, 2..%d (MAX_BASIS_RANK); with --dinfty the ambient rank, at most %d (MAX_AMBIENT_RANK)"
+        % (MAX_BASIS_RANK, MAX_AMBIENT_RANK),
+    )
     p.add_argument("--dinfty", action="store_true", help="rank-free mode: cap total boxes instead")
-    p.add_argument("--max-boxes", type=int, default=None, help="box cap for --dinfty")
+    p.add_argument("--max-boxes", type=int, default=None, help="box cap for --dinfty, at most %d (MAX_BOXES)" % MAX_BOXES)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("act", help="apply an operator word to a shape vector")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help=rank_help)
     p.add_argument("--json", action="store_true")
     p.add_argument("word", help="e.g. \"F_2 F_4\" or \"kappa a_1\"; rightmost acts first")
     p.add_argument("vector", help="e.g. \"(plus,-)\" or \"(plus,3,1) - 2 * (minus,2)\"")
     p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("weight", help="weight data of one basis state")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help=rank_help)
     p.add_argument("--json", action="store_true")
     p.add_argument("state", help="e.g. \"(plus,3,1)\"")
     p.set_defaults(func=cmd_weight)
 
     p = sub.add_parser("clifford", help="normal-order an algebra expression")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help=rank_help)
     p.add_argument("--apply", default=None, metavar="VEC", help="apply the element to a wedge vector, e.g. \"{1,3}\"")
     p.add_argument("--json", action="store_true")
     p.add_argument("expression", help="e.g. \"a1*b1 + b1*a1\"")
     p.set_defaults(func=cmd_clifford)
 
     p = sub.add_parser("verify", help="run the exact verification suites")
-    p.add_argument("--n", dest="ranks", default=None, help="rank or range, e.g. 4 or 2..6")
+    p.add_argument(
+        "--n",
+        dest="ranks",
+        default=None,
+        help="rank or range, e.g. 4 or 2..6, at most %d (MAX_VERIFY_RANK); with --dinfty one "
+        "ambient rank (default 12), at most %d (MAX_AMBIENT_RANK)" % (MAX_VERIFY_RANK, MAX_AMBIENT_RANK),
+    )
     p.add_argument("--suite", action="append", default=None, help="suite name(s), comma separated; repeatable")
     p.add_argument("--all", action="store_true", help="run every suite")
     p.add_argument("--dinfty", action="store_true", help="box-capped rank-free re-run")
-    p.add_argument("--max-boxes", type=int, default=None, help="box cap for --dinfty (default 6)")
+    p.add_argument(
+        "--max-boxes", type=int, default=None, help="box cap for --dinfty (default 6), at most %d (MAX_BOXES)" % MAX_BOXES
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-matrix", help="export an operator matrix as sparse triplets")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help="rank, 2..%d (MAX_BASIS_RANK)" % MAX_BASIS_RANK)
     p.add_argument("--basis", choices=("spin", "fock"), default="spin")
     p.add_argument("--out", dest="out_path", default=None, help="write to a file instead of stdout")
     p.add_argument("--json", action="store_true")

@@ -26,7 +26,7 @@ from .diagram import (
     parse_fock_index,
 )
 from .quiver import RankContext
-from .spinrep import SpinVector, format_terms, parse_terms, tokenize
+from .spinrep import SpinVector, exact, format_terms, parse_terms, tokenize
 
 
 class FockVector:
@@ -40,16 +40,16 @@ class FockVector:
             items = terms.items() if isinstance(terms, dict) else terms
             for idx, coeff in items:
                 idx = frozenset(idx)
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if idx in data:
-                    data[idx] += coeff
+                    data[idx] = exact(data[idx] + coeff)
                 else:
                     data[idx] = coeff
         self.terms = {i: c for i, c in data.items() if c != 0}
 
     @classmethod
     def from_index(cls, idx, coeff=1):
-        return cls({frozenset(idx): Fraction(coeff)})
+        return cls({frozenset(idx): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -66,7 +66,7 @@ class FockVector:
     def __add__(self, other):
         out = dict(self.terms)
         for i, c in other.terms.items():
-            out[i] = out.get(i, Fraction(0)) + c
+            out[i] = out.get(i, 0) + c
         return FockVector(out)
 
     def __sub__(self, other):
@@ -76,7 +76,7 @@ class FockVector:
         return FockVector({i: -c for i, c in self.terms.items()})
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         return FockVector({i: scalar * c for i, c in self.terms.items()})
 
     def __rmul__(self, scalar):
@@ -100,7 +100,7 @@ def create(k: int, vec: FockVector, ctx: RankContext) -> FockVector:
             continue
         phase = (-1) ** sum(1 for i in idx if i < k)
         key = idx | {k}
-        out[key] = out.get(key, Fraction(0)) + coeff * phase
+        out[key] = out.get(key, 0) + coeff * phase
     return FockVector(out)
 
 
@@ -113,7 +113,7 @@ def annihilate(k: int, vec: FockVector, ctx: RankContext) -> FockVector:
             continue
         phase = (-1) ** sum(1 for i in idx if i < k)
         key = idx - {k}
-        out[key] = out.get(key, Fraction(0)) + coeff * phase
+        out[key] = out.get(key, 0) + coeff * phase
     return FockVector(out)
 
 
@@ -134,7 +134,7 @@ def _first_disorder(word):
 def _normal_order_word(word):
     """Rewrite a letter list to normal order; returns {(S, T): coeff}."""
     out = {}
-    stack = [(Fraction(1), list(word))]
+    stack = [(1, list(word))]
     while stack:
         coeff, w = stack.pop()
         i = _first_disorder(w)
@@ -143,7 +143,7 @@ def _normal_order_word(word):
                 tuple(idx for t, idx in w if t == "b"),
                 tuple(idx for t, idx in w if t == "a"),
             )
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
             continue
         (t1, i1), (t2, i2) = w[i], w[i + 1]
         if t1 == "a" and t2 == "b":
@@ -174,9 +174,9 @@ class CliffordElement:
                     for i in block:
                         if i < 1:
                             raise ValueError("generator index must be positive, got %r" % (i,))
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if key in data:
-                    data[key] += coeff
+                    data[key] = exact(data[key] + coeff)
                 else:
                     data[key] = coeff
         self.terms = {k: c for k, c in data.items() if c != 0}
@@ -187,11 +187,11 @@ class CliffordElement:
 
     @classmethod
     def identity(cls):
-        return cls({((), ()): Fraction(1)})
+        return cls({((), ()): 1})
 
     @classmethod
     def monomial(cls, creators, annihilators, coeff=1):
-        return cls({(tuple(sorted(creators)), tuple(sorted(annihilators))): Fraction(coeff)})
+        return cls({(tuple(sorted(creators)), tuple(sorted(annihilators))): coeff})
 
     @classmethod
     def creator(cls, k):
@@ -216,7 +216,7 @@ class CliffordElement:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return CliffordElement(out)
 
     def __sub__(self, other):
@@ -226,7 +226,7 @@ class CliffordElement:
         return CliffordElement({k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         return CliffordElement({k: scalar * c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
@@ -245,7 +245,7 @@ class CliffordElement:
                     + [("a", i) for i in t2]
                 )
                 for key, c in _normal_order_word(word).items():
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2 * c
+                    out[key] = out.get(key, 0) + c1 * c2 * c
         return CliffordElement(out)
 
     def __repr__(self):

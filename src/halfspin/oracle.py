@@ -34,12 +34,15 @@ from .diagram import (
 from .quiver import RankContext
 from . import spinrep
 from . import clifford as cliff
-from .spinrep import SpinVector, format_basis_state
+from .spinrep import SpinVector, exact, format_basis_state
 from .clifford import CliffordElement, FockVector
 
 
 class ExactMatrix:
-    """Sparse rational matrix; no stored zeros, exact arithmetic only."""
+    """Sparse rational matrix; no stored zeros, exact arithmetic only.
+
+    An entry is an int when integral and a Fraction otherwise.
+    """
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -51,21 +54,21 @@ class ExactMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise ValueError("entry (%d,%d) out of bounds %dx%d" % (i, j, nrows, ncols))
-                v = Fraction(v)
+                v = exact(v)
                 if v != 0:
                     data[(i, j)] = v
         self.entries = data
 
     @classmethod
     def identity(cls, size):
-        return cls(size, size, {(i, i): Fraction(1) for i in range(size)})
+        return cls(size, size, {(i, i): 1 for i in range(size)})
 
     @classmethod
     def zero(cls, nrows, ncols):
         return cls(nrows, ncols)
 
     def entry(self, i, j):
-        return self.entries.get((i, j), Fraction(0))
+        return self.entries.get((i, j), 0)
 
     def is_zero(self):
         return not self.entries
@@ -87,7 +90,7 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         out = dict(self.entries)
         for k, v in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return ExactMatrix(self.nrows, self.ncols, out)
 
     def __sub__(self, other):
@@ -97,7 +100,7 @@ class ExactMatrix:
         return ExactMatrix(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         return ExactMatrix(
             self.nrows, self.ncols, {k: scalar * v for k, v in self.entries.items()}
         )
@@ -114,7 +117,7 @@ class ExactMatrix:
         for (i, j), a in self.entries.items():
             for k, b in by_row.get(j, ()):
                 key = (i, k)
-                out[key] = out.get(key, Fraction(0)) + a * b
+                out[key] = out.get(key, 0) + a * b
         return ExactMatrix(self.nrows, other.ncols, out)
 
     def __rmul__(self, scalar):
@@ -136,9 +139,9 @@ class ExactMatrix:
                     rnk += 1
                     break
                 pivot_row = pivots[col]
-                factor = row[col] / pivot_row[col]
+                factor = Fraction(row[col], pivot_row[col])
                 for c, v in pivot_row.items():
-                    nv = row.get(c, Fraction(0)) - factor * v
+                    nv = row.get(c, 0) - factor * v
                     if nv:
                         row[c] = nv
                     elif c in row:
@@ -265,7 +268,7 @@ def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatr
 def phi_matrix(ctx: RankContext, sbasis: IndexedBasis, fbasis: IndexedBasis) -> ExactMatrix:
     entries = {}
     for j, state in enumerate(sbasis.states):
-        entries[(fbasis.position(cliff.phi_state(state, ctx)), j)] = Fraction(1)
+        entries[(fbasis.position(cliff.phi_state(state, ctx)), j)] = 1
     return ExactMatrix(len(fbasis), len(sbasis), entries)
 
 

@@ -7,8 +7,9 @@ dimension vector grows by the unit vector at vertex k (E_k shrinks it),
 and H_k scales by the Cartan eigenvalue u_k.  The signed ladder operators
 geometric_a / geometric_b move single rows and exchange the two families.
 
-Weights live in the epsilon coordinates, as length-n tuples of exact
-rationals; for basis states every entry is +1/2 or -1/2.
+Coefficients are exact: a plain int when integral, a Fraction otherwise
+(see `exact`).  Weights live in the epsilon coordinates, as length-n
+tuples of Fractions; for basis states every entry is +1/2 or -1/2.
 """
 
 from __future__ import annotations
@@ -28,7 +29,21 @@ from .diagram import (
     validate_diagram,
     diagram_sort_key,
 )
-from .quiver import RankContext, dim_vector, state_u, unit_vector
+from .quiver import RankContext, dim_vector, state_u
+
+
+def exact(v):
+    """The exact form of a coefficient: an int when integral, else a Fraction.
+
+    An int is kept as it is and a Fraction with denominator 1 becomes its
+    numerator; anything else goes through Fraction(v), so text that is no
+    number raises ValueError.
+    """
+    if type(v) is not int:
+        v = Fraction(v)
+        if v.denominator == 1:
+            return v.numerator
+    return v
 
 
 class SpinVector:
@@ -41,16 +56,16 @@ class SpinVector:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for state, coeff in items:
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if state in data:
-                    data[state] += coeff
+                    data[state] = exact(data[state] + coeff)
                 else:
                     data[state] = coeff
         self.terms = {s: c for s, c in data.items() if c != 0}
 
     @classmethod
     def from_state(cls, sign, rows, coeff=1):
-        return cls({(sign, tuple(rows)): Fraction(coeff)})
+        return cls({(sign, tuple(rows)): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -67,7 +82,7 @@ class SpinVector:
     def __add__(self, other):
         out = dict(self.terms)
         for s, c in other.terms.items():
-            out[s] = out.get(s, Fraction(0)) + c
+            out[s] = out.get(s, 0) + c
         return SpinVector(out)
 
     def __sub__(self, other):
@@ -77,7 +92,7 @@ class SpinVector:
         return SpinVector({s: -c for s, c in self.terms.items()})
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         return SpinVector({s: scalar * c for s, c in self.terms.items()})
 
     def __rmul__(self, scalar):
@@ -116,9 +131,9 @@ def _shift_state(sign, rows, k, direction, ctx, opname):
     # the unique shape whose dimension vector differs by the unit at k,
     # searched among single-box edits; at most one can match
     n = ctx.n
-    base = dim_vector(rows, sign, ctx)
-    step = unit_vector(k, ctx)
-    target = tuple(b + direction * e for b, e in zip(base, step))
+    target = list(dim_vector(rows, sign, ctx))
+    target[k - 1] += direction
+    target = tuple(target)
     matches = [
         cand
         for cand in _single_box_edits(rows, n)
@@ -142,7 +157,7 @@ def apply_F(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
         moved = _shift_state(sign, rows, k, +1, ctx, "F")
         if moved is not None:
             key = (sign, moved)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
     return SpinVector(out)
 
 
@@ -155,7 +170,7 @@ def apply_E(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
         moved = _shift_state(sign, rows, k, -1, ctx, "E")
         if moved is not None:
             key = (sign, moved)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
     return SpinVector(out)
 
 
@@ -193,13 +208,13 @@ def geometric_a(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
             w_n = 1 if sign is Sign.PLUS else 0
             if (w_n + len(rows)) % 2 == 0:
                 key = (sign.flip(), rows)
-                out[key] = out.get(key, Fraction(0)) + coeff * (-1) ** len(rows)
+                out[key] = out.get(key, 0) + coeff * (-1) ** len(rows)
         else:
             smaller = remove_row_with_endpoint(rows, k, n)
             if smaller is not None:
                 key = (sign.flip(), smaller)
                 phase = (-1) ** endpoint_count_below(rows, n, k)
-                out[key] = out.get(key, Fraction(0)) + coeff * phase
+                out[key] = out.get(key, 0) + coeff * phase
     return SpinVector(out)
 
 
@@ -219,13 +234,13 @@ def geometric_b(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
             w_n = 1 if sign is Sign.PLUS else 0
             if (w_n + len(rows)) % 2 == 1:
                 key = (sign.flip(), rows)
-                out[key] = out.get(key, Fraction(0)) + coeff * (-1) ** len(rows)
+                out[key] = out.get(key, 0) + coeff * (-1) ** len(rows)
         else:
             larger = add_row_with_endpoint(rows, k, n)
             if larger is not None:
                 key = (sign.flip(), larger)
                 phase = (-1) ** endpoint_count_below(rows, n, k)
-                out[key] = out.get(key, Fraction(0)) + coeff * phase
+                out[key] = out.get(key, 0) + coeff * phase
     return SpinVector(out)
 
 
@@ -233,44 +248,61 @@ def geometric_b(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
 # weights
 
 
+def _twice_fundamental_weight(i: int, n: int) -> tuple:
+    """The nonzero entries of twice the fundamental weight i, as runs (coordinates, value)."""
+    if i <= n - 2:
+        return ((range(i), 2),)
+    return ((range(n - 1), 1), ((n - 1,), 1 if i == n else -1))
+
+
+def _simple_root_entries(i: int, n: int) -> tuple:
+    """The two nonzero entries of the simple root i, as (coordinate, value) pairs."""
+    if i <= n - 1:
+        return ((i - 1, 1), (i, -1))
+    return ((n - 2, 1), (n - 1, 1))
+
+
+def _halves(twice) -> tuple:
+    return tuple(Fraction(t, 2) for t in twice)
+
+
 def fundamental_weight(i: int, ctx: RankContext) -> tuple:
     n = ctx.n
     if not 1 <= i <= n:
         raise ValueError("index %r out of range 1..%d" % (i, n))
-    half = Fraction(1, 2)
-    if i <= n - 2:
-        return tuple(Fraction(1 if j <= i else 0) for j in range(1, n + 1))
-    if i == n - 1:
-        return tuple([half] * (n - 1) + [-half])
-    return tuple([half] * n)
+    twice = [0] * n
+    for coords, value in _twice_fundamental_weight(i, n):
+        for j in coords:
+            twice[j] = value
+    return _halves(twice)
 
 
 def simple_root(i: int, ctx: RankContext) -> tuple:
     n = ctx.n
     if not 1 <= i <= n:
         raise ValueError("index %r out of range 1..%d" % (i, n))
-    eps = [Fraction(0)] * n
-    if i <= n - 1:
-        eps[i - 1] = Fraction(1)
-        eps[i] = Fraction(-1)
-    else:
-        eps[n - 2] = Fraction(1)
-        eps[n - 1] = Fraction(1)
+    eps = [0] * n
+    for j, value in _simple_root_entries(i, n):
+        eps[j] = value
     return tuple(eps)
 
 
 def weight_eps(state, ctx: RankContext) -> tuple:
-    """Weight of a basis state in epsilon coordinates, via u = w - Cv."""
+    """Weight of a basis state in epsilon coordinates, via u = w - Cv.
+
+    The sum of u_i times the fundamental weight i, accumulated doubled in
+    ints over the nonzero entries only.
+    """
     sign, rows = state
     u = state_u(rows, sign, ctx)
     n = ctx.n
-    total = [Fraction(0)] * n
-    for i in range(1, n + 1):
-        if u[i - 1]:
-            lam = fundamental_weight(i, ctx)
-            for j in range(n):
-                total[j] += u[i - 1] * lam[j]
-    return tuple(total)
+    twice = [0] * n
+    for i, ui in enumerate(u, start=1):
+        if ui:
+            for coords, value in _twice_fundamental_weight(i, n):
+                for j in coords:
+                    twice[j] += ui * value
+    return _halves(twice)
 
 
 def weight_eps_alpha(state, ctx: RankContext) -> tuple:
@@ -280,17 +312,19 @@ def weight_eps_alpha(state, ctx: RankContext) -> tuple:
     combination read off the conjugate shape: the first column depth
     splits between the two tip roots (ceiling to the family's own tip),
     column i >= 2 of depth m subtracts m copies of the root at n-i.
+    The weight is accumulated doubled, in ints.
     """
     sign, rows = state
     n = ctx.n
     validate_diagram(rows, n)
-    top = fundamental_weight(n if sign is Sign.PLUS else n - 1, ctx)
-    total = list(top)
+    twice = [0] * n
+    for coords, value in _twice_fundamental_weight(n if sign is Sign.PLUS else n - 1, n):
+        for j in coords:
+            twice[j] += value
 
     def subtract(root_index, mult):
-        root = simple_root(root_index, ctx)
-        for j in range(n):
-            total[j] -= mult * root[j]
+        for j, value in _simple_root_entries(root_index, n):
+            twice[j] -= 2 * mult * value
 
     mu = conjugate(rows)
     if mu:
@@ -303,7 +337,21 @@ def weight_eps_alpha(state, ctx: RankContext) -> tuple:
             subtract(n, lo)
         for i in range(2, len(mu) + 1):
             subtract(n - i, mu[i - 1])
-    return tuple(total)
+    return _halves(twice)
+
+
+def _closed_form(sign, rows, ctx, twice_per_row):
+    # doubled: 1 at coordinates 1..n-1, less twice_per_row at n-l per row
+    # of length l, and the tip +-1
+    n = ctx.n
+    validate_diagram(rows, n)
+    twice = [1] * (n - 1) + [0]
+    for l in rows:
+        twice[n - l - 1] -= twice_per_row
+    s = len(rows)
+    plus_tip = (s % 2 == 0) if sign is Sign.PLUS else (s % 2 == 1)
+    twice[n - 1] = 1 if plus_tip else -1
+    return _halves(twice)
 
 
 def weight_eps_closed(state, ctx: RankContext) -> tuple:
@@ -315,16 +363,7 @@ def weight_eps_closed(state, ctx: RankContext) -> tuple:
     when it is odd.
     """
     sign, rows = state
-    n = ctx.n
-    validate_diagram(rows, n)
-    half = Fraction(1, 2)
-    total = [half] * (n - 1) + [Fraction(0)]
-    for l in rows:
-        total[n - l - 1] -= 1
-    s = len(rows)
-    plus_tip = (s % 2 == 0) if sign is Sign.PLUS else (s % 2 == 1)
-    total[n - 1] = half if plus_tip else -half
-    return tuple(total)
+    return _closed_form(sign, rows, ctx, 2)
 
 
 def weight_eps_halved_variant(state, ctx: RankContext) -> tuple:
@@ -336,16 +375,7 @@ def weight_eps_halved_variant(state, ctx: RankContext) -> tuple:
     never use this for actual weights.
     """
     sign, rows = state
-    n = ctx.n
-    validate_diagram(rows, n)
-    half = Fraction(1, 2)
-    total = [half] * (n - 1) + [Fraction(0)]
-    for l in rows:
-        total[n - l - 1] -= half
-    s = len(rows)
-    plus_tip = (s % 2 == 0) if sign is Sign.PLUS else (s % 2 == 1)
-    total[n - 1] = half if plus_tip else -half
-    return tuple(total)
+    return _closed_form(sign, rows, ctx, 1)
 
 
 # ---------------------------------------------------------------------------

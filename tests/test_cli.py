@@ -312,3 +312,54 @@ def test_point_queries_are_linear_in_rank():
     assert doc["fock_index"] == "{1997,1998}"
     doc = timed("act", "--n", "2000", "--json", "F_1999 E_1998 H_5", "(plus,1)")
     assert doc["result"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("verify", "--n", "2..40"), cli.MAX_VERIFY_RANK),
+        (("verify", "--n", "2..1000000000000", "--all"), cli.MAX_VERIFY_RANK),
+        (("enumerate", "--n", "40"), cli.MAX_BASIS_RANK),
+        (("export-matrix", "--n", "40", "F_1"), cli.MAX_BASIS_RANK),
+        (("verify", "--dinfty", "--max-boxes", "200"), cli.MAX_BOXES),
+        (("enumerate", "--dinfty", "--max-boxes", "200"), cli.MAX_BOXES),
+        (("verify", "--dinfty", "--max-boxes", "3", "--n", "40"), cli.MAX_AMBIENT_RANK),
+        (("enumerate", "--dinfty", "--max-boxes", "3", "--n", "40"), cli.MAX_AMBIENT_RANK),
+        (("weight", "--n", "10000001", "(plus,-)"), cli.MAX_RANK),
+        (("act", "--n", "10000001", "F_1", "(plus,-)"), cli.MAX_RANK),
+        (("clifford", "--n", "10000001", "b1"), cli.MAX_RANK),
+    ],
+)
+def test_size_caps_refuse_with_exit_2(argv, cap, capsys):
+    # refused before any state is built: each of these would allocate
+    # 2^n or p(B) states, or O(n) data at an absurd rank
+    started = time.perf_counter()
+    rc, text = run(*argv)
+    assert time.perf_counter() - started < 0.5
+    assert rc == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "= %d" % cap in err and "MAX_" in err
+
+
+def test_size_caps_admit_their_limits():
+    assert cli.MAX_VERIFY_RANK >= 9 and cli.MAX_AMBIENT_RANK >= 12 and cli.MAX_BOXES >= 7
+    assert cli.MAX_RANK >= 256 and cli.MAX_BASIS_RANK >= cli.MAX_VERIFY_RANK
+    rc, doc = run_json("enumerate", "--dinfty", "--max-boxes", str(cli.MAX_BOXES), "--n", str(cli.MAX_AMBIENT_RANK), "--json")
+    assert rc == 0 and doc["max_boxes"] == cli.MAX_BOXES
+    assert run("export-matrix", "--n", str(cli.MAX_BASIS_RANK), "F_1")[0] == 0
+
+
+def test_size_caps_are_in_the_help(capsys):
+    for command, caps in (
+        ("verify", ("MAX_VERIFY_RANK", "MAX_AMBIENT_RANK", "MAX_BOXES")),
+        ("enumerate", ("MAX_BASIS_RANK", "MAX_AMBIENT_RANK", "MAX_BOXES")),
+        ("export-matrix", ("MAX_BASIS_RANK",)),
+        ("act", ("MAX_RANK",)),
+    ):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"], io.StringIO())
+        text = " ".join(capsys.readouterr().out.split())
+        for name in caps:
+            assert "%d (%s)" % (getattr(cli, name), name) in text

@@ -89,6 +89,15 @@ def test_matrix_rank():
     assert tri.rank() == 1
 
 
+def test_rank_of_large_integer_entries_stays_exact():
+    # with int entries a true division would round n / (n + 1) to the float
+    # 1.0 and cancel the second row: rank 1 instead of 2
+    n = 10**17
+    m = ExactMatrix(2, 2, {(0, 0): n + 1, (0, 1): n, (1, 0): n, (1, 1): n - 1})
+    assert m.rank() == 2
+    assert all(type(v) is int for v in m.entries.values())
+
+
 def test_commutators():
     a = ExactMatrix(2, 2, {(0, 1): 1})
     b = ExactMatrix(2, 2, {(1, 0): 1})

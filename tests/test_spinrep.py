@@ -79,6 +79,18 @@ def test_lowering_examples_n4():
         apply_E(0, top, ctx)
 
 
+def test_ef_reject_every_vertex_out_of_range():
+    # the range check sits in apply_E / apply_F; _shift_state indexes the
+    # dimension vector directly, where k = 0 or -1 would wrap around
+    for n in (2, 3, 5):
+        ctx = RankContext(n)
+        x = state(Sign.PLUS, 1) + state(Sign.MINUS)
+        for op in (apply_E, apply_F):
+            for k in (-1, 0, n + 1):
+                with pytest.raises(ValueError, match="out of range"):
+                    op(k, x, ctx)
+
+
 def test_h_scales_by_cartan_eigenvalue():
     for n in (2, 3, 4):
         ctx = RankContext(n)
