@@ -38,8 +38,9 @@ class CliError(Exception):
 MAX_RANK = 10000
 # enumerate and export-matrix: the whole basis of 2^n states
 MAX_BASIS_RANK = 14
-# verify: exact matrices over the 2^n states, for every suite
-MAX_VERIFY_RANK = 12
+# verify: exact matrices over the 2^n states, for every suite; the largest
+# rank whose --all run stays near 30 s (n = 14: about 21 s and 170 MB)
+MAX_VERIFY_RANK = 14
 # --dinfty: the capped family of shapes with at most this many boxes
 MAX_BOXES = 12
 # --dinfty: the ambient rank; the identity table has O(n^2) rows

@@ -20,6 +20,10 @@ class Sign(Enum):
     PLUS = "plus"
     MINUS = "minus"
 
+    # the two members are singletons, so identity is equality; Enum's own
+    # hash goes through the member name on every dict lookup of a state
+    __hash__ = object.__hash__
+
     def flip(self) -> "Sign":
         return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
 

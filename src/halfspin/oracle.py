@@ -13,6 +13,11 @@ rank-n basis and compare matrices.  The rank-free `check_dinfty` applies
 both sides to one box-capped basis state at a time.  The module, weight
 and faithfulness suites are written out on their own.
 
+The suites of one `run_suites` call share one `RankTables` per rank: one
+rank context, one shape and one wedge basis, one `phi` matrix and one
+table of operator matrices, each built on first use and dropped before
+the next rank starts.  A suite called on its own builds its own.
+
 Reports are plain dicts, deterministic for a given (suite, rank), with
 entry statuses pass / fail / xfail / xpass / skip.  An xfail entry is a
 pinned, documented deviation (a regression guard): it does not fail the
@@ -24,6 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from fractions import Fraction
+from functools import cached_property
 
 from .diagram import (
     Sign,
@@ -272,6 +278,55 @@ def phi_matrix(ctx: RankContext, sbasis: IndexedBasis, fbasis: IndexedBasis) -> 
     return ExactMatrix(len(fbasis), len(sbasis), entries)
 
 
+class RankTables:
+    """What the bounded suites of one rank read, each part built on first use.
+
+    `matrix` tabulates an operator token once and hands the same matrix to
+    every later caller; "0", "1" and "phi" name the zero and identity maps
+    of the shape space and the dictionary's matrix.
+    """
+
+    def __init__(self, n: int):
+        self.ctx = RankContext(n)
+        self._matrices = {}
+
+    @cached_property
+    def sbasis(self) -> IndexedBasis:
+        return spin_basis(self.ctx)
+
+    @cached_property
+    def fbasis(self) -> IndexedBasis:
+        return fock_basis(self.ctx)
+
+    @cached_property
+    def phi(self) -> ExactMatrix:
+        return phi_matrix(self.ctx, self.sbasis, self.fbasis)
+
+    def matrix(self, token: str) -> ExactMatrix:
+        m = self._matrices.get(token)
+        if m is None:
+            if token == "phi":
+                m = self.phi
+            elif token in ("0", "1"):
+                size = len(self.sbasis)
+                m = ExactMatrix.identity(size) if token == "1" else ExactMatrix.zero(size, size)
+            else:
+                name, _ = parse_operator_token(token)
+                basis = self.fbasis if name in WEDGE_OPS else self.sbasis
+                m = operator_matrix(token, basis, self.ctx)
+            self._matrices[token] = m
+        return m
+
+
+def _rank_tables(n, tables):
+    """The shared tables of rank n, or fresh ones when the suite runs alone."""
+    if tables is None:
+        return RankTables(n)
+    if tables.ctx.n != n:
+        raise ValueError("tables of rank %d handed to a rank-%d suite" % (tables.ctx.n, n))
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -420,28 +475,19 @@ def _matrix(expr, leaf):
     return commutator(x, y) if op == "commutator" else anticommutator(x, y)
 
 
-def _table_entries(suite, ctx, sbasis, fbasis=None, phi=None):
+def _table_entries(suite, tables, rows):
     """The bounded evaluator: every row of the suite's table, as exact matrices.
 
-    Each token is tabulated at most once per call.  The sides map the shape
-    basis to itself, or to the wedge basis when fbasis is given (phi is then
-    the dictionary's matrix).
+    Tokens are tabulated by tables, once per rank.  The sides map the shape
+    basis to rows, the shape or the wedge basis, which labels the witnesses.
     """
-    size = len(sbasis)
-    tabulated = {"0": ExactMatrix.zero(size, size), "1": ExactMatrix.identity(size), "phi": phi}
-
-    def leaf(token):
-        if token not in tabulated:
-            name, _ = parse_operator_token(token)
-            tabulated[token] = operator_matrix(token, fbasis if name in WEDGE_OPS else sbasis, ctx)
-        return tabulated[token]
-
-    rows = sbasis if fbasis is None else fbasis
     entries = []
-    for label, lhs, rhs in identities(suite, ctx):
-        got, want = _matrix(lhs, leaf), _matrix(rhs, leaf)
+    for label, lhs, rhs in identities(suite, tables.ctx):
+        got, want = _matrix(lhs, tables.matrix), _matrix(rhs, tables.matrix)
         ok = got == want
-        entries.append(_entry(label, ok, None if ok else _matrix_witness(got, want, rows, sbasis)))
+        entries.append(
+            _entry(label, ok, None if ok else _matrix_witness(got, want, rows, tables.sbasis))
+        )
     return entries
 
 
@@ -484,35 +530,33 @@ def _image(expr, vec, images, ctx):
 # suites
 
 
-def _bounded_suite(suite, n):
+def _bounded_suite(suite, n, tables):
     t0 = time.perf_counter()
-    ctx = RankContext(n)
-    return _finalize(suite, n, _table_entries(suite, ctx, spin_basis(ctx)), t0)
+    tables = _rank_tables(n, tables)
+    return _finalize(suite, n, _table_entries(suite, tables, tables.sbasis), t0)
 
 
-def check_chevalley(n: int):
+def check_chevalley(n: int, tables=None):
     """[E_i,F_j] = delta_ij H_i and the H brackets, as exact matrices."""
-    return _bounded_suite("chevalley", n)
+    return _bounded_suite("chevalley", n, tables)
 
 
-def check_serre(n: int):
+def check_serre(n: int, tables=None):
     """Degree bounds on the raising/lowering operators between vertices."""
-    return _bounded_suite("serre", n)
+    return _bounded_suite("serre", n, tables)
 
 
-def check_clifford(n: int):
+def check_clifford(n: int, tables=None):
     """Anticommutation of the row ladder operators on the shape basis."""
-    return _bounded_suite("clifford", n)
+    return _bounded_suite("clifford", n, tables)
 
 
-def check_intertwiner(n: int):
+def check_intertwiner(n: int, tables=None):
     """The basis dictionary carries each ladder operator to its wedge twin."""
     t0 = time.perf_counter()
-    ctx = RankContext(n)
-    sbasis = spin_basis(ctx)
-    fbasis = fock_basis(ctx)
-    P = phi_matrix(ctx, sbasis, fbasis)
-    size = len(sbasis)
+    tables = _rank_tables(n, tables)
+    P = tables.phi
+    size = len(tables.sbasis)
     ok_bijection = (
         P.nnz == size
         and all(v == 1 for v in P.entries.values())
@@ -526,13 +570,13 @@ def check_intertwiner(n: int):
             None if ok_bijection else "phi matrix nnz=%d" % P.nnz,
         )
     ]
-    entries += _table_entries("intertwiner", ctx, sbasis, fbasis, P)
+    entries += _table_entries("intertwiner", tables, tables.fbasis)
     return _finalize("intertwiner", n, entries, t0)
 
 
-def check_factorization(n: int):
+def check_factorization(n: int, tables=None):
     """Chevalley operators factor through quadratic ladder words."""
-    return _bounded_suite("factorization", n)
+    return _bounded_suite("factorization", n, tables)
 
 
 def _f_closure(sign: Sign, ctx: RankContext):
@@ -550,10 +594,10 @@ def _f_closure(sign: Sign, ctx: RankContext):
     return seen
 
 
-def check_module_structure(n: int):
+def check_module_structure(n: int, tables=None):
     """Generation, block decomposition, multiplicities and wedge parity."""
     t0 = time.perf_counter()
-    ctx = RankContext(n)
+    ctx = _rank_tables(n, tables).ctx
     entries = []
     half_dim = 2 ** (n - 1)
     blocks = {}
@@ -642,11 +686,11 @@ def weight_routes() -> list:
     ]
 
 
-def check_weight_consistency(n: int):
+def check_weight_consistency(n: int, tables=None):
     """All weight routes agree on every basis state; the near-miss variant is pinned."""
     t0 = time.perf_counter()
-    ctx = RankContext(n)
-    basis = spin_basis(ctx)
+    tables = _rank_tables(n, tables)
+    ctx, basis = tables.ctx, tables.sbasis
     entries = []
     routes = weight_routes()
     reference_name, reference = routes[0]
@@ -703,7 +747,7 @@ def _format_eps(eps):
     return "(%s)" % ",".join(str(c) for c in eps)
 
 
-def check_faithfulness(n: int):
+def check_faithfulness(n: int, tables=None):
     """The 4^n normal-ordered monomials act independently on the wedge space."""
     t0 = time.perf_counter()
     entries = []
@@ -715,8 +759,8 @@ def check_faithfulness(n: int):
             )
         )
         return _finalize("faithfulness", n, entries, t0)
-    ctx = RankContext(n)
-    fbasis = fock_basis(ctx)
+    tables = _rank_tables(n, tables)
+    ctx, fbasis = tables.ctx, tables.fbasis
     size = len(fbasis)
     subsets = []
     for r in range(n + 1):
@@ -827,14 +871,19 @@ SUITE_NAMES = tuple(sorted(SUITES))
 
 
 def run_suites(names, ranks):
-    """Run the named suites over the ranks; reports sorted by suite then rank."""
+    """Run the named suites over the ranks; reports sorted by suite then rank.
+
+    The ranks run one at a time, and the suites of a rank share its
+    `RankTables`, which is dropped before the next rank is built.
+    """
     for name in names:
         if name not in SUITES:
             raise ValueError("unknown suite %r (choose from %s)" % (name, ", ".join(SUITE_NAMES)))
     reports = []
-    for name in sorted(set(names)):
-        for n in ranks:
-            reports.append(SUITES[name](n))
+    for n in ranks:
+        tables = RankTables(n)
+        for name in sorted(set(names)):
+            reports.append(SUITES[name](n, tables))
     reports.sort(key=lambda r: (r["suite"], r["n"]))
     return reports
 

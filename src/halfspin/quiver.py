@@ -6,20 +6,22 @@ vertex (entry 0 is vertex 1).  The rank n=2 graph has no edges and n=3 has
 the fork at vertex 1.
 
 A `RankContext` holds the graph as neighbour lists, so building one and
-computing u = w - Cv both cost O(n), and it memoizes the dimension vector
-of every signed shape it has validated.  The memo lives and dies with its
-context.
+computing u = w - Cv both cost O(n).  It memoizes the dimension vector of
+every signed shape it has validated, and the E/F images that one sweep over
+a state's single-box edits finds (see `spinrep._shift_state`).  The memos
+live and die with their context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .diagram import Sign, validate_diagram
 
 
 class RankContext:
-    """Rank data: edges, neighbour lists, and the dimension-vector memo."""
+    """Rank data: edges, neighbour lists, and the dimension-vector and sweep memos."""
 
     def __init__(self, n: int):
         if n < 2:
@@ -37,6 +39,8 @@ class RankContext:
         self.neighbours = tuple(tuple(ns) for ns in neighbours)
         # (sign, rows) -> dimension vector, filled by dim_vector
         self._dim_vectors = {}
+        # (sign, rows) -> {+k: F_k image, -k: E_k image}, filled by spinrep._shift_state
+        self._moves = {}
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbours[i - 1]
@@ -86,17 +90,14 @@ def string_dim_vector(s: StringInterval, ctx: RankContext) -> tuple:
     validate_string_interval(s, ctx)
     n = ctx.n
     v = [0] * n
-    if s.end <= n - 1:
-        for i in range(s.start, s.end + 1):
-            v[i - 1] = 1
-    elif s.end == n:
+    if s.end <= n - 1:  # vertices start..end
+        v[s.start - 1:s.end] = [1] * (s.end - s.start + 1)
+    elif s.end == n:  # vertices start..n-2 and n
         v[n - 1] = 1
         if s.start <= n - 2:
-            for i in range(s.start, n - 1):
-                v[i - 1] = 1
-    else:  # fork, end == n + 1
-        for i in range(s.start, n + 1):
-            v[i - 1] = 1
+            v[s.start - 1:n - 2] = [1] * (n - 1 - s.start)
+    else:  # fork, end == n + 1: vertices start..n
+        v[s.start - 1:] = [1] * (n + 1 - s.start)
     return tuple(v)
 
 
@@ -131,11 +132,10 @@ def dim_vector(rows, sign: Sign, ctx: RankContext) -> tuple:
     key = (sign, rows)
     v = ctx._dim_vectors.get(key)
     if v is None:
-        total = [0] * ctx.n
+        total = (0,) * ctx.n
         for s in a_sets(rows, sign, ctx):
-            for i, x in enumerate(string_dim_vector(s, ctx)):
-                total[i] += x
-        v = ctx._dim_vectors[key] = tuple(total)
+            total = tuple(map(add, total, string_dim_vector(s, ctx)))
+        v = ctx._dim_vectors[key] = total
     return v
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import sub
 
 from .diagram import (
     Sign,
@@ -128,24 +129,33 @@ def _single_box_edits(rows, n):
 
 
 def _shift_state(sign, rows, k, direction, ctx, opname):
-    # the unique shape whose dimension vector differs by the unit at k,
-    # searched among single-box edits; at most one can match
-    n = ctx.n
-    target = list(dim_vector(rows, sign, ctx))
-    target[k - 1] += direction
-    target = tuple(target)
-    matches = [
-        cand
-        for cand in _single_box_edits(rows, n)
-        if dim_vector(cand, sign, ctx) == target
-    ]
-    if len(matches) > 1:
-        raise RuntimeError(
-            "%s_%d on (%s,%s): dimension-vector equation has %d solutions %r; "
-            "the component dictionary promises at most one"
-            % (opname, k, sign, format_diagram(rows), len(matches), matches)
-        )
-    return matches[0] if matches else None
+    # the unique shape whose dimension vector differs by the unit at k
+    # (raised for F, lowered for E; opname follows direction).  The single-
+    # box edits do not depend on k, so one sweep over them finds every E and
+    # F image of the state; it is memoized on ctx as {+k: F_k image, -k: E_k
+    # image}.  At most one edit may match a delta.
+    key = (sign, rows)
+    moves = ctx._moves.get(key)
+    if moves is None:
+        n = ctx.n
+        v = dim_vector(rows, sign, ctx)
+        found = {}
+        for cand in _single_box_edits(rows, n):
+            delta = list(map(sub, dim_vector(cand, sign, ctx), v))
+            if delta.count(0) == n - 1:
+                step = sum(delta)
+                if step == 1 or step == -1:
+                    found.setdefault(step * (delta.index(step) + 1), []).append(cand)
+        for j, matches in found.items():
+            if len(matches) > 1:
+                raise RuntimeError(
+                    "%s_%d on (%s,%s): dimension-vector equation has %d solutions %r; "
+                    "the component dictionary promises at most one"
+                    % ("F" if j > 0 else "E", abs(j), sign, format_diagram(rows),
+                       len(matches), matches)
+                )
+        moves = ctx._moves[key] = {j: matches[0] for j, matches in found.items()}
+    return moves.get(direction * k)
 
 
 def apply_F(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:

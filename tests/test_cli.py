@@ -273,7 +273,7 @@ def test_export_matrix_usage_errors():
 def test_verify_failure_exit_code_via_stub(monkeypatch):
     # exit code 1 is reserved for a failing verification; force one through
     # a stub suite so the real suites stay honest
-    def failing_suite(n):
+    def failing_suite(n, tables=None):
         return {
             "suite": "stub",
             "n": n,
@@ -328,6 +328,7 @@ def test_point_queries_are_linear_in_rank():
         (("weight", "--n", "10000001", "(plus,-)"), cli.MAX_RANK),
         (("act", "--n", "10000001", "F_1", "(plus,-)"), cli.MAX_RANK),
         (("clifford", "--n", "10000001", "b1"), cli.MAX_RANK),
+        (("verify", "--n", str(cli.MAX_VERIFY_RANK + 1), "--all"), cli.MAX_VERIFY_RANK),
     ],
 )
 def test_size_caps_refuse_with_exit_2(argv, cap, capsys):
@@ -344,7 +345,7 @@ def test_size_caps_refuse_with_exit_2(argv, cap, capsys):
 
 
 def test_size_caps_admit_their_limits():
-    assert cli.MAX_VERIFY_RANK >= 9 and cli.MAX_AMBIENT_RANK >= 12 and cli.MAX_BOXES >= 7
+    assert cli.MAX_VERIFY_RANK >= 14 and cli.MAX_AMBIENT_RANK >= 12 and cli.MAX_BOXES >= 7
     assert cli.MAX_RANK >= 256 and cli.MAX_BASIS_RANK >= cli.MAX_VERIFY_RANK
     rc, doc = run_json("enumerate", "--dinfty", "--max-boxes", str(cli.MAX_BOXES), "--n", str(cli.MAX_AMBIENT_RANK), "--json")
     assert rc == 0 and doc["max_boxes"] == cli.MAX_BOXES

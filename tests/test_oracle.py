@@ -1,5 +1,7 @@
 """The exact linear-algebra engine and the verification suites."""
 
+import io
+import json
 import re
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 
 from halfspin.diagram import Sign
 from halfspin.quiver import RankContext
-from halfspin import oracle
+from halfspin import cli, oracle
 from halfspin.oracle import (
     ExactMatrix,
     commutator,
@@ -327,6 +329,37 @@ def test_run_suites():
     assert all_pass([])
 
 
+def test_run_suites_tabulates_each_operator_once_per_rank(monkeypatch):
+    # E, F, H, a, b on the shape basis and create, annihilate on the wedge
+    # basis: 7n tables per rank, shared by every suite of that rank
+    tabulated = []
+    real = oracle.operator_matrix
+
+    def counting(op, basis, ctx):
+        tabulated.append((ctx.n, op))
+        return real(op, basis, ctx)
+
+    monkeypatch.setattr(oracle, "operator_matrix", counting)
+    ranks = range(2, 10)
+    assert all_pass(run_suites(SUITE_NAMES, ranks))
+    assert len(tabulated) == len(set(tabulated)) == 308
+    for n in ranks:
+        assert sum(1 for m, _ in tabulated if m == n) == 7 * n
+
+
+def test_run_suites_repeats_its_reports():
+    def without_duration(reports):
+        return [{k: v for k, v in r.items() if k != "duration"} for r in reports]
+
+    first = run_suites(SUITE_NAMES, range(2, 7))
+    assert without_duration(run_suites(SUITE_NAMES, range(2, 7))) == without_duration(first)
+
+
+def test_suites_refuse_tables_of_another_rank():
+    with pytest.raises(ValueError, match="tables of rank 4"):
+        oracle.check_chevalley(3, oracle.RankTables(4))
+
+
 def test_identity_table_covers_the_bounded_suites():
     ctx = RankContext(4)
     for suite, count in (
@@ -392,3 +425,13 @@ def test_a_ladder_fault_fails_both_modes(monkeypatch):
     }
     for witness in failed.values():
         assert re.search(r" at state \((plus|minus),[-\d,]+\): got .+, expected ", witness), witness
+
+
+def test_a_ladder_fault_fails_verify_all(monkeypatch):
+    # the suites of one rank share their tables; each suite that reads a_2
+    # still sees the fault
+    _flip_ladder(monkeypatch, 2)
+    out = io.StringIO()
+    assert cli.main(["verify", "--n", "3", "--all", "--json"], out) == 1
+    failed = {r["suite"] for r in json.loads(out.getvalue())["reports"] if r["status"] == "fail"}
+    assert failed == {"clifford", "intertwiner", "factorization"}

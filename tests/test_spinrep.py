@@ -91,6 +91,49 @@ def test_ef_reject_every_vertex_out_of_range():
                     op(k, x, ctx)
 
 
+def test_shift_sweep_agrees_with_the_per_k_search():
+    # the one-sweep memo of _shift_state against a search of the single-box
+    # edits for each (state, k, direction) on its own
+    from halfspin.quiver import dim_vector
+    from halfspin.spinrep import _shift_state, _single_box_edits
+
+    for n in range(2, 10):
+        ctx = RankContext(n)
+        for sign, rows in all_states(n):
+            v = dim_vector(rows, sign, ctx)
+            edits = _single_box_edits(rows, n)
+            for k in range(1, n + 1):
+                for direction, opname in ((+1, "F"), (-1, "E")):
+                    target = tuple(x + direction * (i == k - 1) for i, x in enumerate(v))
+                    matches = [e for e in edits if dim_vector(e, sign, ctx) == target]
+                    assert len(matches) <= 1
+                    want = matches[0] if matches else None
+                    assert _shift_state(sign, rows, k, direction, ctx, opname) == want
+
+
+@pytest.mark.parametrize(
+    "apply, rows, impostor, twin, opname",
+    [
+        # (plus,2) grows to (3) and gains the row (2,1): one F each, made to collide
+        (apply_F, (2,), (3,), (2, 1), "F"),
+        # (plus,2,1) shrinks to (2) and its top row grows to (3,1): made E twins
+        (apply_E, (2, 1), (3, 1), (2,), "E"),
+    ],
+)
+def test_shift_sweep_refuses_two_edits_with_one_delta(monkeypatch, apply, rows, impostor, twin, opname):
+    from halfspin import spinrep
+    from halfspin.quiver import dim_vector
+
+    def colliding(r, sign, ctx):
+        return dim_vector(twin if tuple(r) == impostor else r, sign, ctx)
+
+    monkeypatch.setattr(spinrep, "dim_vector", colliding)
+    ctx = RankContext(4)
+    message = r"^%s_\d on \(plus,%s\): .* has 2 solutions" % (opname, ",".join(map(str, rows)))
+    with pytest.raises(RuntimeError, match=message):
+        apply(1, state(Sign.PLUS, *rows), ctx)
+
+
 def test_h_scales_by_cartan_eigenvalue():
     for n in (2, 3, 4):
         ctx = RankContext(n)

@@ -1,0 +1,39 @@
+"""The benchmark's tracer still reads the layers a bounded verify must drive.
+
+The tracer (``bench/tracer.py``) wraps the program's functions by name and
+refuses to run when an original is held where it cannot be replaced.  This
+test only imports it; a sweep moved out of ``spinrep._shift_state`` or a
+traced function captured by a cache shows up here before it breaks a
+traced benchmark run.
+"""
+
+import io
+from pathlib import Path
+
+from halfspin import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_reads_the_bounded_layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        argv = ["verify", "--n", "2..4", "--suite", "chevalley,factorization,intertwiner", "--json"]
+        rc = cli.main(argv, io.StringIO())
+    finally:
+        t.uninstall()
+    t.end_pass()
+    assert rc == 0
+    metrics = t.layer_metrics()
+    for name in (
+        "spinrep.shift.calls",
+        "spinrep.dim_vector_per_shift",
+        "oracle.tabulate.calls",
+        "clifford.create_annihilate.calls",
+    ):
+        assert metrics[name] > 0, name
+    assert metrics["oracle.tabulate.reuse_ratio"] == 1.0
