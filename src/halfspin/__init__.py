@@ -38,7 +38,6 @@ from .quiver import (
 )
 from .spinrep import (
     SpinVector,
-    highest_weight_vector,
     apply_E,
     apply_F,
     apply_H,
@@ -92,7 +91,6 @@ __all__ = [
     "weight_u",
     "state_u",
     "SpinVector",
-    "highest_weight_vector",
     "apply_E",
     "apply_F",
     "apply_H",

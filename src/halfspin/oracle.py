@@ -13,6 +13,14 @@ rank-n basis and compare matrices.  The rank-free `check_dinfty` applies
 both sides to one box-capped basis state at a time.  The module, weight
 and faithfulness suites are written out on their own.
 
+Every tabulated operator sends a basis state to at most one signed basis
+state, so `ExactMatrix` stores such a matrix as a signed index map
+{column: (row, value)}, and products, sums and comparisons of maps are
+single passes over their columns.  A matrix with two nonzeros in some
+column, such as the faithfulness rank matrix, keeps the general form
+{(row, column): value}.  The data picks the form; a matrix never holds
+both.
+
 The suites of one `run_suites` call share one `RankTables` per rank: one
 rank context, one shape and one wedge basis, one `phi` matrix and one
 table of operator matrices, each built on first use and dropped before
@@ -30,6 +38,7 @@ import itertools
 import time
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .diagram import (
     Sign,
@@ -47,84 +56,141 @@ from .clifford import CliffordElement, FockVector
 class ExactMatrix:
     """Sparse rational matrix; no stored zeros, exact arithmetic only.
 
-    An entry is an int when integral and a Fraction otherwise.
+    An entry is an int when integral and a Fraction otherwise.  The data
+    picks one of two forms.  A matrix with at most one nonzero in each
+    column, as every tabulated operator is, is a signed index map
+    {column: (row, value)}, and the product of two maps is one pass over
+    the right factor's columns.  Any other matrix, such as a sum in which
+    two rows meet in one column, keeps the general form {(row, column):
+    value}.  A matrix holds one form only, so equal matrices hold equal
+    dicts of the same form.
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "_map", "_general")
 
     def __init__(self, nrows, ncols, entries=None):
+        entries = entries or {}
+        for i, j in entries:
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError("entry (%d,%d) out of bounds %dx%d" % (i, j, nrows, ncols))
         self.nrows = nrows
         self.ncols = ncols
-        data = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise ValueError("entry (%d,%d) out of bounds %dx%d" % (i, j, nrows, ncols))
-                v = exact(v)
-                if v != 0:
-                    data[(i, j)] = v
-        self.entries = data
+        self._map, self._general = _forms(entries)
+
+    @classmethod
+    def _make(cls, nrows, ncols, cols, general=None):
+        """A matrix from trusted parts: the map cols, or None and the general entries."""
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m._map, m._general = nrows, ncols, cols, general
+        return m
 
     @classmethod
     def identity(cls, size):
-        return cls(size, size, {(i, i): 1 for i in range(size)})
+        return cls._make(size, size, {i: (i, 1) for i in range(size)})
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls(nrows, ncols)
+        return cls._make(nrows, ncols, {})
+
+    def _pairs(self):
+        """The entries as {(row, column): value}; built anew from a map."""
+        if self._map is None:
+            return self._general
+        return {(i, j): v for j, (i, v) in self._map.items()}
+
+    @property
+    def entries(self):
+        """A read-only view {(row, column): value} of the nonzero entries."""
+        return MappingProxyType(self._pairs())
 
     def entry(self, i, j):
-        return self.entries.get((i, j), 0)
+        if self._map is None:
+            return self._general.get((i, j), 0)
+        row, v = self._map.get(j, (None, 0))
+        return v if row == i else 0
 
     def is_zero(self):
-        return not self.entries
+        return not (self._map or self._general)
 
     @property
     def nnz(self):
-        return len(self.entries)
+        return len(self._general if self._map is None else self._map)
 
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self._map == other._map
+            and self._general == other._general
         )
 
     def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return ExactMatrix(self.nrows, self.ncols, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other, for sign 1 or -1."""
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        if self._map is not None and other._map is not None:
+            out = dict(self._map)
+            for j, (i, v) in other._map.items():
+                mine = out.get(j)
+                if mine is None:
+                    out[j] = (i, sign * v)
+                elif mine[0] != i:
+                    break  # two rows meet in column j: the sum is general
+                else:
+                    total = mine[1] + sign * v
+                    if total:
+                        out[j] = (i, exact(total))
+                    else:
+                        del out[j]
+            else:
+                return ExactMatrix._make(self.nrows, self.ncols, out)
+        out = dict(self._pairs())
+        for key, v in other._pairs().items():
+            out[key] = out.get(key, 0) + sign * v
+        return ExactMatrix._make(self.nrows, self.ncols, *_forms(out))
 
     def __neg__(self):
-        return ExactMatrix(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
+        return self.scale(-1)
 
     def scale(self, scalar):
         scalar = exact(scalar)
-        return ExactMatrix(
-            self.nrows, self.ncols, {k: scalar * v for k, v in self.entries.items()}
-        )
+        if not scalar:
+            return ExactMatrix.zero(self.nrows, self.ncols)
+        if self._map is None:
+            general = {k: exact(scalar * v) for k, v in self._general.items()}
+            return ExactMatrix._make(self.nrows, self.ncols, None, general)
+        cols = {j: (i, exact(scalar * v)) for j, (i, v) in self._map.items()}
+        return ExactMatrix._make(self.nrows, self.ncols, cols)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch for product")
+        left = self._map
+        if left is not None and other._map is not None:
+            out = {}
+            for k, (j, b) in other._map.items():
+                hit = left.get(j)
+                if hit is not None:
+                    out[k] = (hit[0], exact(hit[1] * b))
+            return ExactMatrix._make(self.nrows, other.ncols, out)
         by_row = {}
-        for (j, k), v in other.entries.items():
+        for (j, k), v in other._pairs().items():
             by_row.setdefault(j, []).append((k, v))
         out = {}
-        for (i, j), a in self.entries.items():
+        for (i, j), a in self._pairs().items():
             for k, b in by_row.get(j, ()):
                 key = (i, k)
                 out[key] = out.get(key, 0) + a * b
-        return ExactMatrix(self.nrows, other.ncols, out)
+        return ExactMatrix._make(self.nrows, other.ncols, *_forms(out))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -132,7 +198,7 @@ class ExactMatrix:
     def rank(self):
         """Exact rank by fraction-free-enough Gaussian elimination."""
         rows = {}
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self._pairs().items():
             rows.setdefault(i, {})[j] = v
         pivots = {}
         rnk = 0
@@ -156,6 +222,21 @@ class ExactMatrix:
 
     def __repr__(self):
         return "ExactMatrix(%dx%d, %d nonzero)" % (self.nrows, self.ncols, self.nnz)
+
+
+def _forms(entries):
+    """The nonzero entries in exact form, as (map, None) or (None, general)."""
+    general = {}
+    for key, v in entries.items():
+        v = exact(v)
+        if v:
+            general[key] = v
+    cols = {}
+    for (i, j), v in general.items():
+        if j in cols:
+            return None, general
+        cols[j] = (i, v)
+    return cols, None
 
 
 def commutator(x, y):
@@ -257,25 +338,39 @@ def apply_fock_operator(name, k, vec: FockVector, ctx: RankContext) -> FockVecto
 
 
 def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatrix:
-    """Tabulate a named operator over the basis; column j is the image of state j."""
+    """Tabulate a named operator over the basis; column j is the image of state j.
+
+    One-term images go straight into the map form.  An image of two or
+    more terms, which no operator of the two models makes, turns the table
+    to the general form.
+    """
     name, k = parse_operator_token(op)
     size = len(basis)
-    entries = {}
+    position = basis.index
+    cols = {}
+    spread = {}
     for j, state in enumerate(basis.states):
         if name in WEDGE_OPS:
             vec = apply_fock_operator(name, k, FockVector.from_index(state), ctx)
         else:
             vec = apply_spin_operator(name, k, SpinVector.from_state(*state), ctx)
-        for target, coeff in vec.terms.items():
-            entries[(basis.position(target), j)] = coeff
-    return ExactMatrix(size, size, entries)
+        terms = vec.terms
+        if len(terms) == 1:
+            [(target, coeff)] = terms.items()
+            cols[j] = (position[target], coeff)
+        else:
+            for target, coeff in terms.items():
+                spread[(position[target], j)] = coeff
+    if spread:
+        spread.update(((i, j), v) for j, (i, v) in cols.items())
+        return ExactMatrix(size, size, spread)
+    return ExactMatrix._make(size, size, cols)
 
 
 def phi_matrix(ctx: RankContext, sbasis: IndexedBasis, fbasis: IndexedBasis) -> ExactMatrix:
-    entries = {}
-    for j, state in enumerate(sbasis.states):
-        entries[(fbasis.position(cliff.phi_state(state, ctx)), j)] = 1
-    return ExactMatrix(len(fbasis), len(sbasis), entries)
+    position = fbasis.index
+    cols = {j: (position[cliff.phi_state(state, ctx)], 1) for j, state in enumerate(sbasis.states)}
+    return ExactMatrix._make(len(fbasis), len(sbasis), cols)
 
 
 class RankTables:
@@ -557,11 +652,12 @@ def check_intertwiner(n: int, tables=None):
     tables = _rank_tables(n, tables)
     P = tables.phi
     size = len(tables.sbasis)
+    cells = P.entries
     ok_bijection = (
         P.nnz == size
-        and all(v == 1 for v in P.entries.values())
-        and len({i for (i, _) in P.entries}) == size
-        and len({j for (_, j) in P.entries}) == size
+        and all(v == 1 for v in cells.values())
+        and len({i for (i, _) in cells}) == size
+        and len({j for (_, j) in cells}) == size
     )
     entries = [
         _entry(

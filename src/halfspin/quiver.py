@@ -6,10 +6,11 @@ vertex (entry 0 is vertex 1).  The rank n=2 graph has no edges and n=3 has
 the fork at vertex 1.
 
 A `RankContext` holds the graph as neighbour lists, so building one and
-computing u = w - Cv both cost O(n).  It memoizes the dimension vector of
-every signed shape it has validated, and the E/F images that one sweep over
-a state's single-box edits finds (see `spinrep._shift_state`).  The memos
-live and die with their context.
+computing u = w - Cv both cost O(n).  It memoizes three things per signed
+shape it has validated: the dimension vector (`_dim_vectors`), u = w - Cv
+(`_u`, filled by `state_u`), and the E/F images that one sweep over the
+state's single-box edits finds (`_moves`, see `spinrep._shift_state`).  The
+memos live and die with their context.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .diagram import Sign, validate_diagram
 
 
 class RankContext:
-    """Rank data: edges, neighbour lists, and the dimension-vector and sweep memos."""
+    """Rank data: edges, neighbour lists, and the dimension-vector, u and sweep memos."""
 
     def __init__(self, n: int):
         if n < 2:
@@ -41,6 +42,8 @@ class RankContext:
         self._dim_vectors = {}
         # (sign, rows) -> {+k: F_k image, -k: E_k image}, filled by spinrep._shift_state
         self._moves = {}
+        # (sign, rows) -> u = w - Cv, filled by state_u
+        self._u = {}
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbours[i - 1]
@@ -164,7 +167,12 @@ def weight_u(v, w, ctx: RankContext) -> tuple:
 
 
 def state_u(rows, sign: Sign, ctx: RankContext) -> tuple:
-    return weight_u(dim_vector(rows, sign, ctx), framing_vector(sign, ctx), ctx)
+    """u = w - Cv of a signed shape, memoized on ctx like its dimension vector."""
+    key = (sign, tuple(rows))
+    u = ctx._u.get(key)
+    if u is None:
+        u = ctx._u[key] = weight_u(dim_vector(rows, sign, ctx), framing_vector(sign, ctx), ctx)
+    return u
 
 
 def format_dim_vector(v) -> str:

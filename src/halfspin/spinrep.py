@@ -103,11 +103,6 @@ class SpinVector:
         return "SpinVector(%s)" % format_spin_vector(self)
 
 
-def highest_weight_vector(sign: Sign, ctx: RankContext) -> SpinVector:
-    """The empty shape of the given family; killed by every E_k."""
-    return SpinVector.from_state(sign, ())
-
-
 def _single_box_edits(rows, n):
     """All shapes reachable from rows by one box: grow, shrink, add, delete."""
     out = set()
@@ -274,27 +269,6 @@ def _simple_root_entries(i: int, n: int) -> tuple:
 
 def _halves(twice) -> tuple:
     return tuple(Fraction(t, 2) for t in twice)
-
-
-def fundamental_weight(i: int, ctx: RankContext) -> tuple:
-    n = ctx.n
-    if not 1 <= i <= n:
-        raise ValueError("index %r out of range 1..%d" % (i, n))
-    twice = [0] * n
-    for coords, value in _twice_fundamental_weight(i, n):
-        for j in coords:
-            twice[j] = value
-    return _halves(twice)
-
-
-def simple_root(i: int, ctx: RankContext) -> tuple:
-    n = ctx.n
-    if not 1 <= i <= n:
-        raise ValueError("index %r out of range 1..%d" % (i, n))
-    eps = [0] * n
-    for j, value in _simple_root_entries(i, n):
-        eps[j] = value
-    return tuple(eps)
 
 
 def weight_eps(state, ctx: RankContext) -> tuple:

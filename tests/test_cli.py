@@ -3,6 +3,7 @@
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
@@ -229,13 +230,16 @@ def test_export_matrix_text():
     assert lines[4:] == ["1 0 1", "7 6 1", "12 10 1", "13 11 1"]
 
 
-def test_export_matrix_json():
-    rc, doc = run_json("export-matrix", "--n", "4", "--json", "F_4")
+# export-matrix documents recorded while every matrix was stored as
+# {(row, column): value}, one token of each family, a word and the wedge basis
+EXPORTS = json.loads((Path(__file__).resolve().parent / "data" / "export_matrix.json").read_text())
+
+
+@pytest.mark.parametrize("case", list(EXPORTS))
+def test_export_matrix_json(case):
+    rc, doc = run_json(*EXPORTS[case]["argv"])
     assert rc == 0
-    assert doc["rows"] == 16 and doc["cols"] == 16
-    assert len(doc["basis"]) == 16
-    assert doc["basis"][0] == "(plus,-)"
-    assert doc["entries"] == [[1, 0, "1"], [7, 6, "1"], [12, 10, "1"], [13, 11, "1"]]
+    assert doc == EXPORTS[case]["doc"]
 
 
 def test_export_matrix_word_composes():

@@ -1,4 +1,8 @@
-"""Exactness: no floating point in the package, and integral coefficients stored as ints."""
+"""Exactness: no floating point in the package, and integral coefficients stored as ints.
+
+Also the package's unused-import lint, and the two storage forms of
+ExactMatrix checked against a plain dict of entries.
+"""
 
 import ast
 from fractions import Fraction
@@ -59,6 +63,55 @@ def test_the_lint_sees_each_float_use():
         "true division /",
         "true division /",
         "from math import",
+    ]
+
+
+def unused_imports(tree):
+    """(line, name) for each name the module imports and never reads.
+
+    A name listed in the module's __all__ counts as read: that is how
+    __init__ re-exports.
+    """
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports_in_the_package(path):
+    found = unused_imports(ast.parse(path.read_text(), str(path)))
+    assert not found, "%s: %s" % (path.name, found)
+
+
+def test_the_lint_sees_each_unused_import():
+    code = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import re as regex\n"
+        "import xml.dom\n"
+        "from json import dumps, loads\n"
+        "from . import sibling\n"
+        "from .m import exported\n"
+        "__all__ = ['exported']\n"
+        "loads(xml.dom)\n"
+    )
+    assert unused_imports(ast.parse(code)) == [
+        (2, "os"),
+        (3, "osp"),
+        (4, "regex"),
+        (6, "dumps"),
+        (7, "sibling"),
     ]
 
 
@@ -210,3 +263,126 @@ def test_matrix_products_store_exact_entries(n, data):
         total = total * m.scale(scalar) - m * Fraction(1, 3)
         assert_exact(total.entries.values())
         assert_exact((total + total.scale(Fraction(1, 2))).entries.values())
+
+
+# ---------------------------------------------------------------------------
+# the two storage forms of ExactMatrix against a plain dict of entries
+
+
+def is_map(m):
+    """Whether m holds the signed index map form {column: (row, value)}."""
+    return m._map is not None
+
+
+def ref_clean(entries):
+    return {k: Fraction(v) for k, v in entries.items() if v}
+
+
+def ref_sum(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return ref_clean(out)
+
+
+def ref_product(a, b):
+    out = {}
+    for (i, j), x in a.items():
+        for (j2, k), y in b.items():
+            if j == j2:
+                out[(i, k)] = out.get((i, k), 0) + x * y
+    return ref_clean(out)
+
+
+def ref_rank(entries, nrows, ncols):
+    rows = [[Fraction(entries.get((i, j), 0)) for j in range(ncols)] for i in range(nrows)]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(nrows):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def monomial(entries):
+    cols = [j for (_, j) in entries]
+    return len(cols) == len(set(cols))
+
+
+NONZERO = COEFFS.filter(bool)
+
+
+@st.composite
+def matrix_entries(draw, nrows, ncols):
+    """Entries of an nrows x ncols matrix (nrows >= 2), zeros among them.
+
+    At most one entry per column gives the map form; general adds a few
+    entries and two rows in one column.
+    """
+    entries = {}
+    for j in range(ncols):
+        if draw(st.booleans()):
+            entries[(draw(st.integers(0, nrows - 1)), j)] = draw(COEFFS)
+    if draw(st.booleans()):
+        cell = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        entries.update(draw(st.dictionaries(cell, COEFFS, max_size=4)))
+        j = draw(st.integers(0, ncols - 1))
+        entries[(0, j)] = draw(NONZERO)
+        entries[(1, j)] = draw(NONZERO)
+    return entries
+
+
+def assert_matches(m, ref, nrows, ncols):
+    """m holds exactly the reference entries, in the form they call for."""
+    assert (m.nrows, m.ncols) == (nrows, ncols)
+    assert m.entries == ref
+    assert m.nnz == len(ref)
+    assert m.is_zero() == (not ref)
+    assert is_map(m) == monomial(ref)
+    assert_exact(m.entries.values())
+    for i in range(nrows):
+        for j in range(ncols):
+            assert m.entry(i, j) == ref.get((i, j), 0)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_both_storage_forms_agree_with_a_dict_reference(data):
+    r, k, c = (data.draw(st.integers(2, 4)) for _ in range(3))
+    a_in, b_in, d_in = (data.draw(matrix_entries(*shape)) for shape in ((r, k), (k, c), (r, k)))
+    a, b, d = ExactMatrix(r, k, a_in), ExactMatrix(k, c, b_in), ExactMatrix(r, k, d_in)
+    a_ref, b_ref, d_ref = ref_clean(a_in), ref_clean(b_in), ref_clean(d_in)
+    assert_matches(a, a_ref, r, k)
+    assert_matches(a * b, ref_product(a_ref, b_ref), r, c)
+    assert_matches(a + d, ref_sum(a_ref, d_ref), r, k)
+    assert_matches(a - d, ref_sum(a_ref, d_ref, -1), r, k)
+    assert_matches(-a, ref_sum({}, a_ref, -1), r, k)
+    for scalar in (0, -1, Fraction(2, 3)):
+        scaled = {key: scalar * v for key, v in a_ref.items()}
+        assert_matches(a.scale(scalar), ref_clean(scaled), r, k)
+        assert_matches(a * scalar, ref_clean(scaled), r, k)
+    assert a - a == ExactMatrix.zero(r, k)
+    assert (a == d) == (a_ref == d_ref)
+    assert a == ExactMatrix(r, k, a_ref)
+    assert (a + d) - d == a  # the sum may change form and the difference change it back
+    assert a.rank() == ref_rank(a_ref, r, k)
+    assert (a * b).rank() == ref_rank(ref_product(a_ref, b_ref), r, c)
+
+
+def test_two_maps_meeting_in_a_column_sum_to_the_general_form():
+    top = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 2)})
+    bottom = ExactMatrix(2, 2, {(1, 0): -1, (1, 1): Fraction(1, 2)})
+    assert is_map(top) and is_map(bottom)
+    total = top + bottom
+    assert not is_map(total)
+    assert total.entries == {(0, 0): 1, (1, 0): -1, (1, 1): 1}
+    assert type(total.entry(1, 1)) is int
+    assert total - bottom == top and is_map(total - bottom)
+    assert total != ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 1})
+    assert total.rank() == 2

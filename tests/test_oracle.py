@@ -192,6 +192,22 @@ def test_operator_matrix_identity_and_kappa():
     assert all(v == 1 for v in k.entries.values())
 
 
+def test_operator_matrix_takes_the_general_form_for_a_two_term_image(monkeypatch):
+    # no operator of the two models has one; H_k plus the family swap does
+    ctx = RankContext(3)
+    basis = spin_basis(ctx)
+    h = operator_matrix("H_2", basis, ctx)
+
+    def with_swap(k, vec, ctx):
+        return oracle.spinrep.apply_H(k, vec, ctx) + oracle.spinrep.kappa(vec)
+
+    monkeypatch.setitem(oracle._SPIN_OPS, "H", with_swap)
+    m = operator_matrix("H_2", basis, ctx)
+    assert m._map is None
+    assert m == h + operator_matrix("kappa", basis, ctx)
+    assert m.nnz == h.nnz + 8
+
+
 def test_ladder_matrices_are_transposes():
     # b_k is the matrix transpose of a_k, hence E_k^T = F_k as well
     for n in (2, 3, 4):

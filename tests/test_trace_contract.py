@@ -4,7 +4,8 @@ The tracer (``bench/tracer.py``) wraps the program's functions by name and
 refuses to run when an original is held where it cannot be replaced.  This
 test only imports it; a sweep moved out of ``spinrep._shift_state`` or a
 traced function captured by a cache shows up here before it breaks a
-traced benchmark run.
+traced benchmark run.  So does an `ExactMatrix` whose `nnz` or whose
+`__add__`/`__sub__` the tracer no longer sees.
 """
 
 import io
@@ -34,6 +35,12 @@ def test_tracer_reads_the_bounded_layers(monkeypatch):
         "spinrep.dim_vector_per_shift",
         "oracle.tabulate.calls",
         "clifford.create_annihilate.calls",
+        "oracle.matmul.calls",
+        "oracle.mateq.self_s",
+        "oracle.matadd.self_s",
+        "quiver.state_u.calls",
     ):
         assert metrics[name] > 0, name
     assert metrics["oracle.tabulate.reuse_ratio"] == 1.0
+    # the nonzero count of the 248 products, as the general-form matrices gave it
+    assert metrics["oracle.matmul.nnz_out"] == 536
