@@ -10,8 +10,10 @@ factorization) are declared once, in the table of `identities`, as
 expressions over operator names.  Two evaluators read it.  The bounded
 suites tabulate each operator as a sparse exact matrix over the whole
 rank-n basis and compare matrices.  The rank-free `check_dinfty` applies
-both sides to one box-capped basis state at a time.  The module, weight
-and faithfulness suites are written out on their own.
+both sides to one box-capped basis state at a time, as plain combinations
+{state: coeff}; it computes each operator's image of each basis state
+once per such column, on a one-state vector.  The module, weight and
+faithfulness suites are written out on their own.
 
 Every tabulated operator sends a basis state to at most one signed basis
 state, so `ExactMatrix` stores such a matrix as a signed index map
@@ -587,11 +589,7 @@ def _table_entries(suite, tables, rows):
 
 
 def _apply_token(token: str, vec, ctx: RankContext):
-    """One table token applied to a shape or wedge vector."""
-    if token == "0":
-        return vec.scale(0)
-    if token == "1":
-        return vec
+    """One operator token of the table, or "phi", applied to a shape or wedge vector."""
     if token == "phi":
         return cliff.phi(vec, ctx)
     name, k = parse_operator_token(token)
@@ -600,25 +598,74 @@ def _apply_token(token: str, vec, ctx: RankContext):
     return apply_spin_operator(name, k, vec, ctx)
 
 
-def _image(expr, vec, images, ctx):
-    """Rank-free evaluator of one side: its image of vec.
+def _one_state(state):
+    """The vector of one basis state: a wedge subset or a (sign, shape) pair."""
+    if isinstance(state, frozenset):
+        return FockVector.from_index(state)
+    return SpinVector.from_state(*state)
 
-    images caches each token's image of each vector it has met; the caller
-    keeps it for one column only.
+
+def _scaled(comb, c):
+    """c times a combination {state: coeff}, for a nonzero c; comb itself when c is 1."""
+    if c == 1:
+        return comb
+    return {state: exact(c * v) for state, v in comb.items()}
+
+
+def _sum(x, y, sign):
+    """x + sign * y for combinations {state: coeff}, zeros purged."""
+    if not y:
+        return x
+    if not x:
+        return _scaled(y, sign)
+    out = dict(x)
+    for state, c in y.items():
+        out[state] = out.get(state, 0) + sign * c
+    return {state: exact(c) for state, c in out.items() if c}
+
+
+def _state_image(token, state, images, ctx):
+    """A token's image of one basis state, computed on a one-state vector once per cache."""
+    key = (token, state)
+    image = images.get(key)
+    if image is None:
+        image = images[key] = _apply_token(token, _one_state(state), ctx).terms
+    return image
+
+
+def _image(expr, comb, images, ctx):
+    """Rank-free evaluator of one side: its image of comb, a dict {state: coeff}.
+
+    A token's image of a combination is the sum of its images of the
+    states in it.  images caches each token's image of each basis state,
+    keyed (token, state) and computed on a one-state vector by
+    `_apply_token`; the caller keeps it for one column only.  No operator
+    is called on the empty combination.  The dicts returned may be shared
+    with the cache and with comb, so they are never changed in place.
     """
+    if not comb:
+        return comb
     if isinstance(expr, str):
-        key = (expr, vec)
-        if key not in images:
-            images[key] = _apply_token(expr, vec, ctx)
-        return images[key]
+        if expr == "1":
+            return comb
+        if expr == "0":
+            return {}
+        if len(comb) == 1:
+            [(state, c)] = comb.items()
+            return _scaled(_state_image(expr, state, images, ctx), c)
+        out = {}
+        for state, c in comb.items():
+            for target, v in _state_image(expr, state, images, ctx).items():
+                out[target] = out.get(target, 0) + c * v
+        return {target: exact(v) for target, v in out.items() if v}
     op, x, y = expr
     if op == "scale":
-        return _image(y, vec, images, ctx).scale(x)
-    xy = _image(x, _image(y, vec, images, ctx), images, ctx)
+        return _scaled(_image(y, comb, images, ctx), x) if x else {}
+    xy = _image(x, _image(y, comb, images, ctx), images, ctx)
     if op == "product":
         return xy
-    yx = _image(y, _image(x, vec, images, ctx), images, ctx)
-    return xy - yx if op == "commutator" else xy + yx
+    yx = _image(y, _image(x, comb, images, ctx), images, ctx)
+    return _sum(xy, yx, -1 if op == "commutator" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -897,10 +944,11 @@ _DINFTY_FAMILIES = (
 )
 
 
-def _format_vector(vec):
-    if isinstance(vec, FockVector):
-        return cliff.format_fock_vector(vec)
-    return spinrep.format_spin_vector(vec)
+def _format_side(suite, comb):
+    """The text of a combination {state: coeff}; intertwiner sides are wedge vectors."""
+    if suite == "intertwiner":
+        return cliff.format_fock_vector(FockVector(comb))
+    return spinrep.format_spin_vector(SpinVector(comb))
 
 
 def _pointwise_witness(identity, state, got, want):
@@ -914,8 +962,10 @@ def check_dinfty(max_boxes: int = 6, n: int = 12):
     can be evaluated exactly on the capped family inside a large ambient
     rank; agreement here is what makes the rank-free limit well defined.
     Both sides of every row are applied to one basis state (one column) at
-    a time; the operator images are cached for that column only, since a
-    cache kept for the whole run costs memory for little more reuse.
+    a time, as combinations {state: coeff}.  Each token's image of each
+    basis state is computed once per column and cached for that column
+    only, since a cache kept for the whole run costs memory for little
+    more reuse.  Vectors are built only to print a failure witness.
     """
     t0 = time.perf_counter()
     ctx = RankContext(n)
@@ -924,16 +974,16 @@ def check_dinfty(max_boxes: int = 6, n: int = 12):
     routes = weight_routes()
     bad = {}  # suite -> witness of the family's first failure
     for state in states:
-        x = SpinVector.from_state(*state)
+        column = {state: 1}
         images = {}
         for suite, rows in tables:
             if suite in bad:
                 continue
             for label, lhs, rhs in rows:
-                got, want = _image(lhs, x, images, ctx), _image(rhs, x, images, ctx)
+                got, want = _image(lhs, column, images, ctx), _image(rhs, column, images, ctx)
                 if got != want:
                     bad[suite] = _pointwise_witness(
-                        label, state, _format_vector(got), _format_vector(want)
+                        label, state, _format_side(suite, got), _format_side(suite, want)
                     )
                     break
         if "weights" not in bad:

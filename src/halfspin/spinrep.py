@@ -267,8 +267,12 @@ def _simple_root_entries(i: int, n: int) -> tuple:
     return ((n - 2, 1), (n - 1, 1))
 
 
+# the two halves a basis-state weight is made of, shared by every route
+_HALVES = {1: Fraction(1, 2), -1: Fraction(-1, 2)}
+
+
 def _halves(twice) -> tuple:
-    return tuple(Fraction(t, 2) for t in twice)
+    return tuple(_HALVES[t] if t in _HALVES else Fraction(t, 2) for t in twice)
 
 
 def weight_eps(state, ctx: RankContext) -> tuple:

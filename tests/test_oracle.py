@@ -451,3 +451,53 @@ def test_a_ladder_fault_fails_verify_all(monkeypatch):
     assert cli.main(["verify", "--n", "3", "--all", "--json"], out) == 1
     failed = {r["suite"] for r in json.loads(out.getvalue())["reports"] if r["status"] == "fail"}
     assert failed == {"clifford", "intertwiner", "factorization"}
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_rank_free_images_are_the_matrix_columns(n):
+    # both evaluators of every row of the five tables, entry by entry: the
+    # image of a capped state is the state's column of the side's matrix
+    tables = oracle.RankTables(n)
+    ctx = tables.ctx
+    sides = []
+    for suite in ("chevalley", "serre", "clifford", "intertwiner", "factorization"):
+        rows = tables.fbasis if suite == "intertwiner" else tables.sbasis
+        for label, lhs, rhs in oracle.identities(suite, ctx):
+            for side in (lhs, rhs):
+                columns = {}
+                for (i, j), v in oracle._matrix(side, tables.matrix).entries.items():
+                    columns.setdefault(j, {})[rows.states[i]] = v
+                sides.append((label, side, columns))
+    for state in truncated_spin_basis(ctx, n - 1).states:
+        j = tables.sbasis.position(state)
+        images = {}
+        for label, side, columns in sides:
+            assert oracle._image(side, {state: 1}, images, ctx) == columns.get(j, {}), (label, state)
+
+
+def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
+    # a column starts with a fresh image cache; within it no (token, state)
+    # image is computed twice, and every image is of one basis state
+    real_image, real_apply = oracle._image, oracle._apply_token
+    column = {"images": None, "seen": None, "count": 0}
+    computed = []
+
+    def image(expr, comb, images, ctx):
+        if images is not column["images"]:
+            column.update(images=images, seen=set(), count=column["count"] + 1)
+        return real_image(expr, comb, images, ctx)
+
+    def apply_token(token, vec, ctx):
+        assert list(vec.terms.values()) == [1], (token, vec)
+        [state] = vec.terms
+        assert (token, state) not in column["seen"], (token, state)
+        column["seen"].add((token, state))
+        computed.append((token, state))
+        return real_apply(token, vec, ctx)
+
+    monkeypatch.setattr(oracle, "_image", image)
+    monkeypatch.setattr(oracle, "_apply_token", apply_token)
+    report = oracle.check_dinfty(3, 6)
+    assert report["status"] == "pass"
+    assert column["count"] == 10
+    assert computed

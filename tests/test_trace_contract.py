@@ -1,10 +1,11 @@
-"""The benchmark's tracer still reads the layers a bounded verify must drive.
+"""The benchmark's tracer still reads the layers each verify mode must drive.
 
 The tracer (``bench/tracer.py``) wraps the program's functions by name and
 refuses to run when an original is held where it cannot be replaced.  This
-test only imports it; a sweep moved out of ``spinrep._shift_state`` or a
-traced function captured by a cache shows up here before it breaks a
-traced benchmark run.  So does an `ExactMatrix` whose `nnz` or whose
+test only imports it; a sweep moved out of ``spinrep._shift_state``, a
+traced function captured by a cache or a rank-free evaluator that skips
+the operator functions shows up here before it breaks a traced benchmark
+run.  So does an `ExactMatrix` whose `nnz` or whose
 `__add__`/`__sub__` the tracer no longer sees.
 """
 
@@ -16,20 +17,25 @@ from halfspin import cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_tracer_reads_the_bounded_layers(monkeypatch):
+def _traced(monkeypatch, argv):
+    """The per-layer metrics of one traced `cli.main` call, which must exit 0."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
     t = tracer.Tracer()
     t.install()
     try:
-        argv = ["verify", "--n", "2..4", "--suite", "chevalley,factorization,intertwiner", "--json"]
         rc = cli.main(argv, io.StringIO())
     finally:
         t.uninstall()
     t.end_pass()
     assert rc == 0
-    metrics = t.layer_metrics()
+    return t.layer_metrics()
+
+
+def test_tracer_reads_the_bounded_layers(monkeypatch):
+    argv = ["verify", "--n", "2..4", "--suite", "chevalley,factorization,intertwiner", "--json"]
+    metrics = _traced(monkeypatch, argv)
     for name in (
         "spinrep.shift.calls",
         "spinrep.dim_vector_per_shift",
@@ -44,3 +50,20 @@ def test_tracer_reads_the_bounded_layers(monkeypatch):
     assert metrics["oracle.tabulate.reuse_ratio"] == 1.0
     # the nonzero count of the 248 products, as the general-form matrices gave it
     assert metrics["oracle.matmul.nnz_out"] == 536
+
+
+def test_tracer_reads_the_rank_free_layers(monkeypatch):
+    # the rank-free evaluator computes every image through the traced
+    # operator functions; one that bypassed them would read zero here
+    metrics = _traced(monkeypatch, ["verify", "--dinfty", "--max-boxes", "3", "--n", "6", "--json"])
+    for name in (
+        "spinrep.shift.calls",
+        "spinrep.ladder.calls",
+        "spinrep.apply_H.self_s",
+        "spinrep.weight.self_s",
+        "clifford.create_annihilate.calls",
+        "quiver.state_u.calls",
+        "oracle.suite.dinfty.s",
+    ):
+        assert metrics[name] > 0, name
+    assert metrics["oracle.tabulate.calls"] == 0
