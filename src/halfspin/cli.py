@@ -305,12 +305,9 @@ def _apply_word(word, vec, ctx):
     for token in reversed(tokens):
         try:
             name, k = oracle.parse_operator_token(token)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        if name in ("create", "annihilate"):
-            raise CliError("operator %r acts on the wedge side, not on shape vectors" % token)
-        try:
-            vec = oracle.apply_spin_operator(name, k, vec, ctx)
+            if name in oracle.WEDGE_OPS:
+                raise CliError("operator %r acts on the wedge side, not on shape vectors" % token)
+            vec = oracle.apply_operator(name, k, vec, ctx)
         except ValueError as exc:
             raise CliError(str(exc)) from None
     return vec
@@ -422,6 +419,8 @@ def cmd_verify(args, out):
             names = []
             for chunk in args.suite:
                 names.extend(s.strip() for s in chunk.split(",") if s.strip())
+            if not names:
+                raise CliError("--suite names no suite (choose from %s)" % ", ".join(oracle.SUITE_NAMES))
         try:
             reports = oracle.run_suites(names, ranks)
         except ValueError as exc:
@@ -464,13 +463,10 @@ def cmd_export_matrix(args, out):
     for token in tokens:
         try:
             name, _ = oracle.parse_operator_token(token)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        if fock_side and name not in ("create", "annihilate", "identity"):
-            raise CliError("wedge-side export supports create_k / annihilate_k, got %r" % token)
-        if not fock_side and name in ("create", "annihilate"):
-            raise CliError("operator %r lives on the wedge side; use --basis fock" % token)
-        try:
+            if fock_side and name not in oracle.WEDGE_OPS + ("identity",):
+                raise CliError("wedge-side export supports create_k / annihilate_k / identity, got %r" % token)
+            if not fock_side and name in oracle.WEDGE_OPS:
+                raise CliError("operator %r lives on the wedge side; use --basis fock" % token)
             step = oracle.operator_matrix(token, basis, ctx)
         except ValueError as exc:
             raise CliError(str(exc)) from None

@@ -2,7 +2,9 @@
 
 The underlying space has basis b_I over subsets I of {1..n}.  create(k)
 wedges b_k on the left, annihilate(k) contracts against it; both carry the
-usual alternating phase (-1)**(number of smaller indices present).
+usual alternating phase (-1)**(number of smaller indices present), and
+both are one per-state kernel extended by `spinrep.linear`.  FockVector
+and CliffordElement take their arithmetic from `spinrep.Combination`.
 
 CliffordElement is the full 4**n-dimensional algebra in normal-ordered
 form: words with all creators left of all annihilators, each block in
@@ -26,95 +28,44 @@ from .diagram import (
     parse_fock_index,
 )
 from .quiver import RankContext
-from .spinrep import SpinVector, exact, format_terms, parse_terms, tokenize
+from .spinrep import Combination, SpinVector, exact, format_terms, linear, parse_terms, tokenize
 
 
-class FockVector:
-    """Finite rational combination of wedge basis vectors b_I."""
+class FockVector(Combination):
+    """Finite rational combination of wedge basis vectors b_I, keyed by frozenset I."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for idx, coeff in items:
-                idx = frozenset(idx)
-                coeff = exact(coeff)
-                if idx in data:
-                    data[idx] = exact(data[idx] + coeff)
-                else:
-                    data[idx] = coeff
-        self.terms = {i: c for i, c in data.items() if c != 0}
+    _key = frozenset
 
     @classmethod
     def from_index(cls, idx, coeff=1):
-        return cls({frozenset(idx): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, FockVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            out[i] = out.get(i, 0) + c
-        return FockVector(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FockVector({i: -c for i, c in self.terms.items()})
-
-    def scale(self, scalar):
-        scalar = exact(scalar)
-        return FockVector({i: scalar * c for i, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+        coeff = exact(coeff)
+        return cls._make({frozenset(idx): coeff} if coeff else {})
 
     def __repr__(self):
         return "FockVector(%s)" % format_fock_vector(self)
 
 
-def _check_mode(k, ctx):
-    if not 1 <= k <= ctx.n:
-        raise ValueError("mode %r out of range 1..%d" % (k, ctx.n))
+def _wedge(idx, k, inside):
+    # kernel of annihilate_k (inside: k must be in idx, and leaves it) and
+    # create_k (k must be absent, and joins it), with the alternating phase
+    if (k in idx) != inside:
+        return None
+    phase = (-1) ** sum(1 for i in idx if i < k)
+    return (idx - {k} if inside else idx | {k}), phase
 
 
 def create(k: int, vec: FockVector, ctx: RankContext) -> FockVector:
     """Left wedge by b_k: zero on terms already containing k."""
-    _check_mode(k, ctx)
-    out = {}
-    for idx, coeff in vec.terms.items():
-        if k in idx:
-            continue
-        phase = (-1) ** sum(1 for i in idx if i < k)
-        key = idx | {k}
-        out[key] = out.get(key, 0) + coeff * phase
-    return FockVector(out)
+    ctx.check_index(k, "mode")
+    return linear(_wedge, vec, k, False)
 
 
 def annihilate(k: int, vec: FockVector, ctx: RankContext) -> FockVector:
     """Contraction against b_k: zero on terms not containing k."""
-    _check_mode(k, ctx)
-    out = {}
-    for idx, coeff in vec.terms.items():
-        if k not in idx:
-            continue
-        phase = (-1) ** sum(1 for i in idx if i < k)
-        key = idx - {k}
-        out[key] = out.get(key, 0) + coeff * phase
-    return FockVector(out)
+    ctx.check_index(k, "mode")
+    return linear(_wedge, vec, k, True)
 
 
 # ---------------------------------------------------------------------------
@@ -157,29 +108,22 @@ def _normal_order_word(word):
     return {k: v for k, v in out.items() if v != 0}
 
 
-class CliffordElement:
+class CliffordElement(Combination):
     """Exact rational combination of normal-ordered monomials (S, T)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (creators, annihilators), coeff in items:
-                key = (tuple(creators), tuple(annihilators))
-                for block in key:
-                    if list(block) != sorted(set(block)):
-                        raise ValueError("monomial blocks must be strictly increasing, got %r" % (key,))
-                    for i in block:
-                        if i < 1:
-                            raise ValueError("generator index must be positive, got %r" % (i,))
-                coeff = exact(coeff)
-                if key in data:
-                    data[key] = exact(data[key] + coeff)
-                else:
-                    data[key] = coeff
-        self.terms = {k: c for k, c in data.items() if c != 0}
+    @staticmethod
+    def _key(key):
+        creators, annihilators = key
+        key = (tuple(creators), tuple(annihilators))
+        for block in key:
+            if list(block) != sorted(set(block)):
+                raise ValueError("monomial blocks must be strictly increasing, got %r" % (key,))
+            for i in block:
+                if i < 1:
+                    raise ValueError("generator index must be positive, got %r" % (i,))
+        return key
 
     @classmethod
     def zero(cls):
@@ -201,37 +145,6 @@ class CliffordElement:
     def annihilator(cls, k):
         return cls.monomial((), (k,))
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, CliffordElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return CliffordElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CliffordElement({k: -c for k, c in self.terms.items()})
-
-    def scale(self, scalar):
-        scalar = exact(scalar)
-        return CliffordElement({k: scalar * c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -246,7 +159,8 @@ class CliffordElement:
                 )
                 for key, c in _normal_order_word(word).items():
                     out[key] = out.get(key, 0) + c1 * c2 * c
-        return CliffordElement(out)
+        # normal ordering yields valid monomials only
+        return self._make({key: exact(c) for key, c in out.items() if c})
 
     def __repr__(self):
         return "CliffordElement(%s)" % format_clifford_element(self)
@@ -259,15 +173,13 @@ def act(x: CliffordElement, vec: FockVector, ctx: RankContext) -> FockVector:
         w = vec
         for t in sorted(annihilators, reverse=True):
             w = annihilate(t, w, ctx)
-            if w.is_zero():
+            if not w:
                 break
-        if w.is_zero():
-            continue
         for s in sorted(creators, reverse=True):
-            w = create(s, w, ctx)
-            if w.is_zero():
+            if not w:
                 break
-        if not w.is_zero():
+            w = create(s, w, ctx)
+        if w:
             total = total + w.scale(coeff)
     return total
 
@@ -280,8 +192,7 @@ def embed_generator(kind: str, k: int, ctx: RankContext) -> CliffordElement:
     the corresponding E and F, computed in the algebra.
     """
     n = ctx.n
-    if not 1 <= k <= n:
-        raise ValueError("index %r out of range 1..%d" % (k, n))
+    ctx.check_index(k, "index")
     if kind == "E":
         if k <= n - 1:
             return CliffordElement.monomial((k + 1,), (k,))
@@ -302,8 +213,7 @@ def fock_weight(idx, ctx: RankContext) -> tuple:
     n = ctx.n
     idx = frozenset(idx)
     for i in idx:
-        if not 1 <= i <= n:
-            raise ValueError("index %r out of range 1..%d" % (i, n))
+        ctx.check_index(i, "index")
     half = Fraction(1, 2)
     return tuple(-half if i in idx else half for i in range(1, n + 1))
 

@@ -12,7 +12,8 @@ suites tabulate each operator as a sparse exact matrix over the whole
 rank-n basis and compare matrices.  The rank-free `check_dinfty` applies
 both sides to one box-capped basis state at a time, as plain combinations
 {state: coeff}; it computes each operator's image of each basis state
-once per such column, on a one-state vector.  The module, weight and
+once per such column, on a one-state vector, and sums images with the
+plain-dict arithmetic of `spinrep`.  The module, weight and
 faithfulness suites are written out on their own.
 
 Every tabulated operator sends a basis state to at most one signed basis
@@ -22,6 +23,10 @@ single passes over their columns.  A matrix with two nonzeros in some
 column, such as the faithfulness rank matrix, keeps the general form
 {(row, column): value}.  The data picks the form; a matrix never holds
 both.
+
+Every operator token of both models goes through one dispatch,
+`apply_operator`, which reads the functions from one table by name; the
+tabulator, the rank-free evaluator and the command line all call it.
 
 The suites of one `run_suites` call share one `RankTables` per rank: one
 rank context, one shape and one wedge basis, one `phi` matrix and one
@@ -51,7 +56,7 @@ from .diagram import (
 from .quiver import RankContext
 from . import spinrep
 from . import clifford as cliff
-from .spinrep import SpinVector, exact, format_basis_state
+from .spinrep import SpinVector, add_terms, exact, format_basis_state, scale_terms, sum_terms
 from .clifford import CliffordElement, FockVector
 
 
@@ -289,20 +294,23 @@ def fock_basis(ctx: RankContext) -> IndexedBasis:
     subsets = []
     for size in range(ctx.n + 1):
         subsets.extend(itertools.combinations(range(1, ctx.n + 1), size))
-    subsets.sort(key=lambda s: (len(s), s))
     return IndexedBasis([frozenset(s) for s in subsets], label=format_fock_index)
 
 
-# the operators that act on the wedge side
-WEDGE_OPS = ("create", "annihilate")
-
-_SPIN_OPS = {
+# every operator token's function by name, shape side then wedge side;
+# "identity" and "kappa" take no index and are handled by apply_operator
+_OPERATORS = {
     "E": spinrep.apply_E,
     "F": spinrep.apply_F,
     "H": spinrep.apply_H,
     "a": spinrep.geometric_a,
     "b": spinrep.geometric_b,
+    "create": cliff.create,
+    "annihilate": cliff.annihilate,
 }
+
+# the operators that act on the wedge side
+WEDGE_OPS = ("create", "annihilate")
 
 
 def parse_operator_token(token: str):
@@ -311,7 +319,7 @@ def parse_operator_token(token: str):
     if token in ("kappa", "identity", "id"):
         return ("identity" if token == "id" else token, None)
     name, sep, idx = token.partition("_")
-    if sep and name in ("E", "F", "H", "a", "b") + WEDGE_OPS:
+    if sep and name in _OPERATORS:
         try:
             return (name, int(idx))
         except ValueError:
@@ -319,24 +327,15 @@ def parse_operator_token(token: str):
     raise ValueError("unknown operator token %r" % token)
 
 
-def apply_spin_operator(name, k, vec: SpinVector, ctx: RankContext) -> SpinVector:
+def apply_operator(name, k, vec, ctx: RankContext):
+    """The operator (name, k) of parse_operator_token applied to a shape or wedge vector."""
+    if name == "identity":
+        return vec
     if name == "kappa":
         return spinrep.kappa(vec, ctx)
-    if name == "identity":
-        return vec
-    if name in _SPIN_OPS:
-        return _SPIN_OPS[name](k, vec, ctx)
-    raise ValueError("unknown spin operator %r" % name)
-
-
-def apply_fock_operator(name, k, vec: FockVector, ctx: RankContext) -> FockVector:
-    if name == "identity":
-        return vec
-    if name == "create":
-        return cliff.create(k, vec, ctx)
-    if name == "annihilate":
-        return cliff.annihilate(k, vec, ctx)
-    raise ValueError("unknown wedge-side operator %r" % name)
+    if name not in _OPERATORS:
+        raise ValueError("unknown operator %r" % name)
+    return _OPERATORS[name](k, vec, ctx)
 
 
 def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatrix:
@@ -352,11 +351,7 @@ def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatr
     cols = {}
     spread = {}
     for j, state in enumerate(basis.states):
-        if name in WEDGE_OPS:
-            vec = apply_fock_operator(name, k, FockVector.from_index(state), ctx)
-        else:
-            vec = apply_spin_operator(name, k, SpinVector.from_state(*state), ctx)
-        terms = vec.terms
+        terms = apply_operator(name, k, _one_state(state), ctx).terms
         if len(terms) == 1:
             [(target, coeff)] = terms.items()
             cols[j] = (position[target], coeff)
@@ -593,9 +588,7 @@ def _apply_token(token: str, vec, ctx: RankContext):
     if token == "phi":
         return cliff.phi(vec, ctx)
     name, k = parse_operator_token(token)
-    if name in WEDGE_OPS:
-        return apply_fock_operator(name, k, vec, ctx)
-    return apply_spin_operator(name, k, vec, ctx)
+    return apply_operator(name, k, vec, ctx)
 
 
 def _one_state(state):
@@ -603,25 +596,6 @@ def _one_state(state):
     if isinstance(state, frozenset):
         return FockVector.from_index(state)
     return SpinVector.from_state(*state)
-
-
-def _scaled(comb, c):
-    """c times a combination {state: coeff}, for a nonzero c; comb itself when c is 1."""
-    if c == 1:
-        return comb
-    return {state: exact(c * v) for state, v in comb.items()}
-
-
-def _sum(x, y, sign):
-    """x + sign * y for combinations {state: coeff}, zeros purged."""
-    if not y:
-        return x
-    if not x:
-        return _scaled(y, sign)
-    out = dict(x)
-    for state, c in y.items():
-        out[state] = out.get(state, 0) + sign * c
-    return {state: exact(c) for state, c in out.items() if c}
 
 
 def _state_image(token, state, images, ctx):
@@ -652,20 +626,20 @@ def _image(expr, comb, images, ctx):
             return {}
         if len(comb) == 1:
             [(state, c)] = comb.items()
-            return _scaled(_state_image(expr, state, images, ctx), c)
-        out = {}
-        for state, c in comb.items():
-            for target, v in _state_image(expr, state, images, ctx).items():
-                out[target] = out.get(target, 0) + c * v
-        return {target: exact(v) for target, v in out.items() if v}
+            return scale_terms(_state_image(expr, state, images, ctx), c)
+        return sum_terms(
+            (target, c * v)
+            for state, c in comb.items()
+            for target, v in _state_image(expr, state, images, ctx).items()
+        )
     op, x, y = expr
     if op == "scale":
-        return _scaled(_image(y, comb, images, ctx), x) if x else {}
+        return scale_terms(_image(y, comb, images, ctx), x) if x else {}
     xy = _image(x, _image(y, comb, images, ctx), images, ctx)
     if op == "product":
         return xy
     yx = _image(y, _image(x, comb, images, ctx), images, ctx)
-    return _sum(xy, yx, -1 if op == "commutator" else 1)
+    return add_terms(xy, yx, -1 if op == "commutator" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -905,13 +879,10 @@ def check_faithfulness(n: int, tables=None):
     tables = _rank_tables(n, tables)
     ctx, fbasis = tables.ctx, tables.fbasis
     size = len(fbasis)
-    subsets = []
-    for r in range(n + 1):
-        subsets.extend(itertools.combinations(range(1, n + 1), r))
     flat = {}
     count = 0
-    for creators in subsets:
-        for annihilators in subsets:
+    for creators in fbasis.states:
+        for annihilators in fbasis.states:
             x = CliffordElement.monomial(creators, annihilators)
             for j, idx in enumerate(fbasis.states):
                 image = cliff.act(x, FockVector.from_index(idx), ctx)

@@ -45,6 +45,11 @@ class RankContext:
         # (sign, rows) -> u = w - Cv, filled by state_u
         self._u = {}
 
+    def check_index(self, k: int, what: str = "vertex"):
+        """Raise ValueError, naming k as what, unless 1 <= k <= n."""
+        if not 1 <= k <= self.n:
+            raise ValueError("%s %r out of range 1..%d" % (what, k, self.n))
+
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbours[i - 1]
 
@@ -143,8 +148,7 @@ def dim_vector(rows, sign: Sign, ctx: RankContext) -> tuple:
 
 
 def unit_vector(k: int, ctx: RankContext) -> tuple:
-    if not 1 <= k <= ctx.n:
-        raise ValueError("vertex %r out of range 1..%d" % (k, ctx.n))
+    ctx.check_index(k)
     return tuple(1 if i == k else 0 for i in range(1, ctx.n + 1))
 
 

@@ -7,6 +7,14 @@ dimension vector grows by the unit vector at vertex k (E_k shrinks it),
 and H_k scales by the Cartan eigenvalue u_k.  The signed ladder operators
 geometric_a / geometric_b move single rows and exchange the two families.
 
+Every operator sends a basis state to at most one signed basis state, so
+each is written once as a per-state kernel, state -> (target, coeff) or
+None, and `linear` extends a kernel to a vector: E and F share one kernel
+over `_shift_state`, a and b one parametrised by parity and row edit.
+`Combination` holds the arithmetic that the vectors of both models and
+the Clifford algebra's elements share, on plain {key: coeff} dicts
+(`add_terms`, `scale_terms`, `sum_terms`).
+
 Coefficients are exact: a plain int when integral, a Fraction otherwise
 (see `exact`).  Weights live in the epsilon coordinates, as length-n
 tuples of Fractions; for basis states every entry is +1/2 or -1/2.
@@ -47,26 +55,69 @@ def exact(v):
     return v
 
 
-class SpinVector:
-    """Finite rational combination of basis states, zero terms purged."""
+def sum_terms(items):
+    """The combination {key: coeff} summed from (key, coeff) pairs, exact, zeros purged."""
+    data = {}
+    for key, coeff in items:
+        coeff = exact(coeff)
+        data[key] = exact(data[key] + coeff) if key in data else coeff
+    return {key: c for key, c in data.items() if c != 0}
+
+
+def scale_terms(terms, c):
+    """c times a combination {key: coeff}; terms itself when c is 1."""
+    if c == 1:
+        return terms
+    if not c:
+        return {}
+    return {key: exact(c * v) for key, v in terms.items()}
+
+
+def add_terms(x, y, sign=1):
+    """x + sign * y for combinations {key: coeff}, sign 1 or -1, zeros purged.
+
+    x itself is returned when y is empty, so the result may share a dict
+    with an argument and is never to be changed in place.
+    """
+    if not y:
+        return x
+    if not x:
+        return scale_terms(y, sign)
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: exact(c) for key, c in out.items() if c}
+
+
+class Combination:
+    """Finite exact combination of basis keys, stored as terms {key: coeff}.
+
+    The vectors of both models and the Clifford algebra's elements share
+    this arithmetic; a subclass names its keys (`_key` normalises one) and
+    its text form.  Coefficients are exact and nonzero.  Two combinations
+    are equal when they have the same type and the same terms.  There is
+    no hash: the terms are a plain dict, so a combination is not a key.
+    A result may share its terms with an operand (v + zero holds v's
+    dict), so terms are never changed in place.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for state, coeff in items:
-                coeff = exact(coeff)
-                if state in data:
-                    data[state] = exact(data[state] + coeff)
-                else:
-                    data[state] = coeff
-        self.terms = {s: c for s, c in data.items() if c != 0}
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        key = self._key
+        self.terms = sum_terms((key(k), c) for k, c in items)
+
+    @staticmethod
+    def _key(key):
+        return key
 
     @classmethod
-    def from_state(cls, sign, rows, coeff=1):
-        return cls({(sign, tuple(rows)): coeff})
+    def _make(cls, terms):
+        """A combination of trusted terms: normalised keys, exact nonzero coefficients."""
+        comb = cls.__new__(cls)
+        comb.terms = terms
+        return comb
 
     def is_zero(self):
         return not self.terms
@@ -75,29 +126,54 @@ class SpinVector:
         return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, SpinVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0) + c
-        return SpinVector(out)
+        return self._make(add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._make(add_terms(self.terms, other.terms, -1))
 
     def __neg__(self):
-        return SpinVector({s: -c for s, c in self.terms.items()})
+        return self._make(scale_terms(self.terms, -1))
 
     def scale(self, scalar):
-        scalar = exact(scalar)
-        return SpinVector({s: scalar * c for s, c in self.terms.items()})
+        return self._make(scale_terms(self.terms, exact(scalar)))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
+
+
+def linear(kernel, vec, *args):
+    """The linear extension of a per-state kernel, applied to vec.
+
+    kernel(state, *args) is the image of one basis state, a pair (target,
+    coeff) with coeff nonzero, or None for zero; the result has the type
+    of vec.  A one-state vector, the common case, needs no sum.
+    """
+    terms = vec.terms
+    if len(terms) == 1:
+        [(state, c)] = terms.items()
+        hit = kernel(state, *args)
+        return vec._make({} if hit is None else {hit[0]: exact(c * hit[1])})
+    out = {}
+    for state, c in terms.items():
+        hit = kernel(state, *args)
+        if hit is not None:
+            target, v = hit
+            out[target] = out.get(target, 0) + c * v
+    return vec._make({target: exact(v) for target, v in out.items() if v})
+
+
+class SpinVector(Combination):
+    """Finite rational combination of basis states (sign, shape)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_state(cls, sign, rows, coeff=1):
+        coeff = exact(coeff)
+        return cls._make({(sign, tuple(rows)): coeff} if coeff else {})
 
     def __repr__(self):
         return "SpinVector(%s)" % format_spin_vector(self)
@@ -153,47 +229,59 @@ def _shift_state(sign, rows, k, direction, ctx, opname):
     return moves.get(direction * k)
 
 
+def _shift(state, k, direction, ctx, opname):
+    # kernel of E_k (direction -1) and F_k (+1): the state the sweep finds
+    sign, rows = state
+    moved = _shift_state(sign, rows, k, direction, ctx, opname)
+    return None if moved is None else ((sign, moved), 1)
+
+
 def apply_F(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     """Lowering operator at vertex k, extended linearly."""
-    if not 1 <= k <= ctx.n:
-        raise ValueError("vertex %r out of range 1..%d" % (k, ctx.n))
-    out = {}
-    for (sign, rows), coeff in vec.terms.items():
-        moved = _shift_state(sign, rows, k, +1, ctx, "F")
-        if moved is not None:
-            key = (sign, moved)
-            out[key] = out.get(key, 0) + coeff
-    return SpinVector(out)
+    ctx.check_index(k)
+    return linear(_shift, vec, k, +1, ctx, "F")
 
 
 def apply_E(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     """Raising operator at vertex k, extended linearly."""
-    if not 1 <= k <= ctx.n:
-        raise ValueError("vertex %r out of range 1..%d" % (k, ctx.n))
-    out = {}
-    for (sign, rows), coeff in vec.terms.items():
-        moved = _shift_state(sign, rows, k, -1, ctx, "E")
-        if moved is not None:
-            key = (sign, moved)
-            out[key] = out.get(key, 0) + coeff
-    return SpinVector(out)
+    ctx.check_index(k)
+    return linear(_shift, vec, k, -1, ctx, "E")
+
+
+def _cartan(state, k, ctx):
+    u = state_u(state[1], state[0], ctx)[k - 1]
+    return (state, u) if u else None
 
 
 def apply_H(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     """Cartan operator at vertex k: scales each state by u_k = (w - Cv)_k."""
-    if not 1 <= k <= ctx.n:
-        raise ValueError("vertex %r out of range 1..%d" % (k, ctx.n))
-    out = {}
-    for (sign, rows), coeff in vec.terms.items():
-        u = state_u(rows, sign, ctx)
-        if u[k - 1]:
-            out[(sign, rows)] = coeff * u[k - 1]
-    return SpinVector(out)
+    ctx.check_index(k)
+    return linear(_cartan, vec, k, ctx)
+
+
+def _flip(state):
+    return (state[0].flip(), state[1]), 1
 
 
 def kappa(vec: SpinVector, ctx=None) -> SpinVector:
     """The tip-swapping involution: flips the family, keeps the shape."""
-    return SpinVector({(sign.flip(), rows): c for (sign, rows), c in vec.terms.items()})
+    return linear(_flip, vec)
+
+
+def _ladder(state, k, ctx, parity, edit):
+    # kernel of a_k (parity 0, edit removes a row) and b_k (parity 1, edit
+    # adds one); both flip the family
+    sign, rows = state
+    n = ctx.n
+    if k == n:
+        w_n = 1 if sign is Sign.PLUS else 0
+        if (w_n + len(rows)) % 2 != parity:
+            return None
+        return (sign.flip(), rows), (-1) ** len(rows)
+    moved = edit(rows, k, n)
+    if moved is None:
+        return None
+    return (sign.flip(), moved), (-1) ** endpoint_count_below(rows, n, k)
 
 
 def geometric_a(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
@@ -204,23 +292,8 @@ def geometric_a(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     shape and acts only when w_n + (number of rows) is even, with sign
     (-1)**(number of rows).
     """
-    n = ctx.n
-    if not 1 <= k <= n:
-        raise ValueError("vertex %r out of range 1..%d" % (k, n))
-    out = {}
-    for (sign, rows), coeff in vec.terms.items():
-        if k == n:
-            w_n = 1 if sign is Sign.PLUS else 0
-            if (w_n + len(rows)) % 2 == 0:
-                key = (sign.flip(), rows)
-                out[key] = out.get(key, 0) + coeff * (-1) ** len(rows)
-        else:
-            smaller = remove_row_with_endpoint(rows, k, n)
-            if smaller is not None:
-                key = (sign.flip(), smaller)
-                phase = (-1) ** endpoint_count_below(rows, n, k)
-                out[key] = out.get(key, 0) + coeff * phase
-    return SpinVector(out)
+    ctx.check_index(k)
+    return linear(_ladder, vec, k, ctx, 0, remove_row_with_endpoint)
 
 
 def geometric_b(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
@@ -230,23 +303,8 @@ def geometric_b(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     endpoint k (if absent) with the same phase; for k = n it acts exactly
     when w_n + (number of rows) is odd.
     """
-    n = ctx.n
-    if not 1 <= k <= n:
-        raise ValueError("vertex %r out of range 1..%d" % (k, n))
-    out = {}
-    for (sign, rows), coeff in vec.terms.items():
-        if k == n:
-            w_n = 1 if sign is Sign.PLUS else 0
-            if (w_n + len(rows)) % 2 == 1:
-                key = (sign.flip(), rows)
-                out[key] = out.get(key, 0) + coeff * (-1) ** len(rows)
-        else:
-            larger = add_row_with_endpoint(rows, k, n)
-            if larger is not None:
-                key = (sign.flip(), larger)
-                phase = (-1) ** endpoint_count_below(rows, n, k)
-                out[key] = out.get(key, 0) + coeff * phase
-    return SpinVector(out)
+    ctx.check_index(k)
+    return linear(_ladder, vec, k, ctx, 1, add_row_with_endpoint)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,15 @@ def test_verify_usage_errors():
     assert run("verify", "--dinfty", "--n", "3", "--max-boxes", "6")[0] == 2
 
 
+@pytest.mark.parametrize("suites", [",", " , ,", ""])
+def test_verify_refuses_a_suite_list_that_names_no_suite(suites, capsys):
+    rc, text = run("verify", "--n", "3", "--suite", suites)
+    assert rc == 2
+    assert text == ""
+    assert "--suite names no suite" in capsys.readouterr().err
+    assert run("verify", "--n", "3", "--suite", ",", "--json")[0] == 2
+
+
 def test_export_matrix_text():
     rc, text = run("export-matrix", "--n", "4", "F_4")
     assert rc == 0
@@ -255,6 +264,24 @@ def test_export_matrix_fock_basis():
     lines = text.splitlines()
     assert "# basis order: {}, {1}, {2}, {1,2}" in lines
     assert lines[-2:] == ["1 0 1", "3 2 1"]
+
+
+def test_export_matrix_fock_identity():
+    # identity acts on either side; on the wedge basis it once reached the
+    # shape-side dispatcher with a subset and crashed
+    rc, doc = run_json("export-matrix", "--n", "3", "--basis", "fock", "--json", "identity")
+    assert rc == 0
+    assert doc["entries"] == [[i, i, "1"] for i in range(8)]
+    rc, word = run_json("export-matrix", "--n", "3", "--basis", "fock", "--json", "create_1 identity")
+    assert rc == 0
+    rc, create = run_json("export-matrix", "--n", "3", "--basis", "fock", "--json", "create_1")
+    assert rc == 0
+    assert word["entries"] == create["entries"] and create["entries"]
+
+
+def test_export_matrix_fock_refusal_names_identity(capsys):
+    assert run("export-matrix", "--n", "3", "--basis", "fock", "kappa")[0] == 2
+    assert "create_k / annihilate_k / identity, got 'kappa'" in capsys.readouterr().err
 
 
 def test_export_matrix_to_file(tmp_path):

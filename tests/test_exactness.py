@@ -1,7 +1,8 @@
 """Exactness: no floating point in the package, and integral coefficients stored as ints.
 
-Also the package's unused-import lint, and the two storage forms of
-ExactMatrix checked against a plain dict of entries.
+Also the package's unused-import and written-once lints, the two storage
+forms of ExactMatrix checked against a plain dict of entries, and the one
+combination base of the three vector types checked the same way.
 """
 
 import ast
@@ -16,9 +17,10 @@ from halfspin.clifford import CliffordElement, FockVector
 from halfspin.diagram import Sign, enumerate_diagrams
 from halfspin.oracle import (
     ExactMatrix,
-    apply_fock_operator,
-    apply_spin_operator,
+    _one_state,
+    apply_operator,
     operator_matrix,
+    parse_operator_token,
     spin_basis,
 )
 from halfspin.quiver import RankContext
@@ -112,6 +114,65 @@ def test_the_lint_sees_each_unused_import():
         (4, "regex"),
         (6, "dumps"),
         (7, "sibling"),
+    ]
+
+
+# the arithmetic that only the combination base and the matrix class define
+ARITHMETIC = ("__add__", "__sub__", "__neg__", "scale", "__eq__", "__hash__")
+ARITHMETIC_OWNERS = ("Combination", "ExactMatrix")
+
+
+def arithmetic_copies(tree):
+    """(line, "Class.method") for each arithmetic method written outside its two owners.
+
+    Only a def writes the arithmetic again; an assignment such as
+    diagram.Sign's `__hash__ = object.__hash__` reuses a method.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name not in ARITHMETIC_OWNERS:
+            found += [
+                (item.lineno, "%s.%s" % (node.name, item.name))
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in ARITHMETIC
+            ]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_arithmetic_is_written_once(path):
+    found = arithmetic_copies(ast.parse(path.read_text(), str(path)))
+    assert not found, "%s: %s" % (path.name, found)
+
+
+def test_the_lint_sees_each_arithmetic_copy():
+    code = (
+        "class Combination:\n"
+        "    def __add__(self, other): pass\n"
+        "    def __eq__(self, other): pass\n"
+        "class Vector(Combination):\n"
+        "    def __add__(self, other): pass\n"
+        "    def __sub__(self, other): pass\n"
+        "    def __neg__(self): pass\n"
+        "    def scale(self, c): pass\n"
+        "    def __eq__(self, other): pass\n"
+        "    def __hash__(self): pass\n"
+        "    def __mul__(self, other): pass\n"
+        "class Element(Combination):\n"
+        "    __hash__ = object.__hash__\n"
+        "    class Inner:\n"
+        "        async def scale(self, c): pass\n"
+        "class ExactMatrix:\n"
+        "    def __add__(self, other): pass\n"
+    )
+    assert arithmetic_copies(ast.parse(code)) == [
+        (5, "Vector.__add__"),
+        (6, "Vector.__sub__"),
+        (7, "Vector.__neg__"),
+        (8, "Vector.scale"),
+        (9, "Vector.__eq__"),
+        (10, "Vector.__hash__"),
+        (15, "Inner.scale"),
     ]
 
 
@@ -210,14 +271,14 @@ def run_word(vec, word, apply):
 @settings(deadline=None, max_examples=60)
 def test_spin_operators_store_exact_coefficients(case):
     ctx, terms, word = case
-    run_word(SpinVector(terms), word, lambda name, k, v: apply_spin_operator(name, k, v, ctx))
+    run_word(SpinVector(terms), word, lambda name, k, v: apply_operator(name, k, v, ctx))
 
 
 @given(rank_vector_word(fock_keys, fock_letters))
 @settings(deadline=None, max_examples=60)
 def test_fock_operators_store_exact_coefficients(case):
     ctx, terms, word = case
-    run_word(FockVector(terms), word, lambda name, k, v: apply_fock_operator(name, k, v, ctx))
+    run_word(FockVector(terms), word, lambda name, k, v: apply_operator(name, k, v, ctx))
 
 
 @st.composite
@@ -386,3 +447,85 @@ def test_two_maps_meeting_in_a_column_sum_to_the_general_form():
     assert total - bottom == top and is_map(total - bottom)
     assert total != ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 1})
     assert total.rank() == 2
+
+
+# ---------------------------------------------------------------------------
+# the one combination base of the three vector types against a plain dict
+
+
+def clifford_keys(n):
+    blocks = [tuple(sorted(idx)) for idx in fock_keys(n)]
+    return [(creators, annihilators) for creators in blocks for annihilators in blocks]
+
+
+COMBINATIONS = {
+    "SpinVector": (SpinVector, spin_keys),
+    "FockVector": (FockVector, fock_keys),
+    "CliffordElement": (CliffordElement, clifford_keys),
+}
+
+
+def ref_terms(pairs):
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + Fraction(c)
+    return ref_clean(out)
+
+
+@given(st.sampled_from(sorted(COMBINATIONS)), st.data())
+@settings(deadline=None, max_examples=150)
+def test_the_combination_base_agrees_with_a_dict_reference(kind, data):
+    cls, keys = COMBINATIONS[kind]
+    # few keys, so that terms meet and cancel
+    pairs = st.lists(st.tuples(st.sampled_from(keys(2)), COEFFS), max_size=6)
+    x_in, y_in = data.draw(pairs), data.draw(pairs)
+    x, y = cls(x_in), cls(y_in)
+    x_ref, y_ref = ref_terms(x_in), ref_terms(y_in)
+
+    def check(comb, ref):
+        assert type(comb) is cls
+        assert comb.terms == ref
+        assert_exact(comb.terms.values())
+        assert comb.is_zero() == (not comb) == (not ref)
+
+    check(x, x_ref)
+    check(x + y, ref_sum(x_ref, y_ref))
+    check(x - y, ref_sum(x_ref, y_ref, -1))
+    check(-x, ref_sum({}, x_ref, -1))
+    for scalar in (0, -1, Fraction(2, 3)):
+        scaled = ref_clean({key: scalar * v for key, v in x_ref.items()})
+        check(x.scale(scalar), scaled)
+        check(scalar * x, scaled)
+    assert (x == y) == (x_ref == y_ref)
+    assert x == cls(x_ref) and x - x == cls() and (x + y) - y == x
+    for other, _ in COMBINATIONS.values():
+        if other is not cls:
+            # the same terms under another type are another vector
+            assert x != other._make(x.terms) and other._make(x.terms) != x
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+def spin_tokens(n):
+    return ["%s_%d" % (name, k) for name in "EFHab" for k in range(1, n + 1)] + ["kappa", "identity"]
+
+
+def fock_tokens(n):
+    return ["%s_%d" % (name, k) for name in ("create", "annihilate") for k in range(1, n + 1)] + ["identity"]
+
+
+@given(st.integers(2, 5), st.data())
+@settings(deadline=None, max_examples=40)
+def test_every_operator_is_the_sum_of_its_one_state_images(n, data):
+    ctx = RankContext(n)
+    for cls, keys, tokens in ((SpinVector, spin_keys, spin_tokens), (FockVector, fock_keys, fock_tokens)):
+        vec = cls(data.draw(st.lists(st.tuples(st.sampled_from(keys(n)), NONZERO), min_size=2, max_size=6)))
+        for token in tokens(n):
+            name, k = parse_operator_token(token)
+            want = {}
+            for key, c in vec.terms.items():
+                for target, v in apply_operator(name, k, _one_state(key), ctx).terms.items():
+                    want[target] = want.get(target, 0) + c * v
+            got = apply_operator(name, k, vec, ctx)
+            assert type(got) is cls
+            assert got.terms == ref_clean(want), token

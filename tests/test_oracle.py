@@ -201,7 +201,7 @@ def test_operator_matrix_takes_the_general_form_for_a_two_term_image(monkeypatch
     def with_swap(k, vec, ctx):
         return oracle.spinrep.apply_H(k, vec, ctx) + oracle.spinrep.kappa(vec)
 
-    monkeypatch.setitem(oracle._SPIN_OPS, "H", with_swap)
+    monkeypatch.setitem(oracle._OPERATORS, "H", with_swap)
     m = operator_matrix("H_2", basis, ctx)
     assert m._map is None
     assert m == h + operator_matrix("kappa", basis, ctx)
@@ -404,7 +404,7 @@ def _flip_ladder(monkeypatch, k):
         image = spinrep.geometric_a(j, vec, ctx)
         return image.scale(-1) if j == k else image
 
-    monkeypatch.setitem(oracle._SPIN_OPS, "a", flipped)
+    monkeypatch.setitem(oracle._OPERATORS, "a", flipped)
 
 
 def test_intertwiner_witness_labels_rows_and_columns(monkeypatch):

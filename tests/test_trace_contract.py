@@ -6,7 +6,9 @@ test only imports it; a sweep moved out of ``spinrep._shift_state``, a
 traced function captured by a cache or a rank-free evaluator that skips
 the operator functions shows up here before it breaks a traced benchmark
 run.  So does an `ExactMatrix` whose `nnz` or whose
-`__add__`/`__sub__` the tracer no longer sees.
+`__add__`/`__sub__` the tracer no longer sees, and an operator that a
+kernel reaches without its traced vector function: the bounded run must
+drive every layer of the `verify_bounded` workload's `busy` list.
 """
 
 import io
@@ -34,9 +36,25 @@ def _traced(monkeypatch, argv):
 
 
 def test_tracer_reads_the_bounded_layers(monkeypatch):
-    argv = ["verify", "--n", "2..4", "--suite", "chevalley,factorization,intertwiner", "--json"]
+    suites = "chevalley,factorization,intertwiner,weights,faithfulness"
+    argv = ["verify", "--n", "2..4", "--suite", suites, "--json"]
     metrics = _traced(monkeypatch, argv)
+    import workloads
+
+    # every layer the bounded benchmark workload must drive, its suites
+    # narrowed to the ones run here: ladder, apply_H, weight, rank, act, ...
+    skipped = {"oracle.suite.%s.s" % s for s in workloads.BOUNDED_SUITES.split(",")}
+    skipped -= {"oracle.suite.%s.s" % s for s in suites.split(",")}
+    busy = [name for name in workloads.VerifyBounded.busy if name not in skipped]
     for name in (
+        "spinrep.ladder.calls",
+        "spinrep.apply_H.self_s",
+        "spinrep.weight.self_s",
+        "oracle.rank.calls",
+        "clifford.act.calls",
+    ):
+        assert name in busy
+    for name in busy + [
         "spinrep.shift.calls",
         "spinrep.dim_vector_per_shift",
         "oracle.tabulate.calls",
@@ -45,7 +63,7 @@ def test_tracer_reads_the_bounded_layers(monkeypatch):
         "oracle.mateq.self_s",
         "oracle.matadd.self_s",
         "quiver.state_u.calls",
-    ):
+    ]:
         assert metrics[name] > 0, name
     assert metrics["oracle.tabulate.reuse_ratio"] == 1.0
     # the nonzero count of the 248 products, as the general-form matrices gave it
