@@ -28,7 +28,16 @@ from .diagram import (
     parse_fock_index,
 )
 from .quiver import RankContext
-from .spinrep import Combination, SpinVector, exact, format_terms, linear, parse_terms, tokenize
+from .spinrep import (
+    Combination,
+    SpinVector,
+    exact,
+    format_terms,
+    linear,
+    parse_scalar,
+    parse_terms,
+    tokenize,
+)
 
 
 class FockVector(Combination):
@@ -169,6 +178,8 @@ class CliffordElement(Combination):
 def act(x: CliffordElement, vec: FockVector, ctx: RankContext) -> FockVector:
     """Apply x to vec: per monomial, annihilators first, right to left."""
     total = FockVector()
+    if not vec:
+        return total
     for (creators, annihilators), coeff in x.terms.items():
         w = vec
         for t in sorted(annihilators, reverse=True):
@@ -318,11 +329,9 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
                 if tok[0] == "b"
                 else CliffordElement.annihilator(k)
             )
-        try:
-            scalar = Fraction(tok)
-        except ValueError:
-            raise ValueError("unexpected token %r in %r" % (tok, text)) from None
-        return CliffordElement.identity().scale(scalar)
+        if not tok[0].isdigit():
+            raise ValueError("unexpected token %r in %r" % (tok, text))
+        return CliffordElement.identity().scale(parse_scalar(tok, text))
 
     def parse_product():
         result = parse_atom()

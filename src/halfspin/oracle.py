@@ -24,9 +24,11 @@ column, such as the faithfulness rank matrix, keeps the general form
 {(row, column): value}.  The data picks the form; a matrix never holds
 both.
 
-Every operator token of both models goes through one dispatch,
-`apply_operator`, which reads the functions from one table by name; the
-tabulator, the rank-free evaluator and the command line all call it.
+Every operator token of both models is read from one table of functions
+by name, `_OPERATORS`.  The rank-free evaluator and the command line go
+through its dispatch, `apply_operator`, on every call; the tabulator reads
+the table once per matrix and applies the function to the prebuilt
+one-state vectors of its basis.
 
 The suites of one `run_suites` call share one `RankTables` per rank: one
 rank context, one shape and one wedge basis, one `phi` matrix and one
@@ -44,7 +46,7 @@ from __future__ import annotations
 import itertools
 import time
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 
 from .diagram import (
@@ -187,7 +189,8 @@ class ExactMatrix:
             for k, (j, b) in other._map.items():
                 hit = left.get(j)
                 if hit is not None:
-                    out[k] = (hit[0], exact(hit[1] * b))
+                    v = hit[1] * b
+                    out[k] = (hit[0], v if type(v) is int else exact(v))
             return ExactMatrix._make(self.nrows, other.ncols, out)
         by_row = {}
         for (j, k), v in other._pairs().items():
@@ -255,7 +258,11 @@ def anticommutator(x, y):
 
 
 class IndexedBasis:
-    """Ordered basis with a position map; label turns states into text."""
+    """Ordered basis with a position map; label turns states into text.
+
+    `vectors` holds the one-state vector of each state, built on first use
+    and read by every table over the basis; no operator changes them.
+    """
 
     def __init__(self, states, label=str):
         self.states = list(states)
@@ -270,11 +277,16 @@ class IndexedBasis:
     def position(self, state):
         return self.index[state]
 
+    @cached_property
+    def vectors(self) -> list:
+        return [_one_state(state) for state in self.states]
+
 
 def spin_basis(ctx: RankContext) -> IndexedBasis:
     """All 2^n basis states: the plus block first, then the minus block."""
-    states = [(Sign.PLUS, rows) for rows in enumerate_diagrams(ctx.n)]
-    states += [(Sign.MINUS, rows) for rows in enumerate_diagrams(ctx.n)]
+    shapes = enumerate_diagrams(ctx.n)
+    states = [(Sign.PLUS, rows) for rows in shapes]
+    states += [(Sign.MINUS, rows) for rows in shapes]
     return IndexedBasis(states, label=format_basis_state)
 
 
@@ -341,17 +353,20 @@ def apply_operator(name, k, vec, ctx: RankContext):
 def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatrix:
     """Tabulate a named operator over the basis; column j is the image of state j.
 
-    One-term images go straight into the map form.  An image of two or
-    more terms, which no operator of the two models makes, turns the table
-    to the general form.
+    The operator's function is read from `_OPERATORS` once per table, when
+    the table is built, and applied to the basis's prebuilt one-state
+    vectors.  One-term images go straight into the map form.  An image of
+    two or more terms, which no operator of the two models makes, turns the
+    table to the general form.
     """
     name, k = parse_operator_token(op)
+    apply = _OPERATORS.get(name) or partial(apply_operator, name)
     size = len(basis)
     position = basis.index
     cols = {}
     spread = {}
-    for j, state in enumerate(basis.states):
-        terms = apply_operator(name, k, _one_state(state), ctx).terms
+    for j, vec in enumerate(basis.vectors):
+        terms = apply(k, vec, ctx).terms
         if len(terms) == 1:
             [(target, coeff)] = terms.items()
             cols[j] = (position[target], coeff)
@@ -696,31 +711,39 @@ def check_factorization(n: int, tables=None):
     return _bounded_suite("factorization", n, tables)
 
 
-def _f_closure(sign: Sign, ctx: RankContext):
-    seen = {(sign, ())}
-    frontier = [(sign, ())]
+def _f_closure(start, down):
+    """The basis positions reachable from start along down, {column: [rows]}."""
+    seen = {start}
+    frontier = [start]
     while frontier:
-        state = frontier.pop()
-        vec = SpinVector.from_state(*state)
-        for k in range(1, ctx.n + 1):
-            image = spinrep.apply_F(k, vec, ctx)
-            for target in image.terms:
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
+        for i in down.get(frontier.pop(), ()):
+            if i not in seen:
+                seen.add(i)
+                frontier.append(i)
     return seen
 
 
 def check_module_structure(n: int, tables=None):
-    """Generation, block decomposition, multiplicities and wedge parity."""
+    """Generation, block decomposition, multiplicities and wedge parity.
+
+    The lowering closure follows the rank's F_k tables; the blocks, their
+    weights and their parities are read from its shape basis.
+    """
     t0 = time.perf_counter()
-    ctx = _rank_tables(n, tables).ctx
+    tables = _rank_tables(n, tables)
+    ctx, basis = tables.ctx, tables.sbasis
+    signs = (Sign.PLUS, Sign.MINUS)
     entries = []
     half_dim = 2 ** (n - 1)
+    down = {}
+    for k in range(1, n + 1):
+        for i, j in tables.matrix(_op("F", k)).entries:
+            down.setdefault(j, []).append(i)
+    expected = {sign: {s for s in basis.states if s[0] is sign} for sign in signs}
     blocks = {}
-    for sign in (Sign.PLUS, Sign.MINUS):
-        reachable = _f_closure(sign, ctx)
-        blocks[sign] = reachable
+    for sign in signs:
+        reachable = _f_closure(basis.position((sign, ())), down)
+        blocks[sign] = {basis.states[i] for i in reachable}
         entries.append(
             _entry(
                 "lowering closure from (%s,-) spans %d states" % (sign, half_dim),
@@ -728,22 +751,19 @@ def check_module_structure(n: int, tables=None):
                 "got %d states" % len(reachable),
             )
         )
-    for sign in (Sign.PLUS, Sign.MINUS):
-        expected = {(sign, rows) for rows in enumerate_diagrams(n)}
+    for sign in signs:
         entries.append(
             _entry(
                 "closure from (%s,-) is exactly the %s block" % (sign, sign),
-                blocks[sign] == expected,
+                blocks[sign] == expected[sign],
                 "difference: %s"
                 % sorted(
-                    format_basis_state(s) for s in blocks[sign] ^ expected
+                    format_basis_state(s) for s in blocks[sign] ^ expected[sign]
                 ),
             )
         )
-    for sign in (Sign.PLUS, Sign.MINUS):
-        weights = [
-            spinrep.weight_eps((sign, rows), ctx) for rows in enumerate_diagrams(n)
-        ]
+    for sign in signs:
+        weights = [spinrep.weight_eps(s, ctx) for s in expected[sign]]
         ok = len(set(weights)) == len(weights)
         entries.append(
             _entry(
@@ -754,11 +774,7 @@ def check_module_structure(n: int, tables=None):
         )
     # wedge parity: image sizes under the basis dictionary
     parities = {
-        sign: {
-            len(cliff.phi_state((sign, rows), ctx)) % 2
-            for rows in enumerate_diagrams(n)
-        }
-        for sign in (Sign.PLUS, Sign.MINUS)
+        sign: {len(cliff.phi_state(s, ctx)) % 2 for s in expected[sign]} for sign in signs
     }
     derived_ok = parities[Sign.PLUS] == {0} and parities[Sign.MINUS] == {1}
     entries.append(
@@ -811,11 +827,11 @@ def check_weight_consistency(n: int, tables=None):
     entries = []
     routes = weight_routes()
     reference_name, reference = routes[0]
+    wants = [reference(state, ctx) for state in basis.states]
     for name, route in routes[1:]:
         bad = None
-        for state in basis.states:
+        for state, want in zip(basis.states, wants):
             got = route(state, ctx)
-            want = reference(state, ctx)
             if got != want:
                 bad = "state %s: %s gives %s, %s gives %s" % (
                     format_basis_state(state),
@@ -833,8 +849,8 @@ def check_weight_consistency(n: int, tables=None):
             )
         )
     deviates_everywhere = all(
-        spinrep.weight_eps_halved_variant(state, ctx) != reference(state, ctx)
-        for state in basis.states
+        spinrep.weight_eps_halved_variant(state, ctx) != want
+        for state, want in zip(basis.states, wants)
         if state[1]
     )
     entries.append(
@@ -847,7 +863,7 @@ def check_weight_consistency(n: int, tables=None):
     if n == 4:
         pinned = (Sign.PLUS, (2,))
         got = spinrep.weight_eps_halved_variant(pinned, ctx)
-        want = reference(pinned, ctx)
+        want = wants[basis.position(pinned)]
         entries.append(
             _entry(
                 "halved-row-sum variant matches at (plus,2)",

@@ -155,7 +155,10 @@ def linear(kernel, vec, *args):
     if len(terms) == 1:
         [(state, c)] = terms.items()
         hit = kernel(state, *args)
-        return vec._make({} if hit is None else {hit[0]: exact(c * hit[1])})
+        if hit is None:
+            return vec._make({})
+        v = c * hit[1]
+        return vec._make({hit[0]: v if type(v) is int else exact(v)})
     out = {}
     for state, c in terms.items():
         hit = kernel(state, *args)
@@ -491,16 +494,26 @@ def tokenize(text: str, token) -> list:
     return tokens
 
 
+def parse_scalar(token: str, text: str) -> Fraction:
+    """The rational number token of text; ValueError if it is none or divides by zero."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def parse_terms(text: str, atom: str, parse_atom, what: str) -> list:
     """Parse a signed sum such as "2 * X - 1/2 * Y" into (value, coefficient) pairs.
 
     atom is the regular expression of one atom token, parse_atom turns such
     a token into its value and what names it in error messages.  "0" is
-    the empty sum; repeated atoms are not merged.
+    the empty sum and blank text is refused; repeated atoms are not merged.
     """
     stripped = text.strip()
     if stripped == "0":
         return []
+    if not stripped:
+        raise ValueError("expected %s, got blank text" % what)
     tokens = tokenize(stripped, re.compile(r"\s*(%s|\d+(?:/\d+)?|[+\-*])" % atom))
     terms = []
     i = 0
@@ -513,7 +526,7 @@ def parse_terms(text: str, atom: str, parse_atom, what: str) -> list:
             raise ValueError("expected + or - in %r" % text)
         coeff = Fraction(1)
         if i < len(tokens) and tokens[i][0].isdigit():
-            coeff = Fraction(tokens[i])
+            coeff = parse_scalar(tokens[i], text)
             i += 1
             if i < len(tokens) and tokens[i] == "*":
                 i += 1

@@ -109,6 +109,9 @@ def test_act_usage_errors():
     assert run("act", "--n", "4", "F_1", "(plus,9)")[0] == 2
     assert run("act", "--n", "4", "F_9", "(plus,-)")[0] == 2
     assert run("act", "F_1", "(plus,-)")[0] == 2  # missing rank
+    assert run("act", "--n", "4", "F_1", "1/0 * (plus,-)")[0] == 2
+    assert run("act", "--n", "4", "F_1", "")[0] == 2  # only "0" is the zero vector
+    assert run("act", "--n", "4", "F_1", "  ")[0] == 2
 
 
 def test_weight_text():
@@ -160,6 +163,10 @@ def test_clifford_usage_errors():
     assert run("clifford", "--n", "2", "b1 +")[0] == 2
     assert run("clifford", "--n", "2", "--apply", "{3}", "b1")[0] == 2
     assert run("clifford", "--n", "2", "--apply", "oops", "b1")[0] == 2
+    assert run("clifford", "--n", "2", "1/0*a1")[0] == 2
+    assert run("clifford", "--n", "2", "--apply", "1/0 * {1}", "a1")[0] == 2
+    assert run("clifford", "--n", "2", "--apply", "", "a1")[0] == 2
+    assert run("clifford", "--n", "2", "--apply", " \t", "a1")[0] == 2
 
 
 def test_verify_text():

@@ -119,6 +119,18 @@ def test_act_examples():
     assert act(CliffordElement.monomial((1, 2), ()), b(), ctx) == b(1, 2)
 
 
+def test_act_on_the_zero_vector_calls_no_operator(monkeypatch):
+    from halfspin import clifford
+
+    def refuse(k, vec, ctx):
+        raise AssertionError("operator called on %r" % (vec,))
+
+    monkeypatch.setattr(clifford, "annihilate", refuse)
+    monkeypatch.setattr(clifford, "create", refuse)
+    x = parse_clifford_expression("b2*a1 + a1 a2 + 3", RankContext(2))
+    assert act(x, FockVector(), RankContext(2)) == FockVector()
+
+
 @st.composite
 def clifford_elements(draw):
     terms = draw(
@@ -242,6 +254,13 @@ def test_fock_text_forms():
         parse_fock_vector("{1,5}", ctx)
     with pytest.raises(ValueError):
         parse_fock_vector("{1} {2}")
+    for blank in ("", "  "):
+        with pytest.raises(ValueError, match="blank"):
+            parse_fock_vector(blank)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fock_vector("1/0 * {1}")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_clifford_expression("b1 + 2/0")
 
 
 def test_element_text_forms():

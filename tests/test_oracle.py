@@ -190,6 +190,9 @@ def test_operator_matrix_identity_and_kappa():
     assert k * k == ExactMatrix.identity(8)
     assert k.nnz == 8
     assert all(v == 1 for v in k.entries.values())
+    for token in ("kappa_1", "identity_2"):
+        with pytest.raises(ValueError):
+            operator_matrix(token, basis, ctx)
 
 
 def test_operator_matrix_takes_the_general_form_for_a_two_term_image(monkeypatch):
@@ -501,3 +504,82 @@ def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
     assert report["status"] == "pass"
     assert column["count"] == 10
     assert computed
+
+
+# ---------------------------------------------------------------------------
+# tabulation through the operator table
+
+
+def _tokens(n):
+    """Every operator token of both bases at rank n, as (token, wedge side)."""
+    shape = [("%s_%d" % (name, k), False) for name in "EFHab" for k in range(1, n + 1)]
+    wedge = [("%s_%d" % (name, k), True) for name in oracle.WEDGE_OPS for k in range(1, n + 1)]
+    return shape + [("kappa", False), ("identity", False), ("identity", True)] + wedge
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_operator_matrix_is_the_table_of_apply_operator(n):
+    ctx = RankContext(n)
+    bases = {False: spin_basis(ctx), True: fock_basis(ctx)}
+    for token, wedge in _tokens(n):
+        basis = bases[wedge]
+        name, k = parse_operator_token(token)
+        entries = {}
+        for j, state in enumerate(basis.states):
+            image = oracle.apply_operator(name, k, oracle._one_state(state), ctx)
+            for target, v in image.terms.items():
+                entries[(basis.position(target), j)] = v
+        want = ExactMatrix(len(basis), len(basis), entries)
+        assert operator_matrix(token, basis, ctx) == want, token
+
+
+def test_tabulating_leaves_the_one_state_vectors_unchanged():
+    ctx = RankContext(5)
+    bases = {False: spin_basis(ctx), True: fock_basis(ctx)}
+    vectors = {wedge: basis.vectors for wedge, basis in bases.items()}
+    for token, wedge in _tokens(ctx.n):
+        operator_matrix(token, bases[wedge], ctx)
+    for wedge, basis in bases.items():
+        # built once per basis and shared by all of its tables
+        assert basis.vectors is vectors[wedge]
+        assert [v.terms for v in basis.vectors] == [{s: 1} for s in basis.states]
+
+
+def test_operator_matrix_reads_the_operator_table_when_it_runs(monkeypatch):
+    # the tracer wraps the functions of _OPERATORS in place, so a table
+    # must look its function up when it is built, not when the vectors are
+    ctx = RankContext(4)
+    basis = spin_basis(ctx)
+    real = operator_matrix("a_2", basis, ctx)  # builds basis.vectors
+    _flip_ladder(monkeypatch, 2)
+    assert operator_matrix("a_2", basis, ctx) == -real
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_module_suite_alone_matches_its_run_suites_report(n):
+    def without_duration(report):
+        return {k: v for k, v in report.items() if k != "duration"}
+
+    [shared] = [r for r in run_suites(SUITE_NAMES, [n]) if r["suite"] == "module"]
+    assert without_duration(oracle.check_module_structure(n)) == without_duration(shared)
+
+
+def test_a_dropped_F_image_fails_the_module_closure(monkeypatch):
+    # the lowering closure follows the F_k tables: an F that loses the image
+    # of the plus highest-weight state leaves the plus closure one state
+    from halfspin import spinrep
+
+    top = (Sign.PLUS, ())
+
+    def dropping(k, vec, ctx):
+        image = spinrep.apply_F(k, vec, ctx)
+        return spinrep.SpinVector() if top in vec.terms else image
+
+    monkeypatch.setitem(oracle._OPERATORS, "F", dropping)
+    report = oracle.check_module_structure(4)
+    failed = {e["identity"]: e["witness"] for e in report["checks"] if e["status"] == "fail"}
+    closure = "lowering closure from (plus,-) spans 8 states"
+    block = "closure from (plus,-) is exactly the plus block"
+    assert set(failed) == {closure, block}
+    assert failed[closure] == "got 1 states"
+    assert failed[block].startswith("difference: [")

@@ -354,6 +354,11 @@ def test_vector_text_forms():
         parse_spin_vector("(plus,1) (plus,2)")
     with pytest.raises(ValueError):
         parse_spin_vector("2 +")
+    for blank in ("", " ", "\t\n"):
+        with pytest.raises(ValueError, match="blank"):
+            parse_spin_vector(blank)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_spin_vector("1/0 * (plus,-)")
 
 
 @st.composite
