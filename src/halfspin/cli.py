@@ -42,7 +42,8 @@ MAX_BASIS_RANK = 14
 # rank whose --all run stays near 30 s (n = 14: about 21 s and 170 MB)
 MAX_VERIFY_RANK = 14
 # --dinfty: the capped family of shapes with at most this many boxes
-MAX_BOXES = 14
+# (verify --dinfty --max-boxes 16 --n 32: about 8 s)
+MAX_BOXES = 16
 # --dinfty: the ambient rank; the identity table has O(n^2) rows
 MAX_AMBIENT_RANK = 32
 

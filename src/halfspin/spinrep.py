@@ -202,9 +202,9 @@ def _single_box_edits(rows, n):
     return out
 
 
-def _shift_state(sign, rows, k, direction, ctx, opname):
+def _shift_state(sign, rows, k, direction, ctx):
     # the unique shape whose dimension vector differs by the unit at k
-    # (raised for F, lowered for E; opname follows direction).  The single-
+    # (raised for F, direction +1; lowered for E, -1).  The single-
     # box edits do not depend on k, so one sweep over them finds every E and
     # F image of the state; it is memoized on ctx as {+k: F_k image, -k: E_k
     # image}.  At most one edit may match a delta.
@@ -232,23 +232,23 @@ def _shift_state(sign, rows, k, direction, ctx, opname):
     return moves.get(direction * k)
 
 
-def _shift(state, k, direction, ctx, opname):
+def _shift(state, k, direction, ctx):
     # kernel of E_k (direction -1) and F_k (+1): the state the sweep finds
     sign, rows = state
-    moved = _shift_state(sign, rows, k, direction, ctx, opname)
+    moved = _shift_state(sign, rows, k, direction, ctx)
     return None if moved is None else ((sign, moved), 1)
 
 
 def apply_F(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     """Lowering operator at vertex k, extended linearly."""
     ctx.check_index(k)
-    return linear(_shift, vec, k, +1, ctx, "F")
+    return linear(_shift, vec, k, +1, ctx)
 
 
 def apply_E(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     """Raising operator at vertex k, extended linearly."""
     ctx.check_index(k)
-    return linear(_shift, vec, k, -1, ctx, "E")
+    return linear(_shift, vec, k, -1, ctx)
 
 
 def _cartan(state, k, ctx):

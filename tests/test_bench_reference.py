@@ -1,0 +1,42 @@
+"""The benchmark's two verify commands still give the answers it recorded.
+
+The commands and the scoring are the benchmark's own (``bench/workloads.py``,
+imported here and never changed), scored against ``bench/reference/``.  A
+changed answer therefore fails this test before it reaches a benchmark run.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from halfspin import cli, oracle
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _run(monkeypatch, name):
+    """The workload's one verify call, through `cli.main`: (failed operations, exit code)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    [op] = workloads.WORKLOADS[name](seed=0).pass_ops()
+    out = io.StringIO()
+    rc = cli.main(op.argv, out)
+    return workloads.count_failed(op, rc, out.getvalue()), rc
+
+
+@pytest.mark.parametrize("name", ["verify_dinfty", "verify_bounded"])
+def test_bench_verify_commands_match_their_references(monkeypatch, name):
+    assert _run(monkeypatch, name) == (0, 0)
+
+
+def test_a_changed_answer_fails_the_reference(monkeypatch):
+    # a_1 with the opposite sign: the rank-free report fails, and its digest
+    # no longer matches the recorded one
+    def flipped(k, vec, ctx):
+        image = oracle.spinrep.geometric_a(k, vec, ctx)
+        return image.scale(-1) if k == 1 else image
+
+    monkeypatch.setitem(oracle._OPERATORS, "a", flipped)
+    assert _run(monkeypatch, "verify_dinfty") == (1, 1)

@@ -432,18 +432,17 @@ def test_a_ladder_fault_fails_both_modes(monkeypatch):
             if entry["status"] == "fail":
                 assert entry["witness"].startswith("entry (")
     # at ambient rank 6, a_5 removes the length-1 row of capped shapes,
-    # while a_1 would kill them all and hide the fault
+    # while a_1 would kill them all and hide the fault; the first failing
+    # row of each family and its witness are pinned
     _flip_ladder(monkeypatch, 5)
     report = oracle.check_dinfty(3, 6)
     assert report["status"] == "fail"
     failed = {e["identity"].split(" (")[0]: e["witness"] for e in report["checks"] if e["status"] == "fail"}
-    assert set(failed) == {
-        "ladder anticommutators",
-        "dictionary intertwines the ladder operators",
-        "quadratic factorization of E/F",
+    assert failed == {
+        "ladder anticommutators": "{a_5,b_5} = 1 at state (plus,-): got -(plus,-), expected (plus,-)",
+        "dictionary intertwines the ladder operators": "phi a_5 = annihilate_5 phi at state (plus,1): got -{6}, expected {6}",
+        "quadratic factorization of E/F": "F_4 = b_4 a_5 at state (plus,1): got (plus,2), expected -(plus,2)",
     }
-    for witness in failed.values():
-        assert re.search(r" at state \((plus|minus),[-\d,]+\): got .+, expected ", witness), witness
 
 
 def test_a_ladder_fault_fails_verify_all(monkeypatch):
@@ -456,54 +455,143 @@ def test_a_ladder_fault_fails_verify_all(monkeypatch):
     assert failed == {"clifford", "intertwiner", "factorization"}
 
 
-@pytest.mark.parametrize("n", range(3, 7))
-def test_rank_free_images_are_the_matrix_columns(n):
-    # both evaluators of every row of the five tables, entry by entry: the
-    # image of a capped state is the state's column of the side's matrix
+TABLE_SUITES = ("chevalley", "serre", "clifford", "intertwiner", "factorization")
+
+
+def _images_against_matrix_columns(n):
+    """Both evaluators of every row of the five tables, entry by entry.
+
+    The image of each capped state is the state's column of the side's
+    matrix.  Returns whether some image had two or more terms.
+    """
     tables = oracle.RankTables(n)
     ctx = tables.ctx
+    parsed = {}
     sides = []
-    for suite in ("chevalley", "serre", "clifford", "intertwiner", "factorization"):
+    for suite in TABLE_SUITES:
         rows = tables.fbasis if suite == "intertwiner" else tables.sbasis
-        for label, lhs, rhs in oracle.identities(suite, ctx):
-            for side in (lhs, rhs):
+        table = oracle.identities(suite, ctx)
+        compiled, _, _ = oracle._compile(table, parsed)
+        for (label, *exprs), (_, *words, _) in zip(table, compiled):
+            for expr, side in zip(exprs, words):
                 columns = {}
-                for (i, j), v in oracle._matrix(side, tables.matrix).entries.items():
+                for (i, j), v in oracle._matrix(expr, tables.matrix).entries.items():
                     columns.setdefault(j, {})[rows.states[i]] = v
                 sides.append((label, side, columns))
+    multi_term = False
     for state in truncated_spin_basis(ctx, n - 1).states:
         j = tables.sbasis.position(state)
-        images = {}
+        images = oracle._ColumnImages(parsed, ctx)
         for label, side, columns in sides:
-            assert oracle._image(side, {state: 1}, images, ctx) == columns.get(j, {}), (label, state)
+            assert oracle._side(side, state, images) == columns.get(j, {}), (label, state)
+        multi_term |= any(len(image) > 1 for image in images.values())
+    return multi_term
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_rank_free_images_are_the_matrix_columns(n):
+    assert not _images_against_matrix_columns(n)
+
+
+def test_rank_free_walk_sums_two_term_images(monkeypatch):
+    # H_k plus the family swap has two-term images, which send the walk of
+    # every word through H into sums
+    def h_with_swap(k, vec, ctx):
+        return oracle.spinrep.apply_H(k, vec, ctx) + oracle.spinrep.kappa(vec)
+
+    monkeypatch.setitem(oracle._OPERATORS, "H", h_with_swap)
+    assert _images_against_matrix_columns(4)
+
+
+def test_words_expand_a_side_from_its_own_tokens():
+    assert oracle._words("0") == {}
+    assert oracle._words("1") == {(): 1}
+    assert oracle._words(("scale", 0, "E_1")) == {}
+    assert oracle._words(("scale", -2, "E_1")) == {("E_1",): -2}
+    assert oracle._words(("product", "b_2", "a_1")) == {("b_2", "a_1"): 1}
+    assert oracle._words(("anticommutator", "a_1", "a_1")) == {("a_1", "a_1"): 2}
+    # ad(E_1)^2 E_2: the two middle words merge
+    assert oracle._words(("commutator", "E_1", ("commutator", "E_1", "E_2"))) == {
+        ("E_1", "E_1", "E_2"): 1,
+        ("E_1", "E_2", "E_1"): -2,
+        ("E_2", "E_1", "E_1"): 1,
+    }
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_words_sum_to_the_matrix_of_their_side(n):
+    # sum of coeff * (product of the tokens' matrices) over the words of a
+    # side is the bounded evaluator's matrix of that side
+    tables = oracle.RankTables(n)
+    for suite in TABLE_SUITES:
+        for label, lhs, rhs in oracle.identities(suite, tables.ctx):
+            for side in (lhs, rhs):
+                want = oracle._matrix(side, tables.matrix)
+                total = ExactMatrix.zero(want.nrows, want.ncols)
+                for word, c in oracle._words(side).items():
+                    assert type(c) is int and c, (label, word)
+                    m = tables.matrix(word[0] if word else "1")
+                    for token in word[1:]:
+                        m = m * tables.matrix(token)
+                    total = total + m.scale(c)
+                assert total == want, (label, side)
+
+
+def _first_step_survives(token, state, ctx):
+    if token == "phi":
+        return True  # the dictionary kills no state
+    name, k = parse_operator_token(token)
+    return bool(oracle.apply_operator(name, k, oracle._one_state(state), ctx))
+
+
+def test_dinfty_walks_no_row_whose_words_all_die_at_the_first_step(monkeypatch):
+    ctx = RankContext(5)
+    parsed = {}
+    families = [oracle._compile(oracle.identities(s, ctx), parsed) for s in TABLE_SUITES]
+    walked = []
+    real = oracle._side
+
+    def side(words, state, images):
+        walked.append(id(words))
+        return real(words, state, images)
+
+    monkeypatch.setattr(oracle, "_side", side)
+    dead = 0
+    for state in truncated_spin_basis(ctx, 4).states:
+        for family in families:
+            walked.clear()
+            assert oracle._first_failure(family, state, oracle._ColumnImages(parsed, ctx)) is None
+            live = []
+            for label, lhs, rhs, both in family[0]:
+                if any(first is None or _first_step_survives(first, state, ctx) for first, _, _ in lhs + rhs):
+                    live.append(id(both))
+                else:
+                    dead += 1
+            # one walk of each live row, in table order, and nothing else
+            assert walked == live, state
+    assert dead > 0
 
 
 def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
     # a column starts with a fresh image cache; within it no (token, state)
-    # image is computed twice, and every image is of one basis state
-    real_image, real_apply = oracle._image, oracle._apply_token
-    column = {"images": None, "seen": None, "count": 0}
-    computed = []
+    # image is computed twice
+    real = oracle._ColumnImages.__missing__
+    columns = []
 
-    def image(expr, comb, images, ctx):
-        if images is not column["images"]:
-            column.update(images=images, seen=set(), count=column["count"] + 1)
-        return real_image(expr, comb, images, ctx)
+    def missing(images, key):
+        if not columns or columns[-1][0] is not images:
+            columns.append((images, set()))
+        seen = columns[-1][1]
+        assert key not in seen, key
+        seen.add(key)
+        return real(images, key)
 
-    def apply_token(token, vec, ctx):
-        assert list(vec.terms.values()) == [1], (token, vec)
-        [state] = vec.terms
-        assert (token, state) not in column["seen"], (token, state)
-        column["seen"].add((token, state))
-        computed.append((token, state))
-        return real_apply(token, vec, ctx)
-
-    monkeypatch.setattr(oracle, "_image", image)
-    monkeypatch.setattr(oracle, "_apply_token", apply_token)
+    monkeypatch.setattr(oracle._ColumnImages, "__missing__", missing)
     report = oracle.check_dinfty(3, 6)
     assert report["status"] == "pass"
-    assert column["count"] == 10
-    assert computed
+    # one column per capped state, each with images of its own
+    assert len(columns) == len({id(images) for images, _ in columns}) == 10
+    assert all(seen for _, seen in columns)
 
 
 # ---------------------------------------------------------------------------
@@ -583,3 +671,26 @@ def test_a_dropped_F_image_fails_the_module_closure(monkeypatch):
     assert set(failed) == {closure, block}
     assert failed[closure] == "got 1 states"
     assert failed[block].startswith("difference: [")
+
+
+def test_suites_of_a_rank_share_its_weights_and_wedge_vectors(monkeypatch):
+    # the module and weights suites read one Cartan-route weight per state,
+    # and faithfulness acts on the wedge basis's prebuilt vectors
+    from halfspin import spinrep
+    from halfspin.clifford import FockVector
+
+    calls = {"weight_eps": 0, "from_index": 0}
+    weight_eps, from_index = spinrep.weight_eps, FockVector.from_index.__func__
+
+    def counting_weight(state, ctx):
+        calls["weight_eps"] += 1
+        return weight_eps(state, ctx)
+
+    def counting_index(cls, idx, coeff=1):
+        calls["from_index"] += 1
+        return from_index(cls, idx, coeff)
+
+    monkeypatch.setattr(spinrep, "weight_eps", counting_weight)
+    monkeypatch.setattr(FockVector, "from_index", classmethod(counting_index))
+    assert all_pass(run_suites(["faithfulness", "module", "weights"], range(2, 5)))
+    assert calls == {"weight_eps": 4 + 8 + 16, "from_index": 0}

@@ -124,12 +124,12 @@ def test_shift_sweep_agrees_with_the_per_k_search():
             v = dim_vector(rows, sign, ctx)
             edits = _single_box_edits(rows, n)
             for k in range(1, n + 1):
-                for direction, opname in ((+1, "F"), (-1, "E")):
+                for direction in (+1, -1):
                     target = tuple(x + direction * (i == k - 1) for i, x in enumerate(v))
                     matches = [e for e in edits if dim_vector(e, sign, ctx) == target]
                     assert len(matches) <= 1
                     want = matches[0] if matches else None
-                    assert _shift_state(sign, rows, k, direction, ctx, opname) == want
+                    assert _shift_state(sign, rows, k, direction, ctx) == want
 
 
 @pytest.mark.parametrize(
