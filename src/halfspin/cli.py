@@ -42,8 +42,8 @@ MAX_BASIS_RANK = 14
 # rank whose --all run stays near 30 s (n = 14: about 21 s and 170 MB)
 MAX_VERIFY_RANK = 14
 # --dinfty: the capped family of shapes with at most this many boxes
-# (verify --dinfty --max-boxes 16 --n 32: about 8 s)
-MAX_BOXES = 16
+# (verify --dinfty --max-boxes 17 --n 32: about 7 s)
+MAX_BOXES = 17
 # --dinfty: the ambient rank; the identity table has O(n^2) rows
 MAX_AMBIENT_RANK = 32
 
@@ -53,13 +53,28 @@ def _check_cap(value, cap, name, what):
         raise CliError("%s %d exceeds %s = %d" % (what, value, name, cap))
 
 
+def _command(name, required, properties):
+    """The frame of one command's document: its const name, then the given fields."""
+    return {
+        "type": "object",
+        "required": ["command"] + required,
+        "properties": {"command": {"const": name}, **properties},
+        "additionalProperties": False,
+    }
+
+
 _RATIONAL = {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}
+_RANK = {"type": "integer", "minimum": 2}
+_STRING = {"type": "string"}
+_INTEGERS = {"type": "array", "items": {"type": "integer"}}
+_COUNT = {"type": "integer", "minimum": 0}
+_STATUSES = ["pass", "fail", "xfail", "xpass", "skip"]
 _CHECK = {
     "type": "object",
     "required": ["identity", "status", "witness"],
     "properties": {
-        "identity": {"type": "string"},
-        "status": {"enum": ["pass", "fail", "xfail", "xpass", "skip"]},
+        "identity": _STRING,
+        "status": {"enum": _STATUSES},
         "witness": {"type": ["string", "null"]},
     },
     "additionalProperties": False,
@@ -68,127 +83,74 @@ _REPORT = {
     "type": "object",
     "required": ["suite", "n", "status", "counts", "checks", "duration"],
     "properties": {
-        "suite": {"type": "string"},
-        "n": {"type": "integer", "minimum": 2},
+        "suite": _STRING,
+        "n": _RANK,
         "status": {"enum": ["pass", "fail"]},
         "counts": {
             "type": "object",
-            "required": ["pass", "fail", "xfail", "xpass", "skip"],
-            "properties": {
-                k: {"type": "integer", "minimum": 0}
-                for k in ("pass", "fail", "xfail", "xpass", "skip")
-            },
+            "required": _STATUSES,
+            "properties": {k: _COUNT for k in _STATUSES},
             "additionalProperties": False,
         },
         "checks": {"type": "array", "items": _CHECK},
         "duration": {"type": "number", "minimum": 0},
-        "max_boxes": {"type": "integer", "minimum": 0},
+        "max_boxes": _COUNT,
         "mode": {"enum": ["bounded", "truncated"]},
     },
     "additionalProperties": False,
 }
+_ROW = {
+    "type": "object",
+    "required": ["sign", "diagram", "v", "u", "weight", "fock_index"],
+    "properties": {
+        "sign": {"enum": ["plus", "minus"]},
+        "diagram": _STRING,
+        "v": _INTEGERS,
+        "u": _INTEGERS,
+        "weight": {"type": "array", "items": _RATIONAL},
+        "fock_index": _STRING,
+    },
+    "additionalProperties": False,
+}
+_ENTRY = {
+    "type": "array",
+    "prefixItems": [{"type": "integer"}, {"type": "integer"}, _RATIONAL],
+    "minItems": 3,
+    "maxItems": 3,
+}
 
 SCHEMAS = {
-    "enumerate": {
-        "type": "object",
-        "required": ["command", "n", "mode", "rows"],
-        "properties": {
-            "command": {"const": "enumerate"},
-            "n": {"type": "integer", "minimum": 2},
-            "mode": {"enum": ["bounded", "truncated"]},
-            "max_boxes": {"type": "integer", "minimum": 0},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["sign", "diagram", "v", "u", "weight", "fock_index"],
-                    "properties": {
-                        "sign": {"enum": ["plus", "minus"]},
-                        "diagram": {"type": "string"},
-                        "v": {"type": "array", "items": {"type": "integer"}},
-                        "u": {"type": "array", "items": {"type": "integer"}},
-                        "weight": {"type": "array", "items": _RATIONAL},
-                        "fock_index": {"type": "string"},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "additionalProperties": False,
-    },
-    "act": {
-        "type": "object",
-        "required": ["command", "n", "word", "input", "result"],
-        "properties": {
-            "command": {"const": "act"},
-            "n": {"type": "integer", "minimum": 2},
-            "word": {"type": "string"},
-            "input": {"type": "string"},
-            "result": {"type": "string"},
-        },
-        "additionalProperties": False,
-    },
-    "weight": {
-        "type": "object",
-        "required": ["command", "n", "state", "eps", "u", "fock_index"],
-        "properties": {
-            "command": {"const": "weight"},
-            "n": {"type": "integer", "minimum": 2},
-            "state": {"type": "string"},
-            "eps": {"type": "array", "items": _RATIONAL},
-            "u": {"type": "array", "items": {"type": "integer"}},
-            "fock_index": {"type": "string"},
-        },
-        "additionalProperties": False,
-    },
-    "clifford": {
-        "type": "object",
-        "required": ["command", "n", "element"],
-        "properties": {
-            "command": {"const": "clifford"},
-            "n": {"type": "integer", "minimum": 2},
-            "element": {"type": "string"},
-            "applied_to": {"type": "string"},
-            "result": {"type": "string"},
-        },
-        "additionalProperties": False,
-    },
-    "verify": {
-        "type": "object",
-        "required": ["command", "ok", "reports"],
-        "properties": {
-            "command": {"const": "verify"},
-            "ok": {"type": "boolean"},
-            "reports": {"type": "array", "items": _REPORT},
-        },
-        "additionalProperties": False,
-    },
-    "export-matrix": {
-        "type": "object",
-        "required": ["command", "n", "operator", "basis", "rows", "cols", "entries"],
-        "properties": {
-            "command": {"const": "export-matrix"},
-            "n": {"type": "integer", "minimum": 2},
-            "operator": {"type": "string"},
-            "basis": {"type": "array", "items": {"type": "string"}},
-            "rows": {"type": "integer", "minimum": 0},
-            "cols": {"type": "integer", "minimum": 0},
-            "entries": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "prefixItems": [
-                        {"type": "integer"},
-                        {"type": "integer"},
-                        _RATIONAL,
-                    ],
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-            },
-        },
-        "additionalProperties": False,
-    },
+    "enumerate": _command("enumerate", ["n", "mode", "rows"], {
+        "n": _RANK,
+        "mode": {"enum": ["bounded", "truncated"]},
+        "max_boxes": _COUNT,
+        "rows": {"type": "array", "items": _ROW},
+    }),
+    "act": _command("act", ["n", "word", "input", "result"], {
+        "n": _RANK, "word": _STRING, "input": _STRING, "result": _STRING,
+    }),
+    "weight": _command("weight", ["n", "state", "eps", "u", "fock_index"], {
+        "n": _RANK,
+        "state": _STRING,
+        "eps": {"type": "array", "items": _RATIONAL},
+        "u": _INTEGERS,
+        "fock_index": _STRING,
+    }),
+    "clifford": _command("clifford", ["n", "element"], {
+        "n": _RANK, "element": _STRING, "applied_to": _STRING, "result": _STRING,
+    }),
+    "verify": _command("verify", ["ok", "reports"], {
+        "ok": {"type": "boolean"},
+        "reports": {"type": "array", "items": _REPORT},
+    }),
+    "export-matrix": _command("export-matrix", ["n", "operator", "basis", "rows", "cols", "entries"], {
+        "n": _RANK,
+        "operator": _STRING,
+        "basis": {"type": "array", "items": _STRING},
+        "rows": _COUNT,
+        "cols": _COUNT,
+        "entries": {"type": "array", "items": _ENTRY},
+    }),
 }
 
 

@@ -47,11 +47,6 @@ class FockVector(Combination):
 
     _key = frozenset
 
-    @classmethod
-    def from_index(cls, idx, coeff=1):
-        coeff = exact(coeff)
-        return cls._make({frozenset(idx): coeff} if coeff else {})
-
     def __repr__(self):
         return "FockVector(%s)" % format_fock_vector(self)
 

@@ -10,11 +10,12 @@ factorization) are declared once, in the table of `identities`, as
 expressions over operator names.  Two evaluators read it.  The bounded
 suites tabulate each operator as a sparse exact matrix over the whole
 rank-n basis and compare matrices.  The rank-free `check_dinfty` expands
-each side into operator words once per call and applies them to one
-box-capped basis state at a time; since every operator sends a basis
-state to at most one signed basis state, a row is walked only when one
-of its words survives its first step.  The module, weight and
-faithfulness suites are written out on their own.
+each side into operator words and merges a family's words into one prefix
+tree once per call, then walks the tree on one box-capped basis state at
+a time; since every operator sends a basis state to at most one signed
+basis state, a walk stops below the first zero image, and a prefix that
+many words share is applied once.  The module, weight and faithfulness
+suites are written out on their own.
 
 Every operator token of both models is read from one table of functions
 by name, `_OPERATORS`.  The rank-free evaluator and the command line go
@@ -619,105 +620,83 @@ def _words(expr) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _compile(rows, parsed):
-    """A family's rows as (rows, index, always) for the rank-free evaluator.
+def _tree(rows, parsed):
+    """A family's rows (label, lhs, rhs) as one prefix tree of operator words.
 
-    A row becomes (label, lhs, rhs, both).  A side is a list of words (first,
-    rest, coeff): the first-applied token (None for the empty word), the
-    others in the order they act, and the coefficient; both is lhs then rhs
-    negated, walked at once.  index maps each first token to the positions
-    of its rows, always holds the rows with the empty word, and parsed
-    gains each token's (name, k).
+    A node is (children, ends).  children pairs each token that can act
+    next with its node, and ends holds (row, coeff) for every word that
+    stops there, the words of a row's rhs with their coefficients negated.
+    The root is the empty word.  parsed gains each token's (name, k).
     """
-    compiled, index, always = [], {}, set()
-    for pos, (label, *sides) in enumerate(rows):
-        row = [label]
-        for side in sides:
-            words = _words(side)
-            for word in words:
-                for token in word:
+    root = ({}, [])
+    for pos, (_, lhs, rhs) in enumerate(rows):
+        for side, sign in ((lhs, 1), (rhs, -1)):
+            for word, c in _words(side).items():
+                node = root
+                for token in reversed(word):
                     if token not in parsed:
                         parsed[token] = ("phi", None) if token == "phi" else parse_operator_token(token)
-                if word:
-                    index.setdefault(word[-1], set()).add(pos)
-                else:
-                    always.add(pos)
-            row.append([(w[-1] if w else None, w[-2::-1], c) for w, c in words.items()])
-        compiled.append((*row, row[1] + [(first, rest, -c) for first, rest, c in row[2]]))
-    return compiled, index, always
+                    node = node[0].setdefault(token, ({}, []))
+                node[1].append((pos, sign * c))
+    return _frozen(root)
+
+
+def _frozen(node):
+    """A node built with a dict of children, as tuples all the way down."""
+    children, ends = node
+    return tuple((token, _frozen(child)) for token, child in children.items()), tuple(ends)
 
 
 class _ColumnImages(dict):
     """One column's operator images, {(token, state): ((target, coeff), ...)}.
 
-    A missing image is computed on a one-state vector through `apply_operator`
-    or `cliff.phi` and stored, so each (token, state) is applied once per column.
+    A missing image is computed on the state's one-state vector, built once
+    per column in `vectors`, through `apply_operator` or `cliff.phi` and
+    stored, so each (token, state) is applied once per column.
     """
 
-    __slots__ = ("parsed", "ctx")
+    __slots__ = ("parsed", "ctx", "vectors")
 
     def __init__(self, parsed, ctx):
         super().__init__()
-        self.parsed, self.ctx = parsed, ctx
+        self.parsed, self.ctx, self.vectors = parsed, ctx, {}
 
     def __missing__(self, key):
         token, state = key
         name, k = self.parsed[token]
-        vec = _one_state(state)
+        vec = self.vectors.get(state)
+        if vec is None:
+            vec = self.vectors[state] = _one_state(state)
         image = cliff.phi(vec, self.ctx) if name == "phi" else apply_operator(name, k, vec, self.ctx)
         image = self[key] = tuple(image.terms.items())
         return image
 
 
-def _side(words, state, images):
-    """Compiled words' image of one basis state, {state: coeff}, exact and without zeros.
+def _sums(tree, state, images):
+    """Each row's lhs minus rhs on one basis state, {(row, target): coeff}, zeros kept.
 
-    A word stops at its first zero image.  While each step sends one state
-    to one state the walk carries one (state, coeff); an image of two or
-    more terms turns the rest of the word into sums.
+    A depth-first walk from the root carries (state, coeff) and enters a
+    child only through the terms of a nonzero image, so each prefix that
+    survives is applied once, however many words share it, and a word
+    stops at its first zero step.
     """
-    out = {}
-    for first, rest, c in words:
-        image = images[first, state] if first else ((state, 1),)
-        i = 0
-        while len(image) == 1:
-            [(target, v)] = image
-            c *= v
-            if i == len(rest):
-                out[target] = out.get(target, 0) + c
-                break
-            image = images[rest[i], target]
-            i += 1
-        else:
-            comb = {t: c * v for t, v in image}
-            for token in rest[i:] if comb else ():
-                summed = {}
-                for s, a in comb.items():
-                    for t, v in images[token, s]:
-                        summed[t] = summed.get(t, 0) + a * v
-                comb = {t: v for t, v in summed.items() if v}
-            for t, v in comb.items():
-                out[t] = out.get(t, 0) + v
-    return {t: v if type(v) is int else exact(v) for t, v in out.items() if v}
+    sums = {}
+    stack = [(tree, state, 1)]
+    while stack:
+        (children, ends), state, coeff = stack.pop()
+        for pos, c in ends:
+            key = pos, state
+            sums[key] = sums.get(key, 0) + coeff * c
+        for token, child in children:
+            for target, v in images[token, state]:
+                stack.append((child, target, coeff * v))
+    return sums
 
 
-def _first_failure(family, state, images):
-    """The first row of a compiled family that fails on a basis state, (label, got, want), or None.
-
-    Every indexed token is applied to the state first.  Only the rows with
-    a word that survives that step, or with the empty word, are walked, in
-    table order; every other row is zero on both sides.
-    """
-    rows, index, always = family
-    live = set(always)
-    for token, positions in index.items():
-        if images[token, state]:
-            live |= positions
-    for pos in sorted(live):
-        label, lhs, rhs, both = rows[pos]
-        if _side(both, state, images):
-            return label, _side(lhs, state, images), _side(rhs, state, images)
-    return None
+def _image(side, state, images):
+    """One side's image of one basis state, {target: coeff}, from a one-row tree."""
+    sums = _sums(_tree([(None, side, "0")], images.parsed), state, images)
+    return {t: v for (_, t), v in sums.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -947,32 +926,36 @@ def check_dinfty(max_boxes: int = 6, n: int = 12):
     The operators never need the full rank-n state space, so the identities
     can be evaluated exactly on the capped family inside a large ambient
     rank; agreement here is what makes the rank-free limit well defined.
-    Each family's rows are compiled into operator words once per call
-    (`_compile`).  Then for one basis state (one column) at a time every
-    first-applied token is applied, and only the rows with a word that
-    survives, or with the empty word, are walked, in table order, so the
-    first failing row is the one a walk of every row would find.  Each
-    token's image of each basis state is computed once per column and
-    cached for that column only, since a cache kept for the whole run
-    costs memory for little more reuse.  Vectors are built only to print
-    a failure witness.
+    Each family's rows become one prefix tree of operator words once per
+    call (`_tree`).  For one basis state (one column) at a time, one walk
+    of the tree sums every row's lhs minus rhs (`_sums`); a row fails when
+    its sum is not zero, and the first failing row in table order gets the
+    witness, its two sides walked again as one-row trees (`_image`).  Each
+    token's image of each basis state, and each state's one-state vector,
+    is computed once per column and kept for that column only, since a
+    cache kept for the whole run costs memory for little more reuse.
     """
     t0 = time.perf_counter()
     ctx = RankContext(n)
     states = truncated_spin_basis(ctx, max_boxes).states
     parsed = {}
-    families = [(s, _compile(identities(s, ctx), parsed)) for s, _ in _DINFTY_FAMILIES if s != "weights"]
+    families = []
+    for suite, _ in _DINFTY_FAMILIES:
+        if suite != "weights":
+            rows = identities(suite, ctx)
+            families.append((suite, rows, _tree(rows, parsed)))
     routes = weight_routes()
     bad = {}  # suite -> witness of the family's first failure
     for state in states:
         images = _ColumnImages(parsed, ctx)
-        for suite, family in families:
-            failure = None if suite in bad else _first_failure(family, state, images)
-            if failure:
-                label, got, want = failure
-                bad[suite] = _pointwise_witness(
-                    label, state, _format_side(suite, got), _format_side(suite, want)
-                )
+        for suite, rows, tree in families:
+            if suite in bad:
+                continue
+            failing = [pos for (pos, _), v in _sums(tree, state, images).items() if v]
+            if failing:
+                label, lhs, rhs = rows[min(failing)]
+                got, want = (_format_side(suite, _image(side, state, images)) for side in (lhs, rhs))
+                bad[suite] = _pointwise_witness(label, state, got, want)
         if "weights" not in bad:
             want = routes[0][1](state, ctx)
             for name, route in routes[1:]:

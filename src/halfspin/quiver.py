@@ -15,8 +15,7 @@ memos live and die with their context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter
 
 from .diagram import Sign, validate_diagram
 
@@ -63,18 +62,29 @@ class RankContext:
         return "RankContext(n=%d)" % self.n
 
 
-@dataclass(frozen=True)
-class StringInterval:
+class StringInterval(tuple):
     """An indecomposable string, named by its vertex interval.
 
     end <= n-1 is the chain start..end through vertex n-1's branch;
     end == n is the chain that finishes at vertex n instead of n-1
     (start == n means the single vertex n); end == n+1 is the full fork
-    through both branch tips.
+    through both branch tips.  It is the immutable pair (start, end), so it
+    compares and hashes as that pair.
     """
 
-    start: int
-    end: int
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int):
+        return tuple.__new__(cls, (start, end))
+
+    start = property(itemgetter(0))
+    end = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return "StringInterval(start=%r, end=%r)" % self
 
     def __str__(self):
         return "V(%d,%d)" % (self.start, self.end)

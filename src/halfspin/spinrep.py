@@ -173,11 +173,6 @@ class SpinVector(Combination):
 
     __slots__ = ()
 
-    @classmethod
-    def from_state(cls, sign, rows, coeff=1):
-        coeff = exact(coeff)
-        return cls._make({(sign, tuple(rows)): coeff} if coeff else {})
-
     def __repr__(self):
         return "SpinVector(%s)" % format_spin_vector(self)
 

@@ -251,6 +251,13 @@ def test_export_matrix_text():
 EXPORTS = json.loads((Path(__file__).resolve().parent / "data" / "export_matrix.json").read_text())
 
 
+def test_published_schemas_are_the_recorded_ones():
+    # recorded while each command's schema was written out in full; the
+    # text pins the key order as well as the dict
+    recorded = (Path(__file__).resolve().parent / "data" / "schemas.json").read_text()
+    assert json.dumps(cli.SCHEMAS, indent=2) + "\n" == recorded
+
+
 @pytest.mark.parametrize("case", list(EXPORTS))
 def test_export_matrix_json(case):
     rc, doc = run_json(*EXPORTS[case]["argv"])

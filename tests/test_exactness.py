@@ -202,7 +202,7 @@ def test_containers_normalise_their_input():
     v = SpinVector({(Sign.PLUS, ()): Fraction(4, 2), (Sign.MINUS, ()): Fraction(1, 2)})
     assert type(v.terms[(Sign.PLUS, ())]) is int
     assert type((v + v).terms[(Sign.MINUS, ())]) is int
-    assert type(FockVector.from_index({1}, Fraction(2, 1)).terms[frozenset({1})]) is int
+    assert type(FockVector([({1}, Fraction(2, 1))]).terms[frozenset({1})]) is int
     assert type(CliffordElement.monomial((1,), (), Fraction(2, 2)).terms[((1,), ())]) is int
     assert type(ExactMatrix(1, 1, {(0, 0): Fraction(3, 1)}).entries[(0, 0)]) is int
 

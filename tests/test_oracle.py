@@ -459,31 +459,37 @@ TABLE_SUITES = ("chevalley", "serre", "clifford", "intertwiner", "factorization"
 
 
 def _images_against_matrix_columns(n):
-    """Both evaluators of every row of the five tables, entry by entry.
+    """The rank-free walk of every side of the five tables, entry by entry.
 
-    The image of each capped state is the state's column of the side's
-    matrix.  Returns whether some image had two or more terms.
+    One tree holds each side as a row of its own, so one walk per capped
+    state gives every side's image, which must be the state's column of the
+    side's matrix.  Each side's one-row image must be that column too.
+    Returns whether some image had two or more terms.
     """
     tables = oracle.RankTables(n)
     ctx = tables.ctx
-    parsed = {}
     sides = []
     for suite in TABLE_SUITES:
         rows = tables.fbasis if suite == "intertwiner" else tables.sbasis
-        table = oracle.identities(suite, ctx)
-        compiled, _, _ = oracle._compile(table, parsed)
-        for (label, *exprs), (_, *words, _) in zip(table, compiled):
-            for expr, side in zip(exprs, words):
+        for label, *exprs in oracle.identities(suite, ctx):
+            for expr in exprs:
                 columns = {}
                 for (i, j), v in oracle._matrix(expr, tables.matrix).entries.items():
                     columns.setdefault(j, {})[rows.states[i]] = v
-                sides.append((label, side, columns))
+                sides.append((label, expr, columns))
+    parsed = {}
+    tree = oracle._tree([(label, expr, "0") for label, expr, _ in sides], parsed)
     multi_term = False
     for state in truncated_spin_basis(ctx, n - 1).states:
         j = tables.sbasis.position(state)
         images = oracle._ColumnImages(parsed, ctx)
-        for label, side, columns in sides:
-            assert oracle._side(side, state, images) == columns.get(j, {}), (label, state)
+        walked = {}
+        for (pos, target), v in oracle._sums(tree, state, images).items():
+            if v:
+                walked.setdefault(pos, {})[target] = v
+        for pos, (label, expr, columns) in enumerate(sides):
+            assert walked.get(pos, {}) == columns.get(j, {}), (label, state)
+            assert oracle._image(expr, state, images) == columns.get(j, {}), (label, state)
         multi_term |= any(len(image) > 1 for image in images.values())
     return multi_term
 
@@ -494,8 +500,8 @@ def test_rank_free_images_are_the_matrix_columns(n):
 
 
 def test_rank_free_walk_sums_two_term_images(monkeypatch):
-    # H_k plus the family swap has two-term images, which send the walk of
-    # every word through H into sums
+    # H_k plus the family swap has two-term images: the walk enters the
+    # subtree below H once per term and sums what the branches reach
     def h_with_swap(k, vec, ctx):
         return oracle.spinrep.apply_H(k, vec, ctx) + oracle.spinrep.kappa(vec)
 
@@ -537,44 +543,88 @@ def test_words_sum_to_the_matrix_of_their_side(n):
                 assert total == want, (label, side)
 
 
-def _first_step_survives(token, state, ctx):
-    if token == "phi":
-        return True  # the dictionary kills no state
-    name, k = parse_operator_token(token)
-    return bool(oracle.apply_operator(name, k, oracle._one_state(state), ctx))
+def _tree_words(node, prefix=()):
+    """(row, word, coeff) for every word end of a tree; prefix holds the tokens in action order."""
+    children, ends = node
+    out = [(pos, prefix[::-1], c) for pos, c in ends]
+    for token, child in children:
+        out += _tree_words(child, prefix + (token,))
+    return out
 
 
-def test_dinfty_walks_no_row_whose_words_all_die_at_the_first_step(monkeypatch):
+@pytest.mark.parametrize("n", range(3, 6))
+def test_tree_word_ends_are_the_words_of_each_side(n):
+    # lhs words keep their coefficient and rhs words are negated; no word
+    # is merged across sides or rows, and none is lost or repeated
+    ctx = RankContext(n)
+    for suite in TABLE_SUITES:
+        rows = oracle.identities(suite, ctx)
+        parsed = {}
+        got = _tree_words(oracle._tree(rows, parsed))
+        want = []
+        for pos, (_, lhs, rhs) in enumerate(rows):
+            want += [(pos, word, c) for word, c in oracle._words(lhs).items()]
+            want += [(pos, word, -c) for word, c in oracle._words(rhs).items()]
+        assert len(set(got)) == len(got)
+        assert sorted(got, key=repr) == sorted(want, key=repr), suite
+        tokens = {token for _, word, _ in want for token in word}
+        assert set(parsed) == tokens
+        assert all(parsed[t] == (("phi", None) if t == "phi" else parse_operator_token(t)) for t in tokens)
+
+
+def _prefix_image(prefix, state, ctx):
+    """A word's image of one basis state, its tokens applied in action order on vectors."""
+    from halfspin import clifford
+
+    vec = oracle._one_state(state)
+    for token in prefix:
+        if token == "phi":
+            vec = clifford.phi(vec, ctx)
+        else:
+            vec = oracle.apply_operator(*parse_operator_token(token), vec, ctx)
+    return vec.terms
+
+
+def test_dinfty_enters_no_subtree_below_a_zero_image():
+    # per column, each edge (prefix, next token) of a family's words is
+    # taken once for each state in the prefix's image: a prefix that many
+    # words share is walked once, and one whose image is zero looks nothing up
     ctx = RankContext(5)
+    lookups = []
+
+    class Recording(oracle._ColumnImages):
+        __slots__ = ()
+
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
     parsed = {}
-    families = [oracle._compile(oracle.identities(s, ctx), parsed) for s in TABLE_SUITES]
-    walked = []
-    real = oracle._side
-
-    def side(words, state, images):
-        walked.append(id(words))
-        return real(words, state, images)
-
-    monkeypatch.setattr(oracle, "_side", side)
-    dead = 0
+    families = []
+    dead = shared = 0
+    for suite in TABLE_SUITES:
+        rows = oracle.identities(suite, ctx)
+        acting = [w[::-1] for _, *sides in rows for side in sides for w in oracle._words(side)]
+        edges = {(w[:i], w[i]) for w in acting for i in range(len(w))}
+        shared += sum(map(len, acting)) - len(edges)
+        families.append((oracle._tree(rows, parsed), edges))
     for state in truncated_spin_basis(ctx, 4).states:
-        for family in families:
-            walked.clear()
-            assert oracle._first_failure(family, state, oracle._ColumnImages(parsed, ctx)) is None
-            live = []
-            for label, lhs, rhs, both in family[0]:
-                if any(first is None or _first_step_survives(first, state, ctx) for first, _, _ in lhs + rhs):
-                    live.append(id(both))
-                else:
-                    dead += 1
-            # one walk of each live row, in table order, and nothing else
-            assert walked == live, state
-    assert dead > 0
+        for tree, edges in families:
+            want = []
+            for prefix, token in edges:
+                image = _prefix_image(prefix, state, ctx)
+                dead += not image
+                want += [(token, target) for target in image]
+            lookups.clear()
+            oracle._sums(tree, state, Recording(parsed, ctx))
+            assert sorted(lookups, key=repr) == sorted(want, key=repr), state
+    assert dead > 0 and shared > 0
 
 
 def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
     # a column starts with a fresh image cache; within it no (token, state)
-    # image is computed twice
+    # image is computed twice.  The five family trees are built once per
+    # call, and a passing run builds no witness tree.
     real = oracle._ColumnImages.__missing__
     columns = []
 
@@ -586,12 +636,22 @@ def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
         seen.add(key)
         return real(images, key)
 
+    real_tree = oracle._tree
+    trees = []
+
+    def tree(rows, parsed):
+        trees.append(len(rows))
+        return real_tree(rows, parsed)
+
     monkeypatch.setattr(oracle._ColumnImages, "__missing__", missing)
+    monkeypatch.setattr(oracle, "_tree", tree)
     report = oracle.check_dinfty(3, 6)
     assert report["status"] == "pass"
     # one column per capped state, each with images of its own
     assert len(columns) == len({id(images) for images, _ in columns}) == 10
     assert all(seen for _, seen in columns)
+    ctx = RankContext(6)
+    assert trees == [len(oracle.identities(s, ctx)) for s in TABLE_SUITES]
 
 
 # ---------------------------------------------------------------------------
@@ -677,20 +737,20 @@ def test_suites_of_a_rank_share_its_weights_and_wedge_vectors(monkeypatch):
     # the module and weights suites read one Cartan-route weight per state,
     # and faithfulness acts on the wedge basis's prebuilt vectors
     from halfspin import spinrep
-    from halfspin.clifford import FockVector
 
-    calls = {"weight_eps": 0, "from_index": 0}
-    weight_eps, from_index = spinrep.weight_eps, FockVector.from_index.__func__
+    calls = {"weight_eps": 0, "wedge vectors": 0}
+    weight_eps, one_state = spinrep.weight_eps, oracle._one_state
 
     def counting_weight(state, ctx):
         calls["weight_eps"] += 1
         return weight_eps(state, ctx)
 
-    def counting_index(cls, idx, coeff=1):
-        calls["from_index"] += 1
-        return from_index(cls, idx, coeff)
+    def counting_one_state(state):
+        calls["wedge vectors"] += isinstance(state, frozenset)
+        return one_state(state)
 
     monkeypatch.setattr(spinrep, "weight_eps", counting_weight)
-    monkeypatch.setattr(FockVector, "from_index", classmethod(counting_index))
+    monkeypatch.setattr(oracle, "_one_state", counting_one_state)
     assert all_pass(run_suites(["faithfulness", "module", "weights"], range(2, 5)))
-    assert calls == {"weight_eps": 4 + 8 + 16, "from_index": 0}
+    # one vector per wedge basis state, however many monomials act on it
+    assert calls == {"weight_eps": 4 + 8 + 16, "wedge vectors": 4 + 8 + 16}

@@ -1,8 +1,16 @@
 """Graph data, string dimension vectors, and the u = w - Cv bookkeeping."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import halfspin
 from halfspin.diagram import Sign, enumerate_diagrams
 from halfspin.quiver import (
     RankContext,
@@ -203,6 +211,27 @@ def test_string_interval_text_forms():
     assert str(StringInterval(1, 4)) == "V(1,4)"
     with pytest.raises(ValueError, match=r"bad interval V\(3,2\) for rank 4"):
         validate_string_interval(StringInterval(3, 2), RankContext(4))
+
+
+def test_string_interval_is_an_immutable_value():
+    s = StringInterval(1, 4)
+    assert (s.start, s.end) == (1, 4)
+    assert repr(s) == "StringInterval(start=1, end=4)"
+    assert s == StringInterval(1, 4) and s != StringInterval(1, 3) and s != StringInterval(4, 1)
+    assert hash(s) == hash(StringInterval(1, 4)) == hash((1, 4))
+    assert len({s, StringInterval(1, 4), StringInterval(4, 4)}) == 2
+    for change in (lambda: setattr(s, "start", 2), lambda: delattr(s, "end"), lambda: setattr(s, "x", 0)):
+        with pytest.raises(AttributeError):
+            change()
+    for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is StringInterval and twin == s
+    assert (s.start, s.end) == (1, 4)
+    # a fresh interpreter imports the command line without dataclasses
+    src = str(Path(halfspin.__file__).resolve().parent.parent)
+    probe = "import sys, halfspin.cli; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 @given(st.integers(2, 7), st.sets(st.integers(1, 6)))

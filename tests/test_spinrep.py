@@ -33,7 +33,7 @@ HALF = Fraction(1, 2)
 
 
 def state(sign, *rows):
-    return SpinVector.from_state(sign, rows)
+    return SpinVector({(sign, rows): 1})
 
 
 def all_states(n):
@@ -42,7 +42,7 @@ def all_states(n):
 
 def top(sign):
     """The empty shape of a family: the highest weight vector."""
-    return SpinVector.from_state(sign, ())
+    return SpinVector({(sign, ()): 1})
 
 
 def fundamental_weight(i, n):
@@ -296,7 +296,7 @@ def test_weights_shift_by_simple_roots():
     for n in (3, 4):
         ctx = RankContext(n)
         for st_ in all_states(n):
-            x = SpinVector.from_state(*st_)
+            x = SpinVector({st_: 1})
             w = weight_eps(st_, ctx)
             for k in range(1, n + 1):
                 root = simple_root(k, n)
@@ -317,7 +317,7 @@ def test_ladders_shift_weights_by_epsilon():
     n = 4
     ctx = RankContext(n)
     for st_ in all_states(n):
-        x = SpinVector.from_state(*st_)
+        x = SpinVector({st_: 1})
         w = weight_eps(st_, ctx)
         for k in range(1, n + 1):
             eps_k = tuple(Fraction(1 if i == k else 0) for i in range(1, n + 1))

@@ -85,3 +85,25 @@ def test_tracer_reads_the_rank_free_layers(monkeypatch):
     ):
         assert metrics[name] > 0, name
     assert metrics["oracle.tabulate.calls"] == 0
+
+
+# per-layer calls of one traced `verify --dinfty --max-boxes 7 --n 12`
+PINNED_RANK_FREE_CALLS = {
+    "spinrep.shift": 4072,
+    "spinrep.ladder": 11856,
+    "spinrep.apply_H": 1920,
+    "clifford.create_annihilate": 912,
+    "quiver.state_u": 1958,
+    "quiver.dim_vector": 340,
+    "oracle.tabulate": 0,
+}
+
+
+def test_rank_free_pass_applies_each_operator_as_often_as_pinned(monkeypatch):
+    # the benchmark's rank-free pass: an evaluator that applied an operator
+    # twice in one column, or skipped one a surviving prefix needs, moves
+    # these counts
+    argv = ["verify", "--dinfty", "--max-boxes", "7", "--n", "12", "--json"]
+    metrics = _traced(monkeypatch, argv)
+    assert {name: metrics[name + ".calls"] for name in PINNED_RANK_FREE_CALLS} == PINNED_RANK_FREE_CALLS
+
