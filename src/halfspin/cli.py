@@ -6,7 +6,8 @@ and I/O errors.  --json switches every command to machine-readable output;
 rationals are serialized as strings "p/q" so nothing is rounded.
 
 Requests beyond the size caps below are refused with exit status 2 before
-any state is built; no option raises a cap.
+any state is built; no option raises a cap.  An option that the rest of the
+command line would have the command ignore is refused the same way.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ MAX_RANK = 10000
 # enumerate and export-matrix: the whole basis of 2^n states
 MAX_BASIS_RANK = 14
 # verify: exact matrices over the 2^n states, for every suite; the largest
-# rank whose --all run stays near 30 s (n = 14: about 21 s and 170 MB)
+# rank whose --all run stays near 30 s (n = 14: about 14 s and 170 MB)
 MAX_VERIFY_RANK = 14
 # --dinfty: the capped family of shapes with at most this many boxes
 # (verify --dinfty --max-boxes 17 --n 32: about 7 s)
@@ -160,17 +161,41 @@ def _emit(text, out):
         out.write("\n")
 
 
+def _emit_doc(args, doc, text, out):
+    """The command's document with --json, else its text (which may be None with --json)."""
+    _emit(json.dumps(doc, indent=2) if args.json else text, out)
+
+
 def _eps_strings(eps):
     return [str(c) for c in eps]
 
 
-def _require_rank(args, cap=MAX_RANK, name="MAX_RANK"):
+def _usage(parse, *args):
+    """parse(*args), with a ValueError refused as a usage error."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _refuse_ignored(args):
+    """Refuse an option that the rest of the command line would have the command ignore."""
+    given = {key for key, value in vars(args).items() if value is not None and value is not False}
+    if "max_boxes" in given and "dinfty" not in given:
+        raise CliError("--max-boxes applies only with --dinfty")
+    for option, other in (("json", "csv"), ("suite", "all"), ("suite", "dinfty"), ("all", "dinfty")):
+        if option in given and other in given:
+            raise CliError("--%s cannot be combined with --%s" % (option, other))
+
+
+def _context(args, cap=MAX_RANK, name="MAX_RANK"):
+    """The rank context of --n, refused when --n is absent, below 2 or above cap."""
     if args.n is None:
         raise CliError("--n is required")
     if args.n < 2:
         raise CliError("rank must be at least 2, got %d" % args.n)
     _check_cap(args.n, cap, name, "rank")
-    return args.n
+    return RankContext(args.n)
 
 
 def _parse_rank_range(text, cap, name):
@@ -188,32 +213,29 @@ def _parse_rank_range(text, cap, name):
     return list(range(lo, hi + 1))
 
 
-def _check_box_cap(max_boxes):
+def _ambient_rank(max_boxes, n):
+    """The ambient rank of a --dinfty run: n, or when None the smallest that holds
+    every shape of at most max_boxes boxes; refused past a cap or below that rank."""
     if max_boxes < 0:
         raise CliError("--max-boxes must be non-negative")
     _check_cap(max_boxes, MAX_BOXES, "MAX_BOXES", "box cap")
+    need = max(max_boxes + 1, 2)
+    n = need if n is None else n
+    _check_cap(n, MAX_AMBIENT_RANK, "MAX_AMBIENT_RANK", "rank")
+    if n < need:
+        raise CliError("rank %d too small for box cap %d (need at least %d)" % (n, max_boxes, need))
+    return n
 
 
 def cmd_enumerate(args, out):
     if args.dinfty:
         if args.max_boxes is None:
             raise CliError("--dinfty needs --max-boxes")
-        _check_box_cap(args.max_boxes)
-        n = args.n if args.n is not None else max(args.max_boxes + 1, 2)
-        _check_cap(n, MAX_AMBIENT_RANK, "MAX_AMBIENT_RANK", "rank")
-        if n < max(args.max_boxes + 1, 2):
-            raise CliError(
-                "rank %d too small for box cap %d (need at least %d)"
-                % (n, args.max_boxes, max(args.max_boxes + 1, 2))
-            )
-        ctx = RankContext(n)
+        ctx = RankContext(_ambient_rank(args.max_boxes, args.n))
         basis = oracle.truncated_spin_basis(ctx, args.max_boxes)
-        mode = "truncated"
     else:
-        n = _require_rank(args, MAX_BASIS_RANK, "MAX_BASIS_RANK")
-        ctx = RankContext(n)
+        ctx = _context(args, MAX_BASIS_RANK, "MAX_BASIS_RANK")
         basis = oracle.spin_basis(ctx)
-        mode = "bounded"
     rows = []
     for sign, shape in basis.states:
         v = dim_vector(shape, sign, ctx)
@@ -231,13 +253,12 @@ def cmd_enumerate(args, out):
             }
         )
     if args.json:
-        doc = {"command": "enumerate", "n": n, "mode": mode, "rows": rows}
-        if mode == "truncated":
+        doc = {"command": "enumerate", "n": ctx.n, "mode": "truncated" if args.dinfty else "bounded", "rows": rows}
+        if args.dinfty:
             doc["max_boxes"] = args.max_boxes
         _emit(json.dumps(doc, indent=2), out)
         return 0
-    header = ["sign", "diagram", "v", "u", "weight", "fock_index"]
-    flat = [
+    table = [["sign", "diagram", "v", "u", "weight", "fock_index"]] + [
         [
             r["sign"],
             r["diagram"],
@@ -250,144 +271,76 @@ def cmd_enumerate(args, out):
     ]
     if args.csv:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(flat)
+        csv.writer(buf).writerows(table)
         _emit(buf.getvalue().rstrip("\n"), out)
     else:
-        _emit("\t".join(header), out)
-        for row in flat:
-            _emit("\t".join(row), out)
+        _emit("\n".join("\t".join(row) for row in table), out)
     return 0
 
 
-def _apply_word(word, vec, ctx):
-    tokens = word.split()
+def cmd_act(args, out):
+    ctx = _context(args)
+    vec = _usage(parse_spin_vector, args.vector, ctx)
+    tokens = args.word.split()
     if not tokens:
         raise CliError("empty operator word")
+    result = vec
     for token in reversed(tokens):
-        try:
-            name, k = oracle.parse_operator_token(token)
-            if name in oracle.WEDGE_OPS:
-                raise CliError("operator %r acts on the wedge side, not on shape vectors" % token)
-            vec = oracle.apply_operator(name, k, vec, ctx)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    return vec
-
-
-def cmd_act(args, out):
-    n = _require_rank(args)
-    ctx = RankContext(n)
-    try:
-        vec = parse_spin_vector(args.vector, ctx)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    result = _apply_word(args.word, vec, ctx)
+        name, k = _usage(oracle.parse_operator_token, token)
+        if name in oracle.WEDGE_OPS:
+            raise CliError("operator %r acts on the wedge side, not on shape vectors" % token)
+        result = _usage(oracle.apply_operator, name, k, result, ctx)
     text = format_spin_vector(result)
-    if args.json:
-        doc = {
-            "command": "act",
-            "n": n,
-            "word": args.word,
-            "input": format_spin_vector(vec),
-            "result": text,
-        }
-        _emit(json.dumps(doc, indent=2), out)
-    else:
-        _emit(text, out)
+    doc = {"command": "act", "n": ctx.n, "word": args.word, "input": format_spin_vector(vec), "result": text}
+    _emit_doc(args, doc, text, out)
     return 0
 
 
 def cmd_weight(args, out):
-    n = _require_rank(args)
-    ctx = RankContext(n)
-    try:
-        state = parse_basis_state(args.state, ctx)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    eps = spinrep.weight_eps(state, ctx)
+    ctx = _context(args)
+    state = _usage(parse_basis_state, args.state, ctx)
+    eps = _eps_strings(spinrep.weight_eps(state, ctx))
     u = state_u(state[1], state[0], ctx)
-    idx = cliff.phi_state(state, ctx)
-    if args.json:
-        doc = {
-            "command": "weight",
-            "n": n,
-            "state": format_basis_state(state),
-            "eps": _eps_strings(eps),
-            "u": list(u),
-            "fock_index": format_fock_index(idx),
-        }
-        _emit(json.dumps(doc, indent=2), out)
-    else:
-        _emit(
-            "weight=(%s)\tu=%s\tfock_index=%s"
-            % (",".join(_eps_strings(eps)), format_dim_vector(u), format_fock_index(idx)),
-            out,
-        )
+    idx = format_fock_index(cliff.phi_state(state, ctx))
+    doc = {"command": "weight", "n": ctx.n, "state": format_basis_state(state), "eps": eps, "u": list(u), "fock_index": idx}
+    text = None if args.json else "weight=(%s)\tu=%s\tfock_index=%s" % (",".join(eps), format_dim_vector(u), idx)
+    _emit_doc(args, doc, text, out)
     return 0
 
 
 def cmd_clifford(args, out):
-    n = _require_rank(args)
-    ctx = RankContext(n)
-    try:
-        element = cliff.parse_clifford_expression(args.expression, ctx)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    element_text = cliff.format_clifford_element(element)
-    applied_text = None
-    applied_input = None
+    ctx = _context(args)
+    element = _usage(cliff.parse_clifford_expression, args.expression, ctx)
+    doc = {"command": "clifford", "n": ctx.n, "element": cliff.format_clifford_element(element)}
+    text = doc["element"]
     if args.apply is not None:
-        try:
-            target = cliff.parse_fock_vector(args.apply, ctx)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        applied_input = cliff.format_fock_vector(target)
-        applied_text = cliff.format_fock_vector(cliff.act(element, target, ctx))
-    if args.json:
-        doc = {"command": "clifford", "n": n, "element": element_text}
-        if applied_text is not None:
-            doc["applied_to"] = applied_input
-            doc["result"] = applied_text
-        _emit(json.dumps(doc, indent=2), out)
-    else:
-        _emit(applied_text if applied_text is not None else element_text, out)
+        target = _usage(cliff.parse_fock_vector, args.apply, ctx)
+        doc["applied_to"] = cliff.format_fock_vector(target)
+        doc["result"] = text = cliff.format_fock_vector(cliff.act(element, target, ctx))
+    _emit_doc(args, doc, text, out)
     return 0
 
 
 def cmd_verify(args, out):
     if args.dinfty:
         max_boxes = args.max_boxes if args.max_boxes is not None else 6
-        _check_box_cap(max_boxes)
-        if args.ranks is None:
-            n = 12
-        else:
+        n = 12
+        if args.ranks is not None:
             ranks = _parse_rank_range(args.ranks, MAX_AMBIENT_RANK, "MAX_AMBIENT_RANK")
             if len(ranks) != 1:
                 raise CliError("--dinfty takes a single ambient rank, got %r" % args.ranks)
             n = ranks[0]
-        if n < max(max_boxes + 1, 2):
-            raise CliError(
-                "rank %d too small for box cap %d" % (n, max_boxes)
-            )
-        reports = [oracle.check_dinfty(max_boxes, n)]
+        reports = [oracle.check_dinfty(max_boxes, _ambient_rank(max_boxes, n))]
     else:
         if args.ranks is None:
             raise CliError("--n is required (a rank or a range like 2..6)")
         ranks = _parse_rank_range(args.ranks, MAX_VERIFY_RANK, "MAX_VERIFY_RANK")
-        if args.all or not args.suite:
-            names = list(oracle.SUITE_NAMES)
-        else:
-            names = []
-            for chunk in args.suite:
-                names.extend(s.strip() for s in chunk.split(",") if s.strip())
+        names = list(oracle.SUITE_NAMES)
+        if args.suite is not None:
+            names = [s.strip() for chunk in args.suite for s in chunk.split(",") if s.strip()]
             if not names:
                 raise CliError("--suite names no suite (choose from %s)" % ", ".join(oracle.SUITE_NAMES))
-        try:
-            reports = oracle.run_suites(names, ranks)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        reports = _usage(oracle.run_suites, names, ranks)
     ok = oracle.all_pass(reports)
     if args.json:
         doc = {"command": "verify", "ok": ok, "reports": reports}
@@ -415,8 +368,7 @@ def cmd_verify(args, out):
 
 
 def cmd_export_matrix(args, out):
-    n = _require_rank(args, MAX_BASIS_RANK, "MAX_BASIS_RANK")
-    ctx = RankContext(n)
+    ctx = _context(args, MAX_BASIS_RANK, "MAX_BASIS_RANK")
     tokens = args.operator.split()
     if not tokens:
         raise CliError("empty operator word")
@@ -424,22 +376,19 @@ def cmd_export_matrix(args, out):
     basis = oracle.fock_basis(ctx) if fock_side else oracle.spin_basis(ctx)
     matrix = None
     for token in tokens:
-        try:
-            name, _ = oracle.parse_operator_token(token)
-            if fock_side and name not in oracle.WEDGE_OPS + ("identity",):
-                raise CliError("wedge-side export supports create_k / annihilate_k / identity, got %r" % token)
-            if not fock_side and name in oracle.WEDGE_OPS:
-                raise CliError("operator %r lives on the wedge side; use --basis fock" % token)
-            step = oracle.operator_matrix(token, basis, ctx)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        name, _ = _usage(oracle.parse_operator_token, token)
+        if fock_side and name not in oracle.WEDGE_OPS + ("identity",):
+            raise CliError("wedge-side export supports create_k / annihilate_k / identity, got %r" % token)
+        if not fock_side and name in oracle.WEDGE_OPS:
+            raise CliError("operator %r lives on the wedge side; use --basis fock" % token)
+        step = _usage(oracle.operator_matrix, token, basis, ctx)
         matrix = step if matrix is None else matrix * step
     labels = [basis.label(s) for s in basis.states]
     triplets = sorted(matrix.entries.items())
     if args.json:
         doc = {
             "command": "export-matrix",
-            "n": n,
+            "n": ctx.n,
             "operator": args.operator,
             "basis": labels,
             "rows": matrix.nrows,
@@ -451,7 +400,7 @@ def cmd_export_matrix(args, out):
         lines = [
             "# operator: %s" % args.operator,
             "# rank: n=%d  basis: %s  size: %dx%d"
-            % (n, args.basis, matrix.nrows, matrix.ncols),
+            % (ctx.n, args.basis, matrix.nrows, matrix.ncols),
             "# basis order: %s" % ", ".join(labels),
             "# row col value",
         ]
@@ -547,6 +496,7 @@ def main(argv=None, out=None):
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
+        _refuse_ignored(args)
         return args.func(args, out)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

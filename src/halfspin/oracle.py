@@ -78,7 +78,7 @@ class ExactMatrix:
                 raise ValueError("entry (%d,%d) out of bounds %dx%d" % (i, j, nrows, ncols))
         self.nrows = nrows
         self.ncols = ncols
-        self._map, self._general = _forms(entries)
+        self._map, self._general = _forms(entries.items())
 
     @classmethod
     def _make(cls, nrows, ncols, cols, general=None):
@@ -154,10 +154,8 @@ class ExactMatrix:
                         del out[j]
             else:
                 return ExactMatrix._make(self.nrows, self.ncols, out)
-        out = dict(self._pairs())
-        for key, v in other._pairs().items():
-            out[key] = out.get(key, 0) + sign * v
-        return ExactMatrix._make(self.nrows, self.ncols, *_forms(out))
+        out = spinrep.add_terms(self._pairs(), other._pairs(), sign)
+        return ExactMatrix._make(self.nrows, self.ncols, *_forms(out.items()))
 
     def __neg__(self):
         return self.scale(-1)
@@ -167,8 +165,7 @@ class ExactMatrix:
         if not scalar:
             return ExactMatrix.zero(self.nrows, self.ncols)
         if self._map is None:
-            general = {k: exact(scalar * v) for k, v in self._general.items()}
-            return ExactMatrix._make(self.nrows, self.ncols, None, general)
+            return ExactMatrix._make(self.nrows, self.ncols, None, spinrep.scale_terms(self._general, scalar))
         cols = {j: (i, exact(scalar * v)) for j, (i, v) in self._map.items()}
         return ExactMatrix._make(self.nrows, self.ncols, cols)
 
@@ -189,12 +186,8 @@ class ExactMatrix:
         by_row = {}
         for (j, k), v in other._pairs().items():
             by_row.setdefault(j, []).append((k, v))
-        out = {}
-        for (i, j), a in self._pairs().items():
-            for k, b in by_row.get(j, ()):
-                key = (i, k)
-                out[key] = out.get(key, 0) + a * b
-        return ExactMatrix._make(self.nrows, other.ncols, *_forms(out))
+        products = (((i, k), a * b) for (i, j), a in self._pairs().items() for k, b in by_row.get(j, ()))
+        return ExactMatrix._make(self.nrows, other.ncols, *_forms(products))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -228,13 +221,9 @@ class ExactMatrix:
         return "ExactMatrix(%dx%d, %d nonzero)" % (self.nrows, self.ncols, self.nnz)
 
 
-def _forms(entries):
-    """The nonzero entries in exact form, as (map, None) or (None, general)."""
-    general = {}
-    for key, v in entries.items():
-        v = exact(v)
-        if v:
-            general[key] = v
+def _forms(items):
+    """The (key, value) pairs summed in exact form, zeros dropped, as (map, None) or (None, general)."""
+    general = spinrep.sum_terms(items)
     cols = {}
     for (i, j), v in general.items():
         if j in cols:
