@@ -355,7 +355,10 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
             result = result + (-nxt if op == "-" else nxt)
         return result
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise ValueError("parentheses nested too deeply (%d opened)" % text.count("(")) from None
     if peek() is not None:
         raise ValueError("trailing input %r in %r" % (peek(), text))
     return result

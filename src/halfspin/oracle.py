@@ -10,12 +10,12 @@ factorization) are declared once, in the table of `identities`, as
 expressions over operator names.  Two evaluators read it.  The bounded
 suites tabulate each operator as a sparse exact matrix over the whole
 rank-n basis and compare matrices.  The rank-free `check_dinfty` expands
-each side into operator words and merges a family's words into one prefix
-tree once per call, then walks the tree on one box-capped basis state at
-a time; since every operator sends a basis state to at most one signed
-basis state, a walk stops below the first zero image, and a prefix that
-many words share is applied once.  The module, weight and faithfulness
-suites are written out on their own.
+each side into operator words and merges a family's words, each token
+parsed once, into one prefix tree keyed by operator once per call, then
+walks it on one box-capped basis state at a time; since every operator
+sends a basis state to at most one signed basis state, a walk stops below
+the first zero image, and a prefix that many words share is applied once.
+The module, weight and faithfulness suites are written out on their own.
 
 Every operator token of both models is read from one table of functions
 by name, `_OPERATORS`.  The rank-free evaluator and the command line go
@@ -232,14 +232,6 @@ def _forms(items):
     return cols, None
 
 
-def commutator(x, y):
-    return x * y - y * x
-
-
-def anticommutator(x, y):
-    return x * y + y * x
-
-
 class IndexedBasis:
     """Ordered basis with a position map; label turns states into text.
 
@@ -359,12 +351,6 @@ def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatr
     return ExactMatrix._make(size, size, cols)
 
 
-def phi_matrix(ctx: RankContext, sbasis: IndexedBasis, fbasis: IndexedBasis) -> ExactMatrix:
-    position = fbasis.index
-    cols = {j: (position[cliff.phi_state(state, ctx)], 1) for j, state in enumerate(sbasis.states)}
-    return ExactMatrix._make(len(fbasis), len(sbasis), cols)
-
-
 class RankTables:
     """What the bounded suites of one rank read, each part built on first use.
 
@@ -387,7 +373,9 @@ class RankTables:
 
     @cached_property
     def phi(self) -> ExactMatrix:
-        return phi_matrix(self.ctx, self.sbasis, self.fbasis)
+        position = self.fbasis.index
+        cols = {j: (position[cliff.phi_state(state, self.ctx)], 1) for j, state in enumerate(self.sbasis.states)}
+        return ExactMatrix._make(len(self.fbasis), len(self.sbasis), cols)
 
     @cached_property
     def weights(self) -> list:
@@ -565,7 +553,7 @@ def _matrix(expr, leaf):
     x, y = _matrix(x, leaf), _matrix(y, leaf)
     if op == "product":
         return x * y
-    return commutator(x, y) if op == "commutator" else anticommutator(x, y)
+    return x * y - y * x if op == "commutator" else x * y + y * x
 
 
 def _table_entries(suite, tables, rows):
@@ -609,50 +597,45 @@ def _words(expr) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _tree(rows, parsed):
+def _tree(rows):
     """A family's rows (label, lhs, rhs) as one prefix tree of operator words.
 
-    A node is (children, ends).  children pairs each token that can act
-    next with its node, and ends holds (row, coeff) for every word that
-    stops there, the words of a row's rhs with their coefficients negated.
-    The root is the empty word.  parsed gains each token's (name, k).
+    A node is (children, ends).  children maps each operator that can act
+    next, parsed as (name, k) with ("phi", None) for phi, to its node, and
+    ends holds (row, coeff) for every word that stops there, the words of a
+    row's rhs with their coefficients negated.  The root is the empty word.
+    Each token is parsed once per tree.
     """
+    ops = {}
     root = ({}, [])
     for pos, (_, lhs, rhs) in enumerate(rows):
         for side, sign in ((lhs, 1), (rhs, -1)):
             for word, c in _words(side).items():
                 node = root
                 for token in reversed(word):
-                    if token not in parsed:
-                        parsed[token] = ("phi", None) if token == "phi" else parse_operator_token(token)
-                    node = node[0].setdefault(token, ({}, []))
+                    if token not in ops:
+                        ops[token] = ("phi", None) if token == "phi" else parse_operator_token(token)
+                    node = node[0].setdefault(ops[token], ({}, []))
                 node[1].append((pos, sign * c))
-    return _frozen(root)
-
-
-def _frozen(node):
-    """A node built with a dict of children, as tuples all the way down."""
-    children, ends = node
-    return tuple((token, _frozen(child)) for token, child in children.items()), tuple(ends)
+    return root
 
 
 class _ColumnImages(dict):
-    """One column's operator images, {(token, state): ((target, coeff), ...)}.
+    """One column's operator images, {((name, k), state): ((target, coeff), ...)}.
 
     A missing image is computed on the state's one-state vector, built once
     per column in `vectors`, through `apply_operator` or `cliff.phi` and
-    stored, so each (token, state) is applied once per column.
+    stored, so each (operator, state) is applied once per column.
     """
 
-    __slots__ = ("parsed", "ctx", "vectors")
+    __slots__ = ("ctx", "vectors")
 
-    def __init__(self, parsed, ctx):
+    def __init__(self, ctx):
         super().__init__()
-        self.parsed, self.ctx, self.vectors = parsed, ctx, {}
+        self.ctx, self.vectors = ctx, {}
 
     def __missing__(self, key):
-        token, state = key
-        name, k = self.parsed[token]
+        (name, k), state = key
         vec = self.vectors.get(state)
         if vec is None:
             vec = self.vectors[state] = _one_state(state)
@@ -676,15 +659,15 @@ def _sums(tree, state, images):
         for pos, c in ends:
             key = pos, state
             sums[key] = sums.get(key, 0) + coeff * c
-        for token, child in children:
-            for target, v in images[token, state]:
+        for op, child in children.items():
+            for target, v in images[op, state]:
                 stack.append((child, target, coeff * v))
     return sums
 
 
 def _image(side, state, images):
     """One side's image of one basis state, {target: coeff}, from a one-row tree."""
-    sums = _sums(_tree([(None, side, "0")], images.parsed), state, images)
+    sums = _sums(_tree([(None, side, "0")]), state, images)
     return {t: v for (_, t), v in sums.items() if v}
 
 
@@ -898,9 +881,9 @@ _DINFTY_FAMILIES = (
 )
 
 
-def _format_side(suite, comb):
-    """The text of a combination {state: coeff}; intertwiner sides are wedge vectors."""
-    if suite == "intertwiner":
+def _format_side(comb):
+    """The text of a combination {state: coeff}: a wedge vector when its states are wedge subsets."""
+    if any(isinstance(state, frozenset) for state in comb):
         return cliff.format_fock_vector(FockVector(comb))
     return spinrep.format_spin_vector(SpinVector(comb))
 
@@ -915,35 +898,35 @@ def check_dinfty(max_boxes: int = 6, n: int = 12):
     The operators never need the full rank-n state space, so the identities
     can be evaluated exactly on the capped family inside a large ambient
     rank; agreement here is what makes the rank-free limit well defined.
-    Each family's rows become one prefix tree of operator words once per
+    Each family's rows become one prefix tree of parsed operators once per
     call (`_tree`).  For one basis state (one column) at a time, one walk
     of the tree sums every row's lhs minus rhs (`_sums`); a row fails when
     its sum is not zero, and the first failing row in table order gets the
-    witness, its two sides walked again as one-row trees (`_image`).  Each
-    token's image of each basis state, and each state's one-state vector,
-    is computed once per column and kept for that column only, since a
-    cache kept for the whole run costs memory for little more reuse.
+    witness, its two sides walked again as one-row trees (`_image`) and
+    printed as wedge or shape vectors by their states.  Each operator's
+    image of each basis state, and each state's one-state vector, is
+    computed once per column and kept for that column only, since a cache
+    kept for the whole run costs memory for little more reuse.
     """
     t0 = time.perf_counter()
     ctx = RankContext(n)
     states = truncated_spin_basis(ctx, max_boxes).states
-    parsed = {}
     families = []
     for suite, _ in _DINFTY_FAMILIES:
         if suite != "weights":
             rows = identities(suite, ctx)
-            families.append((suite, rows, _tree(rows, parsed)))
+            families.append((suite, rows, _tree(rows)))
     routes = weight_routes()
     bad = {}  # suite -> witness of the family's first failure
     for state in states:
-        images = _ColumnImages(parsed, ctx)
+        images = _ColumnImages(ctx)
         for suite, rows, tree in families:
             if suite in bad:
                 continue
             failing = [pos for (pos, _), v in _sums(tree, state, images).items() if v]
             if failing:
                 label, lhs, rhs = rows[min(failing)]
-                got, want = (_format_side(suite, _image(side, state, images)) for side in (lhs, rhs))
+                got, want = (_format_side(_image(side, state, images)) for side in (lhs, rhs))
                 bad[suite] = _pointwise_witness(label, state, got, want)
         if "weights" not in bad:
             want = routes[0][1](state, ctx)

@@ -2,14 +2,17 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
-from halfspin import cli
+from halfspin import cli, oracle
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -418,6 +421,33 @@ def test_readme_caps_table_matches_the_constants():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = {name: int(value) for name, value in re.findall(r"^\| `(MAX_[A-Z_]+)` \| (\d+) \|", readme, re.M)}
     assert table == {name: getattr(cli, name) for name in dir(cli) if name.startswith("MAX_")}
+
+
+def test_readme_operator_tokens_match_the_operator_table():
+    # the README's "Operator tokens" paragraph lists every name of the
+    # operator table on its side, and each listed token parses
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    found = re.search(r"Operator tokens: (.*?) on the shape side; (.*?) on the wedge side .*?; (.*?) on either side\.", readme)
+    shape, wedge, either = (re.findall(r"`([^`]+)`", part) for part in found.groups())
+    assert {t.removesuffix("_k") for t in shape} == set(oracle._OPERATORS) - set(oracle.WEDGE_OPS) | {"kappa"}
+    assert [t.removesuffix("_k") for t in wedge] == list(oracle.WEDGE_OPS)
+    assert either == ["identity"]
+    for token in shape + wedge + either:
+        name, k = oracle.parse_operator_token(token.replace("_k", "_1"))
+        assert name == token.removesuffix("_k") and k == (1 if token.endswith("_k") else None)
+
+
+def test_deeply_nested_clifford_expression_is_a_usage_error():
+    # the expression parser recurses once per parenthesis level; past the
+    # interpreter's recursion limit the command refuses the expression as
+    # usage.  A fresh interpreter runs it, as the installed command does,
+    # and 300 levels still parse.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for depth, code, stdout in ((300, 0, "a1\n"), (400, 2, "")):
+        argv = [sys.executable, "-m", "halfspin.cli", "clifford", "--n", "2", "(" * depth + "a1" + ")" * depth]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, stdout), proc.stderr[-300:]
+    assert proc.stderr == "error: parentheses nested too deeply (400 opened)\n"
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,12 @@ from halfspin.quiver import RankContext
 from halfspin import cli, oracle
 from halfspin.oracle import (
     ExactMatrix,
-    commutator,
-    anticommutator,
     IndexedBasis,
     spin_basis,
     truncated_spin_basis,
     fock_basis,
     parse_operator_token,
     operator_matrix,
-    phi_matrix,
     run_suites,
     all_pass,
     SUITES,
@@ -103,8 +101,9 @@ def test_rank_of_large_integer_entries_stays_exact():
 def test_commutators():
     a = ExactMatrix(2, 2, {(0, 1): 1})
     b = ExactMatrix(2, 2, {(1, 0): 1})
-    assert commutator(a, b).entries == {(0, 0): 1, (1, 1): -1}
-    assert anticommutator(a, b) == ExactMatrix.identity(2)
+    leaf = {"a": a, "b": b}.get
+    assert oracle._matrix(("commutator", "a", "b"), leaf).entries == {(0, 0): 1, (1, 1): -1}
+    assert oracle._matrix(("anticommutator", "a", "b"), leaf) == ExactMatrix.identity(2)
 
 
 def test_indexed_basis():
@@ -225,10 +224,7 @@ def test_ladder_matrices_are_transposes():
 
 def test_phi_matrix_is_permutation():
     for n in (2, 3, 4):
-        ctx = RankContext(n)
-        sb = spin_basis(ctx)
-        fb = fock_basis(ctx)
-        p = phi_matrix(ctx, sb, fb)
+        p = oracle.RankTables(n).phi
         assert p.nnz == 2**n
         assert all(v == 1 for v in p.entries.values())
         assert p * transpose(p) == ExactMatrix.identity(2**n)
@@ -445,6 +441,22 @@ def test_a_ladder_fault_fails_both_modes(monkeypatch):
     }
 
 
+def test_dinfty_witness_text_follows_the_states_of_the_image(monkeypatch):
+    # the intertwiner rows served under the Chevalley family's name still
+    # print their witness as wedge vectors: the text is read off the image's
+    # states, not off the family's name
+    real = oracle.identities
+
+    def identities(suite, ctx):
+        return real("intertwiner" if suite == "chevalley" else suite, ctx)
+
+    monkeypatch.setattr(oracle, "identities", identities)
+    _flip_ladder(monkeypatch, 5)
+    report = oracle.check_dinfty(3, 6)
+    (entry,) = [e for e in report["checks"] if e["identity"].startswith("Chevalley brackets")]
+    assert entry["witness"] == "phi a_5 = annihilate_5 phi at state (plus,1): got -{6}, expected {6}"
+
+
 def test_a_ladder_fault_fails_verify_all(monkeypatch):
     # the suites of one rank share their tables; each suite that reads a_2
     # still sees the fault
@@ -477,12 +489,11 @@ def _images_against_matrix_columns(n):
                 for (i, j), v in oracle._matrix(expr, tables.matrix).entries.items():
                     columns.setdefault(j, {})[rows.states[i]] = v
                 sides.append((label, expr, columns))
-    parsed = {}
-    tree = oracle._tree([(label, expr, "0") for label, expr, _ in sides], parsed)
+    tree = oracle._tree([(label, expr, "0") for label, expr, _ in sides])
     multi_term = False
     for state in truncated_spin_basis(ctx, n - 1).states:
         j = tables.sbasis.position(state)
-        images = oracle._ColumnImages(parsed, ctx)
+        images = oracle._ColumnImages(ctx)
         walked = {}
         for (pos, target), v in oracle._sums(tree, state, images).items():
             if v:
@@ -543,51 +554,50 @@ def test_words_sum_to_the_matrix_of_their_side(n):
                 assert total == want, (label, side)
 
 
+def _parsed(word):
+    """A word's tokens as the tree keys them: (name, k), and ("phi", None) for phi."""
+    return tuple(("phi", None) if token == "phi" else parse_operator_token(token) for token in word)
+
+
 def _tree_words(node, prefix=()):
-    """(row, word, coeff) for every word end of a tree; prefix holds the tokens in action order."""
+    """(row, word, coeff) for every word end of a tree; prefix holds the operators in action order."""
     children, ends = node
     out = [(pos, prefix[::-1], c) for pos, c in ends]
-    for token, child in children:
-        out += _tree_words(child, prefix + (token,))
+    for op, child in children.items():
+        out += _tree_words(child, prefix + (op,))
     return out
 
 
 @pytest.mark.parametrize("n", range(3, 6))
 def test_tree_word_ends_are_the_words_of_each_side(n):
-    # lhs words keep their coefficient and rhs words are negated; no word
-    # is merged across sides or rows, and none is lost or repeated
+    # every word of a side ends in the tree exactly once, as its parsed
+    # operators: lhs words keep their coefficient and rhs words are
+    # negated; no word is merged across sides or rows, lost or repeated
     ctx = RankContext(n)
     for suite in TABLE_SUITES:
         rows = oracle.identities(suite, ctx)
-        parsed = {}
-        got = _tree_words(oracle._tree(rows, parsed))
+        got = _tree_words(oracle._tree(rows))
         want = []
         for pos, (_, lhs, rhs) in enumerate(rows):
-            want += [(pos, word, c) for word, c in oracle._words(lhs).items()]
-            want += [(pos, word, -c) for word, c in oracle._words(rhs).items()]
-        assert len(set(got)) == len(got)
-        assert sorted(got, key=repr) == sorted(want, key=repr), suite
-        tokens = {token for _, word, _ in want for token in word}
-        assert set(parsed) == tokens
-        assert all(parsed[t] == (("phi", None) if t == "phi" else parse_operator_token(t)) for t in tokens)
+            want += [(pos, _parsed(word), c) for word, c in oracle._words(lhs).items()]
+            want += [(pos, _parsed(word), -c) for word, c in oracle._words(rhs).items()]
+        assert len(set(want)) == len(want)
+        assert Counter(got) == Counter(want), suite
 
 
 def _prefix_image(prefix, state, ctx):
-    """A word's image of one basis state, its tokens applied in action order on vectors."""
+    """A word's image of one basis state, its operators applied in action order on vectors."""
     from halfspin import clifford
 
     vec = oracle._one_state(state)
-    for token in prefix:
-        if token == "phi":
-            vec = clifford.phi(vec, ctx)
-        else:
-            vec = oracle.apply_operator(*parse_operator_token(token), vec, ctx)
+    for name, k in prefix:
+        vec = clifford.phi(vec, ctx) if name == "phi" else oracle.apply_operator(name, k, vec, ctx)
     return vec.terms
 
 
 def test_dinfty_enters_no_subtree_below_a_zero_image():
-    # per column, each edge (prefix, next token) of a family's words is
-    # taken once for each state in the prefix's image: a prefix that many
+    # per column, each edge (prefix, next operator) of a family's words is
+    # looked up once for each state in the prefix's image: a prefix that many
     # words share is walked once, and one whose image is zero looks nothing up
     ctx = RankContext(5)
     lookups = []
@@ -599,30 +609,29 @@ def test_dinfty_enters_no_subtree_below_a_zero_image():
             lookups.append(key)
             return super().__getitem__(key)
 
-    parsed = {}
     families = []
     dead = shared = 0
     for suite in TABLE_SUITES:
         rows = oracle.identities(suite, ctx)
-        acting = [w[::-1] for _, *sides in rows for side in sides for w in oracle._words(side)]
+        acting = [_parsed(w[::-1]) for _, *sides in rows for side in sides for w in oracle._words(side)]
         edges = {(w[:i], w[i]) for w in acting for i in range(len(w))}
         shared += sum(map(len, acting)) - len(edges)
-        families.append((oracle._tree(rows, parsed), edges))
+        families.append((oracle._tree(rows), edges))
     for state in truncated_spin_basis(ctx, 4).states:
         for tree, edges in families:
             want = []
-            for prefix, token in edges:
+            for prefix, op in edges:
                 image = _prefix_image(prefix, state, ctx)
                 dead += not image
-                want += [(token, target) for target in image]
+                want += [(op, target) for target in image]
             lookups.clear()
-            oracle._sums(tree, state, Recording(parsed, ctx))
-            assert sorted(lookups, key=repr) == sorted(want, key=repr), state
+            oracle._sums(tree, state, Recording(ctx))
+            assert Counter(lookups) == Counter(want), state
     assert dead > 0 and shared > 0
 
 
 def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
-    # a column starts with a fresh image cache; within it no (token, state)
+    # a column starts with a fresh image cache; within it no (operator, state)
     # image is computed twice.  The five family trees are built once per
     # call, and a passing run builds no witness tree.
     real = oracle._ColumnImages.__missing__
@@ -639,9 +648,9 @@ def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
     real_tree = oracle._tree
     trees = []
 
-    def tree(rows, parsed):
+    def tree(rows):
         trees.append(len(rows))
-        return real_tree(rows, parsed)
+        return real_tree(rows)
 
     monkeypatch.setattr(oracle._ColumnImages, "__missing__", missing)
     monkeypatch.setattr(oracle, "_tree", tree)
