@@ -6,8 +6,9 @@ and I/O errors.  --json switches every command to machine-readable output;
 rationals are serialized as strings "p/q" so nothing is rounded.
 
 Requests beyond the size caps below are refused with exit status 2 before
-any state is built; no option raises a cap.  An option that the rest of the
-command line would have the command ignore is refused the same way.
+the work they bound is started; no option raises a cap.  An option that the
+rest of the command line would have the command ignore is refused the same
+way.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ MAX_VERIFY_RANK = 14
 MAX_BOXES = 17
 # --dinfty: the ambient rank; the identity table has O(n^2) rows
 MAX_AMBIENT_RANK = 32
+# clifford: the terms one product may generate (clifford.product_bound), and
+# terms times states for --apply; (a1 ... a12)(b1 ... b12) at the cap takes
+# about 0.15 s, and each doubling of the bound about doubles the time
+MAX_CLIFFORD_TERMS = 4096
 
 
 def _check_cap(value, cap, name, what):
@@ -188,6 +193,10 @@ def _refuse_ignored(args):
             raise CliError("--%s cannot be combined with --%s" % (option, other))
 
 
+def _check_product(x, y):
+    _check_cap(cliff.product_bound(x, y), MAX_CLIFFORD_TERMS, "MAX_CLIFFORD_TERMS", "product bound")
+
+
 def _context(args, cap=MAX_RANK, name="MAX_RANK"):
     """The rank context of --n, refused when --n is absent, below 2 or above cap."""
     if args.n is None:
@@ -237,15 +246,15 @@ def cmd_enumerate(args, out):
         ctx = _context(args, MAX_BASIS_RANK, "MAX_BASIS_RANK")
         basis = oracle.spin_basis(ctx)
     rows = []
-    for sign, shape in basis.states:
-        v = dim_vector(shape, sign, ctx)
-        u = state_u(shape, sign, ctx)
-        eps = spinrep.weight_eps((sign, shape), ctx)
-        idx = cliff.phi_state((sign, shape), ctx)
+    for state in basis.states:
+        v = dim_vector(state, ctx)
+        u = state_u(state, ctx)
+        eps = spinrep.weight_eps(state, ctx)
+        idx = cliff.phi_state(state, ctx)
         rows.append(
             {
-                "sign": str(sign),
-                "diagram": format_diagram(shape),
+                "sign": str(state[0]),
+                "diagram": format_diagram(state[1]),
                 "v": list(v),
                 "u": list(u),
                 "weight": _eps_strings(eps),
@@ -300,7 +309,7 @@ def cmd_weight(args, out):
     ctx = _context(args)
     state = _usage(parse_basis_state, args.state, ctx)
     eps = _eps_strings(spinrep.weight_eps(state, ctx))
-    u = state_u(state[1], state[0], ctx)
+    u = state_u(state, ctx)
     idx = format_fock_index(cliff.phi_state(state, ctx))
     doc = {"command": "weight", "n": ctx.n, "state": format_basis_state(state), "eps": eps, "u": list(u), "fock_index": idx}
     text = None if args.json else "weight=(%s)\tu=%s\tfock_index=%s" % (",".join(eps), format_dim_vector(u), idx)
@@ -310,11 +319,12 @@ def cmd_weight(args, out):
 
 def cmd_clifford(args, out):
     ctx = _context(args)
-    element = _usage(cliff.parse_clifford_expression, args.expression, ctx)
+    element = _usage(cliff.parse_clifford_expression, args.expression, ctx, _check_product)
     doc = {"command": "clifford", "n": ctx.n, "element": cliff.format_clifford_element(element)}
     text = doc["element"]
     if args.apply is not None:
         target = _usage(cliff.parse_fock_vector, args.apply, ctx)
+        _check_cap(len(element.terms) * len(target.terms), MAX_CLIFFORD_TERMS, "MAX_CLIFFORD_TERMS", "action bound")
         doc["applied_to"] = cliff.format_fock_vector(target)
         doc["result"] = text = cliff.format_fock_vector(cliff.act(element, target, ctx))
     _emit_doc(args, doc, text, out)
@@ -458,7 +468,11 @@ def build_parser():
     p.add_argument("--n", type=int, default=None, help=rank_help)
     p.add_argument("--apply", default=None, metavar="VEC", help="apply the element to a wedge vector, e.g. \"{1,3}\"")
     p.add_argument("--json", action="store_true")
-    p.add_argument("expression", help="e.g. \"a1*b1 + b1*a1\"")
+    p.add_argument(
+        "expression",
+        help="e.g. \"a1*b1 + b1*a1\"; each product, and --apply's terms times states, "
+        "at most %d (MAX_CLIFFORD_TERMS)" % MAX_CLIFFORD_TERMS,
+    )
     p.set_defaults(func=cmd_clifford)
 
     p = sub.add_parser("verify", help="run the exact verification suites")

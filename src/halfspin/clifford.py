@@ -170,6 +170,19 @@ class CliffordElement(Combination):
         return "CliffordElement(%s)" % format_clifford_element(self)
 
 
+def product_bound(x: CliffordElement, y: CliffordElement) -> int:
+    """A bound on the terms that normal-ordering x * y generates, in O(|x| + |y|).
+
+    Each pair of monomials gives at most 2**m terms, m the number of
+    annihilators of the left one that can contract with creators of the
+    right one; m is at most the widest annihilator block of x and the
+    widest creator block of y.
+    """
+    annihilators = max((len(t) for _, t in x.terms), default=0)
+    creators = max((len(s) for s, _ in y.terms), default=0)
+    return len(x.terms) * len(y.terms) * 2 ** min(annihilators, creators)
+
+
 def act(x: CliffordElement, vec: FockVector, ctx: RankContext) -> FockVector:
     """Apply x to vec: per monomial, annihilators first, right to left."""
     total = FockVector()
@@ -229,8 +242,7 @@ def fock_weight(idx, ctx: RankContext) -> tuple:
 
 
 def phi_state(state, ctx: RankContext) -> frozenset:
-    sign, rows = state
-    return fock_index(rows, sign, ctx.n)
+    return fock_index(state, ctx.n)
 
 
 def phi(vec: SpinVector, ctx: RankContext) -> FockVector:
@@ -241,11 +253,7 @@ def phi(vec: SpinVector, ctx: RankContext) -> FockVector:
 
 
 def phi_inverse(vec: FockVector, ctx: RankContext) -> SpinVector:
-    out = {}
-    for idx, coeff in vec.terms.items():
-        rows, sign = fock_index_inverse(idx, ctx.n)
-        out[(sign, rows)] = coeff
-    return SpinVector(out)
+    return SpinVector({fock_index_inverse(idx, ctx.n): coeff for idx, coeff in vec.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +289,16 @@ def format_clifford_element(x: CliffordElement) -> str:
     return format_terms(x.terms, _monomial_sort_key, _monomial_word)
 
 
-_CLIFF_TOKEN = re.compile(r"\s*([ab]\d+|\d+(?:/\d+)?|[+\-*()])")
+_CLIFF_TOKEN = re.compile(r"\s*([ab][0-9]+|[0-9]+(?:/[0-9]+)?|[+\-*()])")
 
 
-def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
+def parse_clifford_expression(text: str, ctx=None, check_product=None) -> CliffordElement:
     """Parse sums and products of generator words, e.g. "a1*b1 + b1*a1".
 
     Juxtaposition multiplies ("b1 b3 a2"), so canonical output re-parses to
     an equal element.  Numbers are rational scalars; parentheses group.
+    check_product(x, y), when given, is called before each product x * y
+    and may raise to refuse it.
     """
     tokens = tokenize(text.strip(), _CLIFF_TOKEN)
     state = {"pos": 0}
@@ -334,11 +344,12 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
             tok = peek()
             if tok == "*":
                 take()
-                result = result * parse_atom()
-            elif is_atom_start(tok):
-                result = result * parse_atom()
-            else:
+            elif not is_atom_start(tok):
                 return result
+            factor = parse_atom()
+            if check_product is not None:
+                check_product(result, factor)
+            result = result * factor
 
     def parse_expr():
         tok = peek()

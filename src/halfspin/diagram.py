@@ -115,8 +115,8 @@ def endpoint_count_below(rows, n: int, k: int) -> int:
     return sum(1 for l in rows if n - l < k)
 
 
-def fock_index(rows, sign: Sign, n: int) -> frozenset:
-    """Subset of {1..n} attached to a signed shape.
+def fock_index(state, n: int) -> frozenset:
+    """Subset of {1..n} attached to a signed shape, the basis state (sign, rows).
 
     The endpoints of the rows, plus the marker n when the row count s has
     the parity that the sign selects: for PLUS the marker appears iff s is
@@ -124,30 +124,22 @@ def fock_index(rows, sign: Sign, n: int) -> frozenset:
     signed shapes onto all 2**n subsets, PLUS landing on even-size subsets
     and MINUS on odd-size ones.
     """
+    sign, rows = state
     idx = set(endpoints(rows, n))
-    s = len(rows)
-    if sign is Sign.PLUS:
-        if s % 2 == 1:
-            idx.add(n)
-    else:
-        if s % 2 == 0:
-            idx.add(n)
+    if (len(rows) % 2 == 1) == (sign is Sign.PLUS):
+        idx.add(n)
     return frozenset(idx)
 
 
 def fock_index_inverse(idx, n: int):
-    """Inverse of fock_index: recover (rows, sign) from a subset of {1..n}."""
+    """Inverse of fock_index: recover the basis state (sign, rows) from a subset of {1..n}."""
     idx = frozenset(int(i) for i in idx)
     for i in idx:
         if not 1 <= i <= n:
             raise ValueError("index %r out of range 1..%d" % (i, n))
     rows = tuple(sorted((n - i for i in idx if i < n), reverse=True))
-    s = len(rows)
-    if n in idx:
-        sign = Sign.PLUS if s % 2 == 1 else Sign.MINUS
-    else:
-        sign = Sign.PLUS if s % 2 == 0 else Sign.MINUS
-    return rows, sign
+    sign = Sign.PLUS if (len(rows) % 2 == 1) == (n in idx) else Sign.MINUS
+    return sign, rows
 
 
 def add_row_with_endpoint(rows, k: int, n: int):
@@ -172,6 +164,18 @@ def remove_row_with_endpoint(rows, k: int, n: int):
     return tuple(out)
 
 
+def parse_decimal(text: str) -> int:
+    """The number that text writes in ASCII decimal digits, surrounding whitespace allowed.
+
+    int() would also read a sign, "_" separators and non-ASCII digits;
+    ValueError for those and for anything else.
+    """
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not a decimal number: %r" % text)
+    return int(digits)
+
+
 def format_diagram(rows) -> str:
     if not rows:
         return "-"
@@ -183,7 +187,7 @@ def parse_diagram(text: str, n=None) -> tuple:
     if text in ("-", ""):
         return ()
     try:
-        rows = tuple(int(part) for part in text.split(","))
+        rows = tuple(parse_decimal(part) for part in text.split(","))
     except ValueError:
         raise ValueError("cannot parse diagram %r" % text) from None
     return validate_diagram(rows, n)
@@ -201,7 +205,7 @@ def parse_fock_index(text: str, n=None) -> frozenset:
     if not body:
         return frozenset()
     try:
-        parts = [int(p) for p in body.split(",")]
+        parts = [parse_decimal(p) for p in body.split(",")]
     except ValueError:
         raise ValueError("cannot parse index set %r" % text) from None
     idx = frozenset(parts)

@@ -48,6 +48,7 @@ from .diagram import (
     enumerate_diagrams,
     enumerate_diagrams_by_boxes,
     format_fock_index,
+    parse_decimal,
 )
 from .quiver import RankContext
 from . import spinrep
@@ -305,7 +306,7 @@ def parse_operator_token(token: str):
     name, sep, idx = token.partition("_")
     if sep and name in _OPERATORS:
         try:
-            return (name, int(idx))
+            return (name, parse_decimal(idx))
         except ValueError:
             pass
     raise ValueError("unknown operator token %r" % token)

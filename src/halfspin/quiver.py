@@ -5,12 +5,14 @@ edge n-2 - n.  Dimension vectors are plain length-n tuples indexed by
 vertex (entry 0 is vertex 1).  The rank n=2 graph has no edges and n=3 has
 the fork at vertex 1.
 
-A `RankContext` holds the graph as neighbour lists, so building one and
-computing u = w - Cv both cost O(n).  It memoizes three things per signed
-shape it has validated: the dimension vector (`_dim_vectors`), u = w - Cv
+The functions of a signed shape take it as the basis state (sign, rows),
+the one form the operators and weights pass around.  A `RankContext` holds
+the graph as neighbour lists, so building one and computing u = w - Cv both
+cost O(n).  It memoizes three things per basis state it has validated,
+keyed by the state itself: the dimension vector (`_dim_vectors`), u = w - Cv
 (`_u`, filled by `state_u`), and the E/F images that one sweep over the
-state's single-box edits finds (`_moves`, see `spinrep._shift_state`).  The
-memos live and die with their context.
+state's single-box edits finds (`_moves`, filled by the E/F kernel
+`spinrep._shift_state`).  The memos live and die with their context.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class RankContext:
         self.neighbours = tuple(tuple(ns) for ns in neighbours)
         # (sign, rows) -> dimension vector, filled by dim_vector
         self._dim_vectors = {}
-        # (sign, rows) -> {+k: F_k image, -k: E_k image}, filled by spinrep._shift_state
+        # (sign, rows) -> {+k: (F_k image, 1), -k: (E_k image, 1)}, filled by spinrep._shift_state
         self._moves = {}
         # (sign, rows) -> u = w - Cv, filled by state_u
         self._u = {}
@@ -119,12 +121,13 @@ def string_dim_vector(s: StringInterval, ctx: RankContext) -> tuple:
     return tuple(v)
 
 
-def a_sets(rows, sign: Sign, ctx: RankContext) -> list:
-    """The strings attached to the rows of a signed shape, one per row.
+def a_sets(state, ctx: RankContext) -> list:
+    """The strings attached to the rows of a basis state (sign, rows), one per row.
 
     Odd-position rows of the PLUS family end at vertex n, even-position
     ones at vertex n-1; for MINUS the two roles are exchanged.
     """
+    sign, rows = state
     validate_diagram(rows, ctx.n)
     n = ctx.n
     out = []
@@ -140,20 +143,18 @@ def a_sets(rows, sign: Sign, ctx: RankContext) -> list:
     return out
 
 
-def dim_vector(rows, sign: Sign, ctx: RankContext) -> tuple:
-    """Sum of the string dimension vectors over the rows.
+def dim_vector(state, ctx: RankContext) -> tuple:
+    """Sum of the string dimension vectors over the rows of a basis state.
 
-    Memoized on ctx: only validated shapes are stored, so invalid rows
-    raise on every call.
+    Memoized on ctx by the state itself: only validated shapes are stored,
+    so invalid rows raise on every call.
     """
-    rows = tuple(rows)
-    key = (sign, rows)
-    v = ctx._dim_vectors.get(key)
+    v = ctx._dim_vectors.get(state)
     if v is None:
         total = (0,) * ctx.n
-        for s in a_sets(rows, sign, ctx):
+        for s in a_sets(state, ctx):
             total = tuple(map(add, total, string_dim_vector(s, ctx)))
-        v = ctx._dim_vectors[key] = total
+        v = ctx._dim_vectors[state] = total
     return v
 
 
@@ -180,12 +181,11 @@ def weight_u(v, w, ctx: RankContext) -> tuple:
     )
 
 
-def state_u(rows, sign: Sign, ctx: RankContext) -> tuple:
-    """u = w - Cv of a signed shape, memoized on ctx like its dimension vector."""
-    key = (sign, tuple(rows))
-    u = ctx._u.get(key)
+def state_u(state, ctx: RankContext) -> tuple:
+    """u = w - Cv of a basis state, memoized on ctx like its dimension vector."""
+    u = ctx._u.get(state)
     if u is None:
-        u = ctx._u[key] = weight_u(dim_vector(rows, sign, ctx), framing_vector(sign, ctx), ctx)
+        u = ctx._u[state] = weight_u(dim_vector(state, ctx), framing_vector(state[0], ctx), ctx)
     return u
 
 

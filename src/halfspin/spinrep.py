@@ -9,8 +9,9 @@ geometric_a / geometric_b move single rows and exchange the two families.
 
 Every operator sends a basis state to at most one signed basis state, so
 each is written once as a per-state kernel, state -> (target, coeff) or
-None, and `linear` extends a kernel to a vector: E and F share one kernel
-over `_shift_state`, a and b one parametrised by parity and row edit.
+None, and `linear` extends a kernel to a vector: E and F share the kernel
+`_shift_state`, whose memoized sweep finds every E/F image of a state at
+once, and a and b share one parametrised by parity and row edit.
 `Combination` holds the arithmetic that the vectors of both models and
 the Clifford algebra's elements share, on plain {key: coeff} dicts
 (`add_terms`, `scale_terms`, `sum_terms`).
@@ -197,20 +198,21 @@ def _single_box_edits(rows, n):
     return out
 
 
-def _shift_state(sign, rows, k, direction, ctx):
-    # the unique shape whose dimension vector differs by the unit at k
-    # (raised for F, direction +1; lowered for E, -1).  The single-
-    # box edits do not depend on k, so one sweep over them finds every E and
-    # F image of the state; it is memoized on ctx as {+k: F_k image, -k: E_k
-    # image}.  At most one edit may match a delta.
-    key = (sign, rows)
-    moves = ctx._moves.get(key)
+def _shift_state(state, k, direction, ctx):
+    # kernel of E_k (direction -1) and F_k (+1): the state of the same sign
+    # whose dimension vector differs by the unit at k (lowered for E, raised
+    # for F).  The single-box edits do not depend on k, so one sweep over
+    # them finds every E and F image of the state; it is memoized on ctx as
+    # {+k: (F_k image, 1), -k: (E_k image, 1)}.  At most one edit may match
+    # a delta.
+    moves = ctx._moves.get(state)
     if moves is None:
+        sign, rows = state
         n = ctx.n
-        v = dim_vector(rows, sign, ctx)
+        v = dim_vector(state, ctx)
         found = {}
         for cand in _single_box_edits(rows, n):
-            delta = list(map(sub, dim_vector(cand, sign, ctx), v))
+            delta = list(map(sub, dim_vector((sign, cand), ctx), v))
             if delta.count(0) == n - 1:
                 step = sum(delta)
                 if step == 1 or step == -1:
@@ -218,36 +220,29 @@ def _shift_state(sign, rows, k, direction, ctx):
         for j, matches in found.items():
             if len(matches) > 1:
                 raise RuntimeError(
-                    "%s_%d on (%s,%s): dimension-vector equation has %d solutions %r; "
+                    "%s_%d on %s: dimension-vector equation has %d solutions %r; "
                     "the component dictionary promises at most one"
-                    % ("F" if j > 0 else "E", abs(j), sign, format_diagram(rows),
+                    % ("F" if j > 0 else "E", abs(j), format_basis_state(state),
                        len(matches), matches)
                 )
-        moves = ctx._moves[key] = {j: matches[0] for j, matches in found.items()}
+        moves = ctx._moves[state] = {j: ((sign, matches[0]), 1) for j, matches in found.items()}
     return moves.get(direction * k)
-
-
-def _shift(state, k, direction, ctx):
-    # kernel of E_k (direction -1) and F_k (+1): the state the sweep finds
-    sign, rows = state
-    moved = _shift_state(sign, rows, k, direction, ctx)
-    return None if moved is None else ((sign, moved), 1)
 
 
 def apply_F(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     """Lowering operator at vertex k, extended linearly."""
     ctx.check_index(k)
-    return linear(_shift, vec, k, +1, ctx)
+    return linear(_shift_state, vec, k, +1, ctx)
 
 
 def apply_E(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     """Raising operator at vertex k, extended linearly."""
     ctx.check_index(k)
-    return linear(_shift, vec, k, -1, ctx)
+    return linear(_shift_state, vec, k, -1, ctx)
 
 
 def _cartan(state, k, ctx):
-    u = state_u(state[1], state[0], ctx)[k - 1]
+    u = state_u(state, ctx)[k - 1]
     return (state, u) if u else None
 
 
@@ -337,8 +332,7 @@ def weight_eps(state, ctx: RankContext) -> tuple:
     The sum of u_i times the fundamental weight i, accumulated doubled in
     ints over the nonzero entries only.
     """
-    sign, rows = state
-    u = state_u(rows, sign, ctx)
+    u = state_u(state, ctx)
     n = ctx.n
     twice = [0] * n
     for i, ui in enumerate(u, start=1):
@@ -384,9 +378,10 @@ def weight_eps_alpha(state, ctx: RankContext) -> tuple:
     return _halves(twice)
 
 
-def _closed_form(sign, rows, ctx, twice_per_row):
+def _closed_form(state, ctx, twice_per_row):
     # doubled: 1 at coordinates 1..n-1, less twice_per_row at n-l per row
     # of length l, and the tip +-1
+    sign, rows = state
     n = ctx.n
     validate_diagram(rows, n)
     twice = [1] * (n - 1) + [0]
@@ -406,8 +401,7 @@ def weight_eps_closed(state, ctx: RankContext) -> tuple:
     coordinate is +1/2 exactly when the number of rows is even, for MINUS
     when it is odd.
     """
-    sign, rows = state
-    return _closed_form(sign, rows, ctx, 2)
+    return _closed_form(state, ctx, 2)
 
 
 def weight_eps_halved_variant(state, ctx: RankContext) -> tuple:
@@ -418,8 +412,7 @@ def weight_eps_halved_variant(state, ctx: RankContext) -> tuple:
     regression suite can pin the disagreement (see the weights check);
     never use this for actual weights.
     """
-    sign, rows = state
-    return _closed_form(sign, rows, ctx, 1)
+    return _closed_form(state, ctx, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +502,7 @@ def parse_terms(text: str, atom: str, parse_atom, what: str) -> list:
         return []
     if not stripped:
         raise ValueError("expected %s, got blank text" % what)
-    tokens = tokenize(stripped, re.compile(r"\s*(%s|\d+(?:/\d+)?|[+\-*])" % atom))
+    tokens = tokenize(stripped, re.compile(r"\s*(%s|[0-9]+(?:/[0-9]+)?|[+\-*])" % atom))
     terms = []
     i = 0
     while i < len(tokens):

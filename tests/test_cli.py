@@ -23,6 +23,13 @@ def run(*argv):
     return rc, out.getvalue()
 
 
+def refusal(capsys, *argv):
+    """The stderr of a command that must exit 2 with empty stdout."""
+    capsys.readouterr()
+    assert run(*argv) == (2, "")
+    return capsys.readouterr().err
+
+
 def run_json(*argv):
     rc, text = run(*argv)
     doc = json.loads(text)
@@ -108,7 +115,7 @@ def test_act_json():
     assert doc["result"] == "(plus,2)"
 
 
-def test_act_usage_errors():
+def test_act_usage_errors(capsys):
     assert run("act", "--n", "4", "create_1", "(plus,-)")[0] == 2
     assert run("act", "--n", "4", "Q_1", "(plus,-)")[0] == 2
     assert run("act", "--n", "4", "", "(plus,-)")[0] == 2
@@ -118,6 +125,15 @@ def test_act_usage_errors():
     assert run("act", "--n", "4", "F_1", "1/0 * (plus,-)")[0] == 2
     assert run("act", "--n", "4", "F_1", "")[0] == 2  # only "0" is the zero vector
     assert run("act", "--n", "4", "F_1", "  ")[0] == 2
+    # integers in user text are ASCII decimal digits only
+    for word, vector, message in (
+        ("F_1_0", "(plus,-)", "unknown operator token 'F_1_0'"),
+        ("F_+2", "(plus,-)", "unknown operator token 'F_+2'"),
+        ("a_\u0663", "(plus,-)", "unknown operator token 'a_\u0663'"),
+        ("F_1", "(plus,1_0)", "cannot parse diagram '1_0'"),
+        ("F_1", "\u0663 * (plus,-)", "cannot tokenize '\u0663 * (plus,-)' at position 0"),
+    ):
+        assert refusal(capsys, "act", "--n", "12", word, vector) == "error: %s\n" % message
 
 
 def test_weight_text():
@@ -135,9 +151,11 @@ def test_weight_json():
     assert doc["fock_index"] == "{4}"
 
 
-def test_weight_usage_errors():
+def test_weight_usage_errors(capsys):
     assert run("weight", "--n", "4", "(plus,5)")[0] == 2
     assert run("weight", "--n", "4", "nonsense")[0] == 2
+    for state in ("(plus,+3)", "(plus,\u0663)", "(plus, 3_0)"):
+        assert refusal(capsys, "weight", "--n", "12", state) == "error: cannot parse diagram %r\n" % state[6:-1].strip()
 
 
 def test_clifford_normal_ordering():
@@ -164,7 +182,7 @@ def test_clifford_json_without_apply():
     assert "result" not in doc
 
 
-def test_clifford_usage_errors():
+def test_clifford_usage_errors(capsys):
     assert run("clifford", "--n", "2", "b3")[0] == 2  # index above rank
     assert run("clifford", "--n", "2", "b1 +")[0] == 2
     assert run("clifford", "--n", "2", "--apply", "{3}", "b1")[0] == 2
@@ -173,6 +191,9 @@ def test_clifford_usage_errors():
     assert run("clifford", "--n", "2", "--apply", "1/0 * {1}", "a1")[0] == 2
     assert run("clifford", "--n", "2", "--apply", "", "a1")[0] == 2
     assert run("clifford", "--n", "2", "--apply", " \t", "a1")[0] == 2
+    assert refusal(capsys, "clifford", "--n", "4", "--apply", "{1_0}", "a1") == "error: cannot parse index set '{1_0}'\n"
+    assert refusal(capsys, "clifford", "--n", "4", "--apply", "{+1}", "a1") == "error: cannot parse index set '{+1}'\n"
+    assert refusal(capsys, "clifford", "--n", "12", "b\u0663") == "error: cannot tokenize 'b\u0663' at position 0\n"
 
 
 def test_verify_text():
@@ -314,11 +335,12 @@ def test_export_matrix_to_file(tmp_path):
     assert content[-1] == "13 11 1"
 
 
-def test_export_matrix_usage_errors():
+def test_export_matrix_usage_errors(capsys):
     assert run("export-matrix", "--n", "2", "create_1")[0] == 2
     assert run("export-matrix", "--n", "2", "--basis", "fock", "F_1")[0] == 2
     assert run("export-matrix", "--n", "2", "")[0] == 2
     assert run("export-matrix", "--n", "2", "Q_1")[0] == 2
+    assert refusal(capsys, "export-matrix", "--n", "3", "b_0_1") == "error: unknown operator token 'b_0_1'\n"
 
 
 def test_verify_failure_exit_code_via_stub(monkeypatch):
@@ -365,6 +387,13 @@ def test_point_queries_are_linear_in_rank():
     assert doc["result"] == "0"
 
 
+ONE_PLUS_B_14 = "".join("(1+b%d)" % i for i in range(1, 15))
+A_14_B_14 = "(%s)(%s)" % (" ".join("a%d" % i for i in range(1, 15)), " ".join("b%d" % i for i in range(1, 15)))
+F_6 = "".join("(1+b%d+a%d)" % (i, i) for i in range(1, 7))
+# 65 wedge basis vectors, against the 64 terms of (1+b1)...(1+b6)
+WEDGE_65 = ["{%d}" % i for i in range(1, 41)] + ["{1,%d}" % i for i in range(2, 27)]
+
+
 @pytest.mark.parametrize(
     "argv, cap",
     [
@@ -380,11 +409,19 @@ def test_point_queries_are_linear_in_rank():
         (("act", "--n", "10000001", "F_1", "(plus,-)"), cli.MAX_RANK),
         (("clifford", "--n", "10000001", "b1"), cli.MAX_RANK),
         (("verify", "--n", str(cli.MAX_VERIFY_RANK + 1), "--all"), cli.MAX_VERIFY_RANK),
+        # uncapped, the first prints 2^14 terms and the third takes 10 s; each
+        # further factor or generator pair multiplies the work by 4-5
+        (("clifford", "--n", "40", ONE_PLUS_B_14), cli.MAX_CLIFFORD_TERMS),
+        (("clifford", "--n", "40", A_14_B_14), cli.MAX_CLIFFORD_TERMS),
+        (("clifford", "--n", "40", "(%s)*(%s)" % (F_6, F_6)), cli.MAX_CLIFFORD_TERMS),
+        (("clifford", "--n", "40", "--apply", " + ".join(WEDGE_65), "(1+b1)(1+b2)(1+b3)(1+b4)(1+b5)(1+b6)"),
+         cli.MAX_CLIFFORD_TERMS),
     ],
 )
 def test_size_caps_refuse_with_exit_2(argv, cap, capsys):
-    # refused before any state is built: each of these would allocate
-    # 2^n or p(B) states, or O(n) data at an absurd rank
+    # refused before the work is done: each of these would allocate 2^n or
+    # p(B) states, O(n) data at an absurd rank, or exponentially many
+    # normal-ordering terms
     started = time.perf_counter()
     rc, text = run(*argv)
     assert time.perf_counter() - started < 0.5
@@ -401,6 +438,11 @@ def test_size_caps_admit_their_limits():
     rc, doc = run_json("enumerate", "--dinfty", "--max-boxes", str(cli.MAX_BOXES), "--n", str(cli.MAX_AMBIENT_RANK), "--json")
     assert rc == 0 and doc["max_boxes"] == cli.MAX_BOXES
     assert run("export-matrix", "--n", str(cli.MAX_BASIS_RANK), "F_1")[0] == 0
+    # (a1 ... ak)(b1 ... bk) has 2^k terms, and its product bound is 2^k
+    k = cli.MAX_CLIFFORD_TERMS.bit_length() - 1
+    a_k, b_k = (" ".join("%s%d" % (g, i) for i in range(1, k + 1)) for g in "ab")
+    rc, text = run("clifford", "--n", str(k), "(%s)(%s)" % (a_k, b_k))
+    assert rc == 0 and text.count(" + ") + text.count(" - ") + 1 == 2**k
 
 
 def test_size_caps_are_in_the_help(capsys):
@@ -409,6 +451,7 @@ def test_size_caps_are_in_the_help(capsys):
         ("enumerate", ("MAX_BASIS_RANK", "MAX_AMBIENT_RANK", "MAX_BOXES")),
         ("export-matrix", ("MAX_BASIS_RANK",)),
         ("act", ("MAX_RANK",)),
+        ("clifford", ("MAX_RANK", "MAX_CLIFFORD_TERMS")),
     ):
         with pytest.raises(SystemExit):
             cli.main([command, "--help"], io.StringIO())

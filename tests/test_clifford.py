@@ -23,6 +23,7 @@ from halfspin.clifford import (
     parse_fock_vector,
     format_clifford_element,
     parse_clifford_expression,
+    product_bound,
 )
 
 
@@ -159,6 +160,20 @@ def test_act_respects_products(x, y, idx):
     assert act(x + y, v, ctx) == act(x, v, ctx) + act(y, v, ctx)
 
 
+@given(clifford_elements(), clifford_elements())
+@settings(deadline=None)
+def test_product_bound_bounds_the_terms_of_a_product(x, y):
+    assert len((x * y).terms) <= product_bound(x, y)
+
+
+def test_product_bound_is_reached_by_full_contraction():
+    # every subset of the three pairs a_i b_i contracts: 2^3 terms
+    x, y = parse_clifford_expression("a1 a2 a3"), parse_clifford_expression("b1 b2 b3")
+    assert product_bound(x, y) == len((x * y).terms) == 8
+    assert product_bound(y, x) == 1 and len((y * x).terms) == 1
+    assert product_bound(x + y + CliffordElement.identity(), y) == 3 * 1 * 8
+
+
 @given(clifford_elements(), clifford_elements(), clifford_elements())
 @settings(deadline=None)
 def test_algebra_is_associative(x, y, z):
@@ -236,6 +251,25 @@ def test_phi_round_trip():
     assert phi(v, ctx) == FockVector({frozenset({1, 3}): 1, frozenset({2}): -2})
     assert phi_inverse(phi(v, ctx), ctx) == v
     w = b(2, 4) + 3 * b()
+    assert phi(phi_inverse(w, ctx), ctx) == w
+
+
+@st.composite
+def rank_and_vectors(draw):
+    """A rank n in 2..8 with a shape vector and a wedge vector of several terms each."""
+    n = draw(st.integers(2, 8))
+    states = [(sign, rows) for sign in Sign for rows in enumerate_diagrams(n)]
+    coeffs = st.sampled_from((-2, -1, 1, 3, HALF, Fraction(-3, 2)))
+    spin = draw(st.dictionaries(st.sampled_from(states), coeffs, min_size=2, max_size=8))
+    fock = draw(st.dictionaries(st.frozensets(st.integers(1, n)), coeffs, min_size=2, max_size=8))
+    return RankContext(n), SpinVector(spin), FockVector(fock)
+
+
+@given(rank_and_vectors())
+@settings(deadline=None)
+def test_phi_inverse_inverts_phi_at_every_rank(case):
+    ctx, v, w = case
+    assert phi_inverse(phi(v, ctx), ctx) == v
     assert phi(phi_inverse(w, ctx), ctx) == w
 
 

@@ -21,6 +21,7 @@ from halfspin.diagram import (
     parse_diagram,
     format_fock_index,
     parse_fock_index,
+    parse_decimal,
 )
 
 
@@ -146,11 +147,11 @@ def test_endpoints_are_distinct(nd):
 
 
 def test_fock_index_examples():
-    assert fock_index((), Sign.PLUS, 4) == frozenset()
-    assert fock_index((), Sign.MINUS, 4) == frozenset({4})
-    assert fock_index((3, 1), Sign.PLUS, 4) == frozenset({1, 3})
-    assert fock_index((1,), Sign.PLUS, 4) == frozenset({3, 4})
-    assert fock_index((1,), Sign.MINUS, 4) == frozenset({3})
+    assert fock_index((Sign.PLUS, ()), 4) == frozenset()
+    assert fock_index((Sign.MINUS, ()), 4) == frozenset({4})
+    assert fock_index((Sign.PLUS, (3, 1)), 4) == frozenset({1, 3})
+    assert fock_index((Sign.PLUS, (1,)), 4) == frozenset({3, 4})
+    assert fock_index((Sign.MINUS, (1,)), 4) == frozenset({3})
 
 
 def test_fock_index_is_a_parity_split_bijection():
@@ -158,9 +159,9 @@ def test_fock_index_is_a_parity_split_bijection():
         images = {}
         for sign in SIGNS:
             for rows in enumerate_diagrams(n):
-                idx = fock_index(rows, sign, n)
+                idx = fock_index((sign, rows), n)
                 assert idx not in images
-                images[idx] = (rows, sign)
+                images[idx] = (sign, rows)
                 # plus states land on even subsets, minus on odd
                 assert len(idx) % 2 == (0 if sign is Sign.PLUS else 1)
         assert len(images) == 2**n
@@ -170,7 +171,7 @@ def test_fock_index_is_a_parity_split_bijection():
 @settings(deadline=None)
 def test_fock_index_round_trip(nd, sign):
     n, rows = nd
-    assert fock_index_inverse(fock_index(rows, sign, n), n) == (rows, sign)
+    assert fock_index_inverse(fock_index((sign, rows), n), n) == (sign, rows)
 
 
 def test_fock_index_inverse_validates():
@@ -218,8 +219,9 @@ def test_diagram_text_forms():
     assert parse_diagram(" 2 ") == (2,)
     with pytest.raises(ValueError):
         parse_diagram("3,3", 5)
-    with pytest.raises(ValueError):
-        parse_diagram("x")
+    for bad in ("x", "3,1_0", "+2", "-2"):
+        with pytest.raises(ValueError, match="cannot parse diagram"):
+            parse_diagram(bad)
 
 
 def test_fock_index_text_forms():
@@ -233,6 +235,16 @@ def test_fock_index_text_forms():
         parse_fock_index("{5}", 4)
     with pytest.raises(ValueError):
         parse_fock_index("1,3")
+    with pytest.raises(ValueError, match="cannot parse index set"):
+        parse_fock_index("{1,+2}")
+
+
+def test_numbers_in_text_are_ascii_decimal_digits():
+    assert parse_decimal(" 12 ") == 12
+    assert parse_decimal("007") == 7
+    for bad in ("", " ", "1_0", "+3", "-3", "\u0663", "1\u00b2", "1.0", "1 2", "0x1"):
+        with pytest.raises(ValueError):
+            parse_decimal(bad)
 
 
 @given(rank_and_diagram(), st.sampled_from(SIGNS))
@@ -240,5 +252,5 @@ def test_fock_index_text_forms():
 def test_text_round_trips(nd, sign):
     n, rows = nd
     assert parse_diagram(format_diagram(rows), n) == rows
-    idx = fock_index(rows, sign, n)
+    idx = fock_index((sign, rows), n)
     assert parse_fock_index(format_fock_index(idx), n) == idx

@@ -1,8 +1,9 @@
 """Exactness: no floating point in the package, and integral coefficients stored as ints.
 
-Also the package's unused-import and written-once lints, the two storage
-forms of ExactMatrix checked against a plain dict of entries, and the one
-combination base of the three vector types checked the same way.
+Also the package's unused-import, written-once and one-argument-state
+lints, the two storage forms of ExactMatrix checked against a plain dict of
+entries, and the one combination base of the three vector types checked the
+same way.
 """
 
 import ast
@@ -173,6 +174,49 @@ def test_the_lint_sees_each_arithmetic_copy():
         (9, "Vector.__eq__"),
         (10, "Vector.__hash__"),
         (15, "Inner.scale"),
+    ]
+
+
+# a basis state is one argument, (sign, rows); a bare shape is rows alone
+STATE_PARTS = ("sign", "rows", "shape")
+
+
+def split_states(tree):
+    """(line, name) for each function that takes a sign beside a rows or shape argument."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            if "sign" in names and names & {"rows", "shape"}:
+                found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_a_basis_state_is_one_argument(path):
+    found = split_states(ast.parse(path.read_text(), str(path)))
+    assert not found, "%s: %s" % (path.name, found)
+
+
+def test_the_lint_sees_each_split_state():
+    code = (
+        "def a_sets(rows, sign, ctx): pass\n"
+        "def closed(sign, rows, ctx): pass\n"
+        "def keyed(shape, *, sign=None): pass\n"
+        "class C:\n"
+        "    async def move(self, sign, /, rows): pass\n"
+        "f = lambda sign, shape: 0\n"
+        "def state_u(state, ctx): pass\n"
+        "def framing_vector(sign, ctx): pass\n"
+        "def endpoints(rows, n): pass\n"
+    )
+    assert split_states(ast.parse(code)) == [
+        (1, "a_sets"),
+        (2, "closed"),
+        (3, "keyed"),
+        (5, "move"),
+        (6, "<lambda>"),
     ]
 
 

@@ -159,7 +159,8 @@ def test_parse_operator_token():
     assert parse_operator_token("identity") == ("identity", None)
     assert parse_operator_token("id") == ("identity", None)
     assert parse_operator_token("create_2") == ("create", 2)
-    for bad in ("G_1", "F_", "F_x", "E4", ""):
+    # an index is ASCII decimal digits: no "_" separators, sign or other digits
+    for bad in ("G_1", "F_", "F_x", "E4", "", "F_1_0", "b_0_1", "F_+2", "F_-1", "a_\u0663"):
         with pytest.raises(ValueError):
             parse_operator_token(bad)
 

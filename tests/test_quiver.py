@@ -98,15 +98,15 @@ def test_string_interval_validation():
 
 def test_a_sets_examples():
     ctx = RankContext(4)
-    assert a_sets((3, 1), Sign.PLUS, ctx) == [
+    assert a_sets((Sign.PLUS, (3, 1)), ctx) == [
         StringInterval(1, 4),
         StringInterval(3, 3),
     ]
-    assert a_sets((1,), Sign.PLUS, ctx) == [StringInterval(4, 4)]
-    assert a_sets((1,), Sign.MINUS, ctx) == [StringInterval(3, 3)]
-    assert a_sets((), Sign.PLUS, ctx) == []
+    assert a_sets((Sign.PLUS, (1,)), ctx) == [StringInterval(4, 4)]
+    assert a_sets((Sign.MINUS, (1,)), ctx) == [StringInterval(3, 3)]
+    assert a_sets((Sign.PLUS, ()), ctx) == []
     # alternation: odd rows of the plus family end at n, even rows at n-1
-    strings = a_sets((3, 2, 1), Sign.PLUS, ctx)
+    strings = a_sets((Sign.PLUS, (3, 2, 1)), ctx)
     assert strings == [
         StringInterval(1, 4),
         StringInterval(2, 3),
@@ -138,8 +138,8 @@ N4_TABLE = {
 def test_dim_vector_and_u_table_n4():
     ctx = RankContext(4)
     for (sign, rows), (v, u) in N4_TABLE.items():
-        assert dim_vector(rows, sign, ctx) == v
-        assert state_u(rows, sign, ctx) == u
+        assert dim_vector((sign, rows), ctx) == v
+        assert state_u((sign, rows), ctx) == u
 
 
 def test_weight_u_direct():
@@ -164,7 +164,7 @@ def test_dim_vector_injective_per_family():
     for n in range(2, 7):
         ctx = RankContext(n)
         for sign in SIGNS:
-            vs = [dim_vector(rows, sign, ctx) for rows in enumerate_diagrams(n)]
+            vs = [dim_vector((sign, rows), ctx) for rows in enumerate_diagrams(n)]
             assert len(set(vs)) == len(vs)
 
 
@@ -174,7 +174,7 @@ def test_tip_entries_count_rows():
         ctx = RankContext(n)
         for sign in SIGNS:
             for rows in enumerate_diagrams(n):
-                v = dim_vector(rows, sign, ctx)
+                v = dim_vector((sign, rows), ctx)
                 assert v[n - 2] + v[n - 1] == len(rows)
 
 
@@ -187,7 +187,7 @@ def test_star_involution_swaps_families():
         c = RankContext(n)
         for sign in SIGNS:
             for rows in enumerate_diagrams(n):
-                assert star(dim_vector(rows, sign, c)) == dim_vector(rows, sign.flip(), c)
+                assert star(dim_vector((sign, rows), c)) == dim_vector((sign.flip(), rows), c)
 
 
 def test_a_sets_sum_matches_dim_vector():
@@ -197,9 +197,9 @@ def test_a_sets_sum_matches_dim_vector():
         for sign in SIGNS:
             for rows in enumerate_diagrams(n):
                 total = [0] * n
-                for s in a_sets(rows, sign, ctx):
+                for s in a_sets((sign, rows), ctx):
                     total = [a + b for a, b in zip(total, string_dim_vector(s, ctx))]
-                assert tuple(total) == dim_vector(rows, sign, ctx)
+                assert tuple(total) == dim_vector((sign, rows), ctx)
 
 
 def test_dim_vector_text_forms():
@@ -256,26 +256,26 @@ def test_dim_vector_memo_keeps_validation():
     ctx = RankContext(4)
     for sign in SIGNS:
         for rows in enumerate_diagrams(4):
-            dim_vector(rows, sign, ctx)
+            dim_vector((sign, rows), ctx)
     cached = dict(ctx._dim_vectors)
     assert len(cached) == 16
-    # a hit returns the stored vector, also for rows given as a list
-    assert dim_vector([3, 1], Sign.PLUS, ctx) is cached[(Sign.PLUS, (3, 1))]
+    # a hit returns the stored vector, also for an equal state built afresh
+    assert dim_vector((Sign.PLUS, tuple([3, 1])), ctx) is cached[(Sign.PLUS, (3, 1))]
     for bad in ((1, 2), (2, 2), (4,), (4, 1), (0,)):
         for _ in range(2):
             with pytest.raises(ValueError):
-                dim_vector(bad, Sign.PLUS, ctx)
+                dim_vector((Sign.PLUS, bad), ctx)
     assert ctx._dim_vectors == cached
 
 
 def test_dim_vector_memo_is_per_context():
     small, large = RankContext(4), RankContext(5)
-    assert dim_vector((1,), Sign.PLUS, small) == (0, 0, 0, 1)
-    assert dim_vector((1,), Sign.PLUS, large) == (0, 0, 0, 0, 1)
-    assert dim_vector((4,), Sign.MINUS, large) == (1, 1, 1, 1, 0)
+    assert dim_vector((Sign.PLUS, (1,)), small) == (0, 0, 0, 1)
+    assert dim_vector((Sign.PLUS, (1,)), large) == (0, 0, 0, 0, 1)
+    assert dim_vector((Sign.MINUS, (4,)), large) == (1, 1, 1, 1, 0)
     assert set(small._dim_vectors) == {(Sign.PLUS, (1,))}
     with pytest.raises(ValueError):
-        dim_vector((4,), Sign.MINUS, small)  # row 4 exceeds rank 4's bound
+        dim_vector((Sign.MINUS, (4,)), small)  # row 4 exceeds rank 4's bound
     assert RankContext(4)._dim_vectors == {}
 
 

@@ -121,15 +121,15 @@ def test_shift_sweep_agrees_with_the_per_k_search():
     for n in range(2, 10):
         ctx = RankContext(n)
         for sign, rows in all_states(n):
-            v = dim_vector(rows, sign, ctx)
+            v = dim_vector((sign, rows), ctx)
             edits = _single_box_edits(rows, n)
             for k in range(1, n + 1):
                 for direction in (+1, -1):
                     target = tuple(x + direction * (i == k - 1) for i, x in enumerate(v))
-                    matches = [e for e in edits if dim_vector(e, sign, ctx) == target]
+                    matches = [e for e in edits if dim_vector((sign, e), ctx) == target]
                     assert len(matches) <= 1
-                    want = matches[0] if matches else None
-                    assert _shift_state(sign, rows, k, direction, ctx) == want
+                    want = ((sign, matches[0]), 1) if matches else None
+                    assert _shift_state((sign, rows), k, direction, ctx) == want
 
 
 @pytest.mark.parametrize(
@@ -145,8 +145,9 @@ def test_shift_sweep_refuses_two_edits_with_one_delta(monkeypatch, apply, rows, 
     from halfspin import spinrep
     from halfspin.quiver import dim_vector
 
-    def colliding(r, sign, ctx):
-        return dim_vector(twin if tuple(r) == impostor else r, sign, ctx)
+    def colliding(state, ctx):
+        sign, r = state
+        return dim_vector((sign, twin if tuple(r) == impostor else r), ctx)
 
     monkeypatch.setattr(spinrep, "dim_vector", colliding)
     ctx = RankContext(4)
@@ -159,7 +160,7 @@ def test_h_scales_by_cartan_eigenvalue():
     for n in (2, 3, 4):
         ctx = RankContext(n)
         for sign, rows in all_states(n):
-            u = state_u(rows, sign, ctx)
+            u = state_u((sign, rows), ctx)
             x = state(sign, *rows)
             for k in range(1, n + 1):
                 assert apply_H(k, x, ctx) == x.scale(u[k - 1])
@@ -172,13 +173,13 @@ def test_ef_move_along_dimension_vectors():
     for n in (3, 4):
         ctx = RankContext(n)
         for sign, rows in all_states(n):
-            v = dim_vector(rows, sign, ctx)
+            v = dim_vector((sign, rows), ctx)
             for k in range(1, n + 1):
                 image = apply_F(k, state(sign, *rows), ctx)
                 for (sign2, rows2), coeff in image.terms.items():
                     assert sign2 is sign
                     assert coeff == 1
-                    assert dim_vector(rows2, sign2, ctx) == tuple(
+                    assert dim_vector((sign2, rows2), ctx) == tuple(
                         a + b for a, b in zip(v, unit_vector(k, ctx))
                     )
 
