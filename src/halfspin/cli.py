@@ -22,6 +22,7 @@ import sys
 from . import oracle
 from . import spinrep
 from . import clifford as cliff
+from .clifford import MAX_CLIFFORD_TERMS
 from .diagram import format_diagram, format_fock_index
 from .quiver import RankContext, format_dim_vector, state_u, dim_vector
 from .spinrep import (
@@ -48,10 +49,8 @@ MAX_VERIFY_RANK = 14
 MAX_BOXES = 17
 # --dinfty: the ambient rank; the identity table has O(n^2) rows
 MAX_AMBIENT_RANK = 32
-# clifford: the terms one product may generate (clifford.product_bound), and
-# terms times states for --apply; (a1 ... a12)(b1 ... b12) at the cap takes
-# about 0.15 s, and each doubling of the bound about doubles the time
-MAX_CLIFFORD_TERMS = 4096
+# clifford: MAX_CLIFFORD_TERMS, imported from clifford, bounds each product
+# of an expression there, and --apply's terms times states here
 
 
 def _check_cap(value, cap, name, what):
@@ -193,10 +192,6 @@ def _refuse_ignored(args):
             raise CliError("--%s cannot be combined with --%s" % (option, other))
 
 
-def _check_product(x, y):
-    _check_cap(cliff.product_bound(x, y), MAX_CLIFFORD_TERMS, "MAX_CLIFFORD_TERMS", "product bound")
-
-
 def _context(args, cap=MAX_RANK, name="MAX_RANK"):
     """The rank context of --n, refused when --n is absent, below 2 or above cap."""
     if args.n is None:
@@ -319,7 +314,7 @@ def cmd_weight(args, out):
 
 def cmd_clifford(args, out):
     ctx = _context(args)
-    element = _usage(cliff.parse_clifford_expression, args.expression, ctx, _check_product)
+    element = _usage(cliff.parse_clifford_expression, args.expression, ctx)
     doc = {"command": "clifford", "n": ctx.n, "element": cliff.format_clifford_element(element)}
     text = doc["element"]
     if args.apply is not None:

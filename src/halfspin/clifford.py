@@ -170,6 +170,13 @@ class CliffordElement(Combination):
         return "CliffordElement(%s)" % format_clifford_element(self)
 
 
+# The product bound beyond which parse_clifford_expression refuses a product:
+# (a1 ... a12)(b1 ... b12) at the cap takes about 0.15 s, and each doubling
+# of the bound about doubles the time.  It does not bound the length of a
+# word, whose normal ordering costs polynomially more with each generator.
+MAX_CLIFFORD_TERMS = 4096
+
+
 def product_bound(x: CliffordElement, y: CliffordElement) -> int:
     """A bound on the terms that normal-ordering x * y generates, in O(|x| + |y|).
 
@@ -292,13 +299,13 @@ def format_clifford_element(x: CliffordElement) -> str:
 _CLIFF_TOKEN = re.compile(r"\s*([ab][0-9]+|[0-9]+(?:/[0-9]+)?|[+\-*()])")
 
 
-def parse_clifford_expression(text: str, ctx=None, check_product=None) -> CliffordElement:
+def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
     """Parse sums and products of generator words, e.g. "a1*b1 + b1*a1".
 
     Juxtaposition multiplies ("b1 b3 a2"), so canonical output re-parses to
     an equal element.  Numbers are rational scalars; parentheses group.
-    check_product(x, y), when given, is called before each product x * y
-    and may raise to refuse it.
+    A product x * y whose product_bound exceeds MAX_CLIFFORD_TERMS raises
+    ValueError before it is multiplied.
     """
     tokens = tokenize(text.strip(), _CLIFF_TOKEN)
     state = {"pos": 0}
@@ -347,8 +354,9 @@ def parse_clifford_expression(text: str, ctx=None, check_product=None) -> Cliffo
             elif not is_atom_start(tok):
                 return result
             factor = parse_atom()
-            if check_product is not None:
-                check_product(result, factor)
+            bound = product_bound(result, factor)
+            if bound > MAX_CLIFFORD_TERMS:
+                raise ValueError("product bound %d exceeds MAX_CLIFFORD_TERMS = %d" % (bound, MAX_CLIFFORD_TERMS))
             result = result * factor
 
     def parse_expr():

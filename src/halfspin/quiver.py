@@ -147,9 +147,14 @@ def dim_vector(state, ctx: RankContext) -> tuple:
     """Sum of the string dimension vectors over the rows of a basis state.
 
     Memoized on ctx by the state itself: only validated shapes are stored,
-    so invalid rows raise on every call.
+    so invalid rows raise on every call.  Rows given as a list are keyed
+    by their tuple.
     """
-    v = ctx._dim_vectors.get(state)
+    try:
+        v = ctx._dim_vectors.get(state)
+    except TypeError:  # unhashable list rows
+        state = (state[0], tuple(state[1]))
+        v = ctx._dim_vectors.get(state)
     if v is None:
         total = (0,) * ctx.n
         for s in a_sets(state, ctx):
@@ -183,7 +188,11 @@ def weight_u(v, w, ctx: RankContext) -> tuple:
 
 def state_u(state, ctx: RankContext) -> tuple:
     """u = w - Cv of a basis state, memoized on ctx like its dimension vector."""
-    u = ctx._u.get(state)
+    try:
+        u = ctx._u.get(state)
+    except TypeError:  # unhashable list rows
+        state = (state[0], tuple(state[1]))
+        u = ctx._u.get(state)
     if u is None:
         u = ctx._u[state] = weight_u(dim_vector(state, ctx), framing_vector(state[0], ctx), ctx)
     return u

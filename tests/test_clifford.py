@@ -24,6 +24,7 @@ from halfspin.clifford import (
     format_clifford_element,
     parse_clifford_expression,
     product_bound,
+    MAX_CLIFFORD_TERMS,
 )
 
 
@@ -172,6 +173,15 @@ def test_product_bound_is_reached_by_full_contraction():
     assert product_bound(x, y) == len((x * y).terms) == 8
     assert product_bound(y, x) == 1 and len((y * x).terms) == 1
     assert product_bound(x + y + CliffordElement.identity(), y) == 3 * 1 * 8
+
+
+def test_parser_refuses_a_product_beyond_the_cap():
+    # (a1 ... ak)(b1 ... bk) generates 2^k terms; one generator more than
+    # the largest admitted k is refused before it is multiplied
+    k = MAX_CLIFFORD_TERMS.bit_length()
+    a_k, b_k = (" ".join("%s%d" % (g, i) for i in range(1, k + 1)) for g in "ab")
+    with pytest.raises(ValueError, match="product bound %d exceeds MAX_CLIFFORD_TERMS" % 2**k):
+        parse_clifford_expression("(%s)(%s)" % (a_k, b_k))
 
 
 @given(clifford_elements(), clifford_elements(), clifford_elements())

@@ -259,13 +259,17 @@ def test_dim_vector_memo_keeps_validation():
             dim_vector((sign, rows), ctx)
     cached = dict(ctx._dim_vectors)
     assert len(cached) == 16
-    # a hit returns the stored vector, also for an equal state built afresh
-    assert dim_vector((Sign.PLUS, tuple([3, 1])), ctx) is cached[(Sign.PLUS, (3, 1))]
+    # a hit returns the stored vector, also for rows given as a list
+    assert dim_vector((Sign.PLUS, [3, 1]), ctx) is cached[(Sign.PLUS, (3, 1))]
+    assert state_u((Sign.PLUS, [3, 1]), ctx) is state_u((Sign.PLUS, (3, 1)), ctx)
     for bad in ((1, 2), (2, 2), (4,), (4, 1), (0,)):
-        for _ in range(2):
+        for rows in (bad, list(bad)):
             with pytest.raises(ValueError):
-                dim_vector((Sign.PLUS, bad), ctx)
+                dim_vector((Sign.PLUS, rows), ctx)
+            with pytest.raises(ValueError):
+                state_u((Sign.PLUS, rows), ctx)
     assert ctx._dim_vectors == cached
+    assert set(ctx._u) == {(Sign.PLUS, (3, 1))}
 
 
 def test_dim_vector_memo_is_per_context():
