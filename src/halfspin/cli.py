@@ -23,7 +23,7 @@ from . import oracle
 from . import spinrep
 from . import clifford as cliff
 from .clifford import MAX_CLIFFORD_TERMS
-from .diagram import format_diagram, format_fock_index
+from .diagram import format_diagram, format_fock_index, parse_decimal
 from .quiver import RankContext, format_dim_vector, state_u, dim_vector
 from .spinrep import (
     format_spin_vector,
@@ -192,6 +192,13 @@ def _refuse_ignored(args):
             raise CliError("--%s cannot be combined with --%s" % (option, other))
 
 
+def _integer(text):
+    """The integer that text writes in ASCII decimal digits (diagram.parse_decimal),
+    after an optional "-" that the range checks then refuse; ValueError otherwise."""
+    text = text.strip()
+    return -parse_decimal(text[1:]) if text.startswith("-") else parse_decimal(text)
+
+
 def _context(args, cap=MAX_RANK, name="MAX_RANK"):
     """The rank context of --n, refused when --n is absent, below 2 or above cap."""
     if args.n is None:
@@ -207,8 +214,8 @@ def _parse_rank_range(text, cap, name):
     text = text.strip()
     lo, sep, hi = text.partition("..")
     try:
-        lo = int(lo)
-        hi = int(hi) if sep else lo
+        lo = _integer(lo)
+        hi = _integer(hi) if sep else lo
     except ValueError:
         raise CliError("cannot parse rank range %r" % text) from None
     if lo > hi or lo < 2:
@@ -435,32 +442,31 @@ def build_parser():
     p = sub.add_parser("enumerate", help="list all basis states with their invariants")
     p.add_argument(
         "--n",
-        type=int,
         default=None,
         help="rank, 2..%d (MAX_BASIS_RANK); with --dinfty the ambient rank, at most %d (MAX_AMBIENT_RANK)"
         % (MAX_BASIS_RANK, MAX_AMBIENT_RANK),
     )
     p.add_argument("--dinfty", action="store_true", help="rank-free mode: cap total boxes instead")
-    p.add_argument("--max-boxes", type=int, default=None, help="box cap for --dinfty, at most %d (MAX_BOXES)" % MAX_BOXES)
+    p.add_argument("--max-boxes", default=None, help="box cap for --dinfty, at most %d (MAX_BOXES)" % MAX_BOXES)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("act", help="apply an operator word to a shape vector")
-    p.add_argument("--n", type=int, default=None, help=rank_help)
+    p.add_argument("--n", default=None, help=rank_help)
     p.add_argument("--json", action="store_true")
     p.add_argument("word", help="e.g. \"F_2 F_4\" or \"kappa a_1\"; rightmost acts first")
     p.add_argument("vector", help="e.g. \"(plus,-)\" or \"(plus,3,1) - 2 * (minus,2)\"")
     p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("weight", help="weight data of one basis state")
-    p.add_argument("--n", type=int, default=None, help=rank_help)
+    p.add_argument("--n", default=None, help=rank_help)
     p.add_argument("--json", action="store_true")
     p.add_argument("state", help="e.g. \"(plus,3,1)\"")
     p.set_defaults(func=cmd_weight)
 
     p = sub.add_parser("clifford", help="normal-order an algebra expression")
-    p.add_argument("--n", type=int, default=None, help=rank_help)
+    p.add_argument("--n", default=None, help=rank_help)
     p.add_argument("--apply", default=None, metavar="VEC", help="apply the element to a wedge vector, e.g. \"{1,3}\"")
     p.add_argument("--json", action="store_true")
     p.add_argument(
@@ -481,14 +487,12 @@ def build_parser():
     p.add_argument("--suite", action="append", default=None, help="suite name(s), comma separated; repeatable")
     p.add_argument("--all", action="store_true", help="run every suite")
     p.add_argument("--dinfty", action="store_true", help="box-capped rank-free re-run")
-    p.add_argument(
-        "--max-boxes", type=int, default=None, help="box cap for --dinfty (default 6), at most %d (MAX_BOXES)" % MAX_BOXES
-    )
+    p.add_argument("--max-boxes", default=None, help="box cap for --dinfty (default 6), at most %d (MAX_BOXES)" % MAX_BOXES)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-matrix", help="export an operator matrix as sparse triplets")
-    p.add_argument("--n", type=int, default=None, help="rank, 2..%d (MAX_BASIS_RANK)" % MAX_BASIS_RANK)
+    p.add_argument("--n", default=None, help="rank, 2..%d (MAX_BASIS_RANK)" % MAX_BASIS_RANK)
     p.add_argument("--basis", choices=("spin", "fock"), default="spin")
     p.add_argument("--out", dest="out_path", default=None, help="write to a file instead of stdout")
     p.add_argument("--json", action="store_true")
@@ -506,6 +510,13 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     try:
         _refuse_ignored(args)
+        for dest in ("n", "max_boxes"):  # verify's --n, a range, is read by _parse_rank_range
+            text = getattr(args, dest, None)
+            if text is not None:
+                try:
+                    setattr(args, dest, _integer(text))
+                except ValueError:
+                    raise CliError("--%s takes a decimal integer, got %r" % (dest.replace("_", "-"), text)) from None
         return args.func(args, out)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -8,9 +8,10 @@ and CliffordElement take their arithmetic from `spinrep.Combination`.
 
 CliffordElement is the full 4**n-dimensional algebra in normal-ordered
 form: words with all creators left of all annihilators, each block in
-ascending index order.  Multiplication rewrites concatenated words with
-the relations a_i b_j = delta_ij - b_j a_i, a_i a_j = -a_j a_i,
-b_i b_j = -b_j b_i, a_i a_i = b_i b_i = 0.
+ascending index order.  The product is Wick's theorem for the relations
+a_i b_j = delta_ij - b_j a_i, a_i a_j = -a_j a_i, b_i b_j = -b_j b_i,
+a_i a_i = b_i b_i = 0: of (b_S1 a_T1)(b_S2 a_T2) one contraction pass
+rewrites a_T1 b_S2, and two signed merges join the blocks to its terms.
 
 phi / phi_inverse translate between this model and the shape model of
 `spinrep` by the subset bookkeeping of `diagram.fock_index`.
@@ -19,6 +20,7 @@ phi / phi_inverse translate between this model and the shape model of
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 from .diagram import (
@@ -76,40 +78,28 @@ def annihilate(k: int, vec: FockVector, ctx: RankContext) -> FockVector:
 # the algebra
 
 
-def _first_disorder(word):
-    for i in range(len(word) - 1):
-        (t1, i1), (t2, i2) = word[i], word[i + 1]
-        if t1 == "a" and t2 == "b":
-            return i
-        if t1 == t2 and i1 >= i2:
-            return i
-    return None
+def _merge(left, right):
+    """(sign, sorted left + right) for two ascending blocks, the sign that of
+    the sort; None when they share an index, as b_i b_i = a_i a_i = 0."""
+    if not set(left).isdisjoint(right):
+        return None
+    return (-1) ** sum(len(left) - bisect_left(left, i) for i in right), tuple(sorted(left + right))
 
 
-def _normal_order_word(word):
-    """Rewrite a letter list to normal order; returns {(S, T): coeff}."""
-    out = {}
-    stack = [(1, list(word))]
-    while stack:
-        coeff, w = stack.pop()
-        i = _first_disorder(w)
-        if i is None:
-            key = (
-                tuple(idx for t, idx in w if t == "b"),
-                tuple(idx for t, idx in w if t == "a"),
-            )
-            out[key] = out.get(key, 0) + coeff
-            continue
-        (t1, i1), (t2, i2) = w[i], w[i + 1]
-        if t1 == "a" and t2 == "b":
-            if i1 == i2:
-                stack.append((coeff, w[:i] + w[i + 2:]))
-            stack.append((-coeff, w[:i] + [w[i + 1], w[i]] + w[i + 2:]))
-        elif i1 == i2:
-            continue  # isotropic generator squares to zero
-        else:
-            stack.append((-coeff, w[:i] + [w[i + 1], w[i]] + w[i + 2:]))
-    return {k: v for k, v in out.items() if v != 0}
+def _contract(annihilators, creators):
+    """a_T b_S in normal order, as terms (sign, creators left, annihilators passed):
+    each a_t, rightmost first, passes all creators left, sign (-1)**their number,
+    and when b_t is the r-th of them (from 0) also contracts with it, sign (-1)**r."""
+    terms = [(1, creators, ())]
+    for t in reversed(annihilators):
+        out = []
+        for sign, s, passed in terms:
+            out.append(((-1) ** len(s) * sign, s, (t,) + passed))
+            if t in s:
+                r = s.index(t)
+                out.append(((-1) ** r * sign, s[:r] + s[r + 1:], passed))
+        terms = out
+    return terms
 
 
 class CliffordElement(Combination):
@@ -155,15 +145,11 @@ class CliffordElement(Combination):
         out = {}
         for (s1, t1), c1 in self.terms.items():
             for (s2, t2), c2 in other.terms.items():
-                word = (
-                    [("b", i) for i in s1]
-                    + [("a", i) for i in t1]
-                    + [("b", i) for i in s2]
-                    + [("a", i) for i in t2]
-                )
-                for key, c in _normal_order_word(word).items():
-                    out[key] = out.get(key, 0) + c1 * c2 * c
-        # normal ordering yields valid monomials only
+                for sign, s, t in _contract(t1, s2):
+                    left, right = _merge(s1, s), _merge(t, t2)
+                    if left and right:
+                        key = (left[1], right[1])
+                        out[key] = out.get(key, 0) + sign * left[0] * right[0] * c1 * c2
         return self._make({key: exact(c) for key, c in out.items() if c})
 
     def __repr__(self):
@@ -171,9 +157,9 @@ class CliffordElement(Combination):
 
 
 # The product bound beyond which parse_clifford_expression refuses a product:
-# (a1 ... a12)(b1 ... b12) at the cap takes about 0.15 s, and each doubling
-# of the bound about doubles the time.  It does not bound the length of a
-# word, whose normal ordering costs polynomially more with each generator.
+# (a1 ... a12)(b1 ... b12) at the cap takes about 0.03 s, and each doubling
+# of the bound a little more than doubles the time.  It does not bound the
+# length of a word: each generator costs a copy of the monomial built so far.
 MAX_CLIFFORD_TERMS = 4096
 
 
@@ -260,6 +246,8 @@ def phi(vec: SpinVector, ctx: RankContext) -> FockVector:
 
 
 def phi_inverse(vec: FockVector, ctx: RankContext) -> SpinVector:
+    """The inverse of phi.  Public API, re-exported by `halfspin`, with no
+    caller in the package; the tests check it inverts phi at ranks 2..8."""
     return SpinVector({fock_index_inverse(idx, ctx.n): coeff for idx, coeff in vec.terms.items()})
 
 

@@ -113,9 +113,6 @@ class ExactMatrix:
         row, v = self._map.get(j, (None, 0))
         return v if row == i else 0
 
-    def is_zero(self):
-        return not (self._map or self._general)
-
     @property
     def nnz(self):
         return len(self._general if self._map is None else self._map)

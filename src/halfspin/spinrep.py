@@ -120,9 +120,6 @@ class Combination:
         comb.terms = terms
         return comb
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

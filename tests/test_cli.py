@@ -409,8 +409,8 @@ WEDGE_65 = ["{%d}" % i for i in range(1, 41)] + ["{1,%d}" % i for i in range(2, 
         (("act", "--n", "10000001", "F_1", "(plus,-)"), cli.MAX_RANK),
         (("clifford", "--n", "10000001", "b1"), cli.MAX_RANK),
         (("verify", "--n", str(cli.MAX_VERIFY_RANK + 1), "--all"), cli.MAX_VERIFY_RANK),
-        # uncapped, the first prints 2^14 terms and the third takes 10 s; each
-        # further factor or generator pair multiplies the work by 4-5
+        # uncapped, the first two make 2^14 terms each and the third takes
+        # about 4 s
         (("clifford", "--n", "40", ONE_PLUS_B_14), cli.MAX_CLIFFORD_TERMS),
         (("clifford", "--n", "40", A_14_B_14), cli.MAX_CLIFFORD_TERMS),
         (("clifford", "--n", "40", "(%s)*(%s)" % (F_6, F_6)), cli.MAX_CLIFFORD_TERMS),
@@ -430,6 +430,30 @@ def test_size_caps_refuse_with_exit_2(argv, cap, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "= %d" % cap in err and "MAX_" in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("verify", "--n", "1_5", "--all"), "cannot parse rank range '1_5'"),
+        (("verify", "--n", "2..1_5"), "cannot parse rank range '2..1_5'"),
+        (("verify", "--dinfty", "--n", "\u0664"), "cannot parse rank range '\u0664'"),
+        (("weight", "--n", "\u0664", "(plus,-)"), "--n takes a decimal integer, got '\u0664'"),
+        (("weight", "--n", "+1_2", "(plus,-)"), "--n takes a decimal integer, got '+1_2'"),
+        (("act", "--n", "+4", "F_1", "(plus,-)"), "--n takes a decimal integer, got '+4'"),
+        (("clifford", "--n", "1e2", "b1"), "--n takes a decimal integer, got '1e2'"),
+        (("enumerate", "--n", "3.0"), "--n takes a decimal integer, got '3.0'"),
+        (("export-matrix", "--n", "0x3", "F_1"), "--n takes a decimal integer, got '0x3'"),
+        (("enumerate", "--dinfty", "--max-boxes", "\u0663"), "--max-boxes takes a decimal integer, got '\u0663'"),
+        (("verify", "--dinfty", "--max-boxes", "1_0"), "--max-boxes takes a decimal integer, got '1_0'"),
+        (("act", "--n", "-3", "F_1", "(plus,-)"), "rank must be at least 2, got -3"),
+        (("verify", "--n", "-1"), "ranks must be at least 2, got '-1'"),
+    ],
+)
+def test_integer_options_take_ascii_decimal_digits_only(argv, err, capsys):
+    # int() would read these as 15, 4, 12, ...; every integer of an argv is
+    # read by diagram.parse_decimal, a leading "-" left to the range checks
+    assert refusal(capsys, *argv) == "error: %s\n" % err
 
 
 def test_size_caps_admit_their_limits():
