@@ -27,7 +27,8 @@ The suites of one `run_suites` call share one `RankTables` per rank: one
 rank context, one shape and one wedge basis with their one-state vectors,
 one `phi` matrix, the Cartan-route weights and one table of operator
 matrices, each built on first use and dropped before the next rank
-starts.  A suite called on its own builds its own.
+starts.  A suite maps one `RankTables` to its entries, and `run_suites`
+alone builds the tables, times each suite and files its report.
 
 Reports are plain dicts, deterministic for a given (suite, rank), with
 entry statuses pass / fail / xfail / xpass / skip.  An xfail entry is a
@@ -238,7 +239,7 @@ class IndexedBasis:
     no operator changes them.
     """
 
-    def __init__(self, states, label=str):
+    def __init__(self, states, label):
         self.states = list(states)
         self.index = {s: i for i, s in enumerate(self.states)}
         if len(self.index) != len(self.states):
@@ -247,9 +248,6 @@ class IndexedBasis:
 
     def __len__(self):
         return len(self.states)
-
-    def position(self, state):
-        return self.index[state]
 
     @cached_property
     def vectors(self) -> list:
@@ -352,9 +350,10 @@ def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatr
 class RankTables:
     """What the bounded suites of one rank read, each part built on first use.
 
-    `matrix` tabulates an operator token once and hands the same matrix to
-    every later caller; "0", "1" and "phi" name the zero and identity maps
-    of the shape space and the dictionary's matrix.
+    `run_suites` builds one per rank for all its suites.  `matrix`
+    tabulates an operator token once and hands the same matrix to every
+    later caller; "0", "1" and "phi" name the zero and identity maps of
+    the shape space and the dictionary's matrix.
     """
 
     def __init__(self, n: int):
@@ -395,15 +394,6 @@ class RankTables:
                 m = operator_matrix(token, basis, self.ctx)
             self._matrices[token] = m
         return m
-
-
-def _rank_tables(n, tables):
-    """The shared tables of rank n, or fresh ones when the suite runs alone."""
-    if tables is None:
-        return RankTables(n)
-    if tables.ctx.n != n:
-        raise ValueError("tables of rank %d handed to a rank-%d suite" % (tables.ctx.n, n))
-    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -673,31 +663,23 @@ def _image(side, state, images):
 # suites
 
 
-def _bounded_suite(suite, n, tables):
-    t0 = time.perf_counter()
-    tables = _rank_tables(n, tables)
-    return _finalize(suite, n, _table_entries(suite, tables, tables.sbasis), t0)
-
-
-def check_chevalley(n: int, tables=None):
+def check_chevalley(tables: RankTables) -> list:
     """[E_i,F_j] = delta_ij H_i and the H brackets, as exact matrices."""
-    return _bounded_suite("chevalley", n, tables)
+    return _table_entries("chevalley", tables, tables.sbasis)
 
 
-def check_serre(n: int, tables=None):
+def check_serre(tables: RankTables) -> list:
     """Degree bounds on the raising/lowering operators between vertices."""
-    return _bounded_suite("serre", n, tables)
+    return _table_entries("serre", tables, tables.sbasis)
 
 
-def check_clifford(n: int, tables=None):
+def check_clifford(tables: RankTables) -> list:
     """Anticommutation of the row ladder operators on the shape basis."""
-    return _bounded_suite("clifford", n, tables)
+    return _table_entries("clifford", tables, tables.sbasis)
 
 
-def check_intertwiner(n: int, tables=None):
+def check_intertwiner(tables: RankTables) -> list:
     """The basis dictionary carries each ladder operator to its wedge twin."""
-    t0 = time.perf_counter()
-    tables = _rank_tables(n, tables)
     P = tables.phi
     size = len(tables.sbasis)
     cells = P.entries
@@ -709,13 +691,12 @@ def check_intertwiner(n: int, tables=None):
     )
     label = "phi is a basis bijection (all coefficients 1)"
     entries = [_entry(label, ok_bijection, "phi matrix nnz=%d" % P.nnz)]
-    entries += _table_entries("intertwiner", tables, tables.fbasis)
-    return _finalize("intertwiner", n, entries, t0)
+    return entries + _table_entries("intertwiner", tables, tables.fbasis)
 
 
-def check_factorization(n: int, tables=None):
+def check_factorization(tables: RankTables) -> list:
     """Chevalley operators factor through quadratic ladder words."""
-    return _bounded_suite("factorization", n, tables)
+    return _table_entries("factorization", tables, tables.sbasis)
 
 
 def _f_closure(start, down):
@@ -730,16 +711,15 @@ def _f_closure(start, down):
     return seen
 
 
-def check_module_structure(n: int, tables=None):
+def check_module_structure(tables: RankTables) -> list:
     """Generation, block decomposition, multiplicities and wedge parity.
 
     The lowering closure follows the rank's F_k tables; the blocks and
     their parities are read from its shape basis, and the weights are the
     Cartan-route weights that the weights suite compares with.
     """
-    t0 = time.perf_counter()
-    tables = _rank_tables(n, tables)
     ctx, basis = tables.ctx, tables.sbasis
+    n = ctx.n
     signs = (Sign.PLUS, Sign.MINUS)
     entries = []
     half_dim = 2 ** (n - 1)
@@ -750,7 +730,7 @@ def check_module_structure(n: int, tables=None):
     expected = {sign: {s for s in basis.states if s[0] is sign} for sign in signs}
     blocks = {}
     for sign in signs:
-        reachable = _f_closure(basis.position((sign, ())), down)
+        reachable = _f_closure(basis.index[sign, ()], down)
         blocks[sign] = {basis.states[i] for i in reachable}
         label = "lowering closure from (%s,-) spans %d states" % (sign, half_dim)
         entries.append(_entry(label, len(reachable) == half_dim, "got %d states" % len(reachable)))
@@ -774,7 +754,7 @@ def check_module_structure(n: int, tables=None):
     label = "rank-parity variant: even wedge part is the %s block" % variant_expected
     witness = "even wedge part is the %s block for every rank" % even_block_sign
     entries.append(_entry(label, even_block_sign == variant_expected, witness, expected_fail=n % 2 == 1))
-    return _finalize("module", n, entries, t0)
+    return entries
 
 
 def _wedge_weight(state, ctx: RankContext) -> tuple:
@@ -795,10 +775,8 @@ def weight_routes() -> list:
     ]
 
 
-def check_weight_consistency(n: int, tables=None):
+def check_weight_consistency(tables: RankTables) -> list:
     """All weight routes agree on every basis state; the near-miss variant is pinned."""
-    t0 = time.perf_counter()
-    tables = _rank_tables(n, tables)
     ctx, basis = tables.ctx, tables.sbasis
     entries = []
     routes = weight_routes()
@@ -819,10 +797,10 @@ def check_weight_consistency(n: int, tables=None):
     deviates = all(variant(state, ctx) != want for state, want in zip(basis.states, wants) if state[1])
     label = "halved-row-sum variant deviates on every non-empty shape"
     entries.append(_entry(label, deviates, "variant coincides somewhere"))
-    if n == 4:
+    if ctx.n == 4:
         pinned = (Sign.PLUS, (2,))
         got = variant(pinned, ctx)
-        want = wants[basis.position(pinned)]
+        want = wants[basis.index[pinned]]
         entries.append(
             _entry(
                 "halved-row-sum variant matches at (plus,2)",
@@ -832,20 +810,18 @@ def check_weight_consistency(n: int, tables=None):
                 expected_fail=True,
             )
         )
-    return _finalize("weights", n, entries, t0)
+    return entries
 
 
 def _format_eps(eps):
     return "(%s)" % ",".join(str(c) for c in eps)
 
 
-def check_faithfulness(n: int, tables=None):
+def check_faithfulness(tables: RankTables) -> list:
     """The 4^n normal-ordered monomials act independently on the wedge space."""
-    t0 = time.perf_counter()
+    n = tables.ctx.n
     if n > 4:
-        skip = _skip_entry("monomial actions have rank 4^%d" % n, "desk-scale check runs for rank at most 4")
-        return _finalize("faithfulness", n, [skip], t0)
-    tables = _rank_tables(n, tables)
+        return [_skip_entry("monomial actions have rank 4^%d" % n, "desk-scale check runs for rank at most 4")]
     ctx, fbasis = tables.ctx, tables.fbasis
     size = len(fbasis)
     flat = {}
@@ -856,13 +832,12 @@ def check_faithfulness(n: int, tables=None):
             for j, vec in enumerate(fbasis.vectors):
                 image = cliff.act(x, vec, ctx)
                 for target, coeff in image.terms.items():
-                    flat[(count, fbasis.position(target) * size + j)] = coeff
+                    flat[(count, fbasis.index[target] * size + j)] = coeff
             count += 1
     matrix = ExactMatrix(count, size * size, flat)
     rank = matrix.rank()
     label = "the %d monomial action matrices are linearly independent" % count
-    entry = _entry(label, rank == 4**n, "rank %d, expected %d" % (rank, 4**n))
-    return _finalize("faithfulness", n, [entry], t0)
+    return [_entry(label, rank == 4**n, "rank %d, expected %d" % (rank, 4**n))]
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +865,7 @@ def _pointwise_witness(identity, state, got, want):
     return "%s at state %s: got %s, expected %s" % (identity, format_basis_state(state), got, want)
 
 
-def check_dinfty(max_boxes: int = 6, n: int = 12):
+def check_dinfty(max_boxes: int, n: int):
     """Re-run the operator identities on all shapes with at most max_boxes boxes.
 
     The operators never need the full rank-n state space, so the identities
@@ -960,7 +935,8 @@ def run_suites(names, ranks):
     """Run the named suites over the ranks; reports sorted by suite then rank.
 
     The ranks run one at a time, and the suites of a rank share its
-    `RankTables`, which is dropped before the next rank is built.
+    `RankTables`, which is dropped before the next rank is built.  Each
+    suite is timed here and its entries filed as its report.
     """
     for name in names:
         if name not in SUITES:
@@ -969,7 +945,8 @@ def run_suites(names, ranks):
     for n in ranks:
         tables = RankTables(n)
         for name in sorted(set(names)):
-            reports.append(SUITES[name](n, tables))
+            t0 = time.perf_counter()
+            reports.append(_finalize(name, n, SUITES[name](tables), t0))
     reports.sort(key=lambda r: (r["suite"], r["n"]))
     return reports
 

@@ -40,7 +40,7 @@ def test_criterion_2_lie_algebra_structure():
     t0 = time.perf_counter()
     for n in range(2, 7):
         for suite in ("chevalley", "serre"):
-            report = oracle.SUITES[suite](n)
+            report = oracle.run_suites([suite], [n])[0]
             _report_passes(report)
             assert all(e["status"] == "pass" for e in report["checks"])
     elapsed = time.perf_counter() - t0
@@ -51,7 +51,7 @@ def test_criterion_2_lie_algebra_structure():
 def test_criterion_3_clifford_structure():
     t0 = time.perf_counter()
     for n in range(2, 7):
-        report = oracle.check_clifford(n)
+        report = oracle.run_suites(["clifford"], [n])[0]
         _report_passes(report)
         assert all(e["status"] == "pass" for e in report["checks"])
     elapsed = time.perf_counter() - t0
@@ -63,7 +63,7 @@ def test_criterion_4_model_equivalence():
     t0 = time.perf_counter()
     for n in range(2, 7):
         for suite in ("intertwiner", "factorization"):
-            report = oracle.SUITES[suite](n)
+            report = oracle.run_suites([suite], [n])[0]
             _report_passes(report)
             assert all(e["status"] == "pass" for e in report["checks"])
     elapsed = time.perf_counter() - t0
@@ -74,7 +74,7 @@ def test_criterion_4_model_equivalence():
 def test_criterion_5_weight_consistency():
     t0 = time.perf_counter()
     for n in range(2, 9):
-        report = oracle.check_weight_consistency(n)
+        report = oracle.run_suites(["weights"], [n])[0]
         _report_passes(report)
         route_entries = [e for e in report["checks"] if "agrees with" in e["identity"]]
         assert len(route_entries) == 3
@@ -92,7 +92,7 @@ def test_criterion_5_weight_consistency():
         Fraction(1, 2),
         Fraction(-1, 2),
     )
-    report4 = oracle.check_weight_consistency(4)
+    report4 = oracle.run_suites(["weights"], [4])[0]
     pinned = [e for e in report4["checks"] if e["status"] == "xfail"]
     assert len(pinned) == 1 and "(plus,2)" in pinned[0]["identity"]
     elapsed = time.perf_counter() - t0
@@ -103,7 +103,7 @@ def test_criterion_5_weight_consistency():
 def test_criterion_6_module_structure():
     t0 = time.perf_counter()
     for n in range(2, 7):
-        report = oracle.check_module_structure(n)
+        report = oracle.run_suites(["module"], [n])[0]
         _report_passes(report)
         by_id = {e["identity"]: e for e in report["checks"]}
         for sign in ("plus", "minus"):
@@ -139,7 +139,7 @@ def test_criterion_6_module_structure():
 def test_criterion_7_algebra_faithfulness():
     t0 = time.perf_counter()
     for n in range(2, 5):
-        report = oracle.check_faithfulness(n)
+        report = oracle.run_suites(["faithfulness"], [n])[0]
         _report_passes(report)
         assert report["counts"]["skip"] == 0
         entry = report["checks"][0]

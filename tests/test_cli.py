@@ -346,15 +346,8 @@ def test_export_matrix_usage_errors(capsys):
 def test_verify_failure_exit_code_via_stub(monkeypatch):
     # exit code 1 is reserved for a failing verification; force one through
     # a stub suite so the real suites stay honest
-    def failing_suite(n, tables=None):
-        return {
-            "suite": "stub",
-            "n": n,
-            "status": "fail",
-            "counts": {"pass": 0, "fail": 1, "xfail": 0, "xpass": 0, "skip": 0},
-            "checks": [{"identity": "stub identity", "status": "fail", "witness": "stub witness"}],
-            "duration": 0.0,
-        }
+    def failing_suite(tables):
+        return [{"identity": "stub identity", "status": "fail", "witness": "stub witness"}]
 
     monkeypatch.setitem(cli.oracle.SUITES, "stub", failing_suite)
     rc, text = run("verify", "--n", "2", "--suite", "stub")
@@ -488,6 +481,14 @@ def test_readme_caps_table_matches_the_constants():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = {name: int(value) for name, value in re.findall(r"^\| `(MAX_[A-Z_]+)` \| (\d+) \|", readme, re.M)}
     assert table == {name: getattr(cli, name) for name in dir(cli) if name.startswith("MAX_")}
+
+
+def test_readme_suite_table_matches_the_suites():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| suite | checks |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"^\| `([a-z_]+)` \|", table, re.M)
+    assert len(names) == len(table.splitlines())
+    assert sorted(names) == list(oracle.SUITE_NAMES)
 
 
 def test_readme_operator_tokens_match_the_operator_table():

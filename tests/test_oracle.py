@@ -21,7 +21,6 @@ from halfspin.oracle import (
     operator_matrix,
     run_suites,
     all_pass,
-    SUITES,
     SUITE_NAMES,
 )
 
@@ -107,12 +106,12 @@ def test_commutators():
 
 
 def test_indexed_basis():
-    basis = IndexedBasis(["x", "y"])
+    basis = IndexedBasis(["x", "y"], str)
     assert len(basis) == 2
-    assert basis.position("y") == 1
+    assert basis.index["y"] == 1
     assert basis.states == ["x", "y"]
     with pytest.raises(ValueError):
-        IndexedBasis(["x", "x"])
+        IndexedBasis(["x", "x"], str)
 
 
 def test_spin_basis_order():
@@ -275,7 +274,7 @@ REPORT_KEYS = {"suite", "n", "status", "counts", "checks", "duration"}
 def test_all_suites_pass_at_small_ranks():
     for n in (2, 3, 4):
         for name in SUITE_NAMES:
-            report = SUITES[name](n)
+            report = run_suites([name], [n])[0]
             assert set(report) >= REPORT_KEYS
             assert report["suite"] == name
             assert report["n"] == n
@@ -290,23 +289,23 @@ def test_all_suites_pass_at_small_ranks():
 
 
 def test_suite_entry_counts_n4():
-    assert len(SUITES["chevalley"](4)["checks"]) == 54
-    assert len(SUITES["serre"](4)["checks"]) == 24
-    assert len(SUITES["clifford"](4)["checks"]) == 36
-    assert len(SUITES["intertwiner"](4)["checks"]) == 9
-    assert len(SUITES["factorization"](4)["checks"]) == 8
-    assert len(SUITES["module"](4)["checks"]) == 8
-    assert len(SUITES["weights"](4)["checks"]) == 5
+    assert len(run_suites(["chevalley"], [4])[0]["checks"]) == 54
+    assert len(run_suites(["serre"], [4])[0]["checks"]) == 24
+    assert len(run_suites(["clifford"], [4])[0]["checks"]) == 36
+    assert len(run_suites(["intertwiner"], [4])[0]["checks"]) == 9
+    assert len(run_suites(["factorization"], [4])[0]["checks"]) == 8
+    assert len(run_suites(["module"], [4])[0]["checks"]) == 8
+    assert len(run_suites(["weights"], [4])[0]["checks"]) == 5
 
 
 def test_pinned_regressions_sit_exactly_where_designed():
     # the rank-parity reading of the block/parity match fails at odd ranks
     for n, want in ((2, 0), (3, 1), (4, 0), (5, 1)):
-        assert SUITES["module"](n)["counts"]["xfail"] == want
+        assert run_suites(["module"], [n])[0]["counts"]["xfail"] == want
     # the halved-row-sum weight variant is pinned at rank 4 only
     for n, want in ((2, 0), (3, 0), (4, 1), (5, 0)):
-        assert SUITES["weights"](n)["counts"]["xfail"] == want
-    report = SUITES["weights"](4)
+        assert run_suites(["weights"], [n])[0]["counts"]["xfail"] == want
+    report = run_suites(["weights"], [4])[0]
     pinned = [e for e in report["checks"] if e["status"] == "xfail"]
     assert len(pinned) == 1
     assert "(plus,2)" in pinned[0]["identity"]
@@ -314,10 +313,10 @@ def test_pinned_regressions_sit_exactly_where_designed():
 
 
 def test_faithfulness_skips_above_rank_4():
-    report = SUITES["faithfulness"](5)
+    report = run_suites(["faithfulness"], [5])[0]
     assert report["status"] == "pass"
     assert report["counts"] == {"pass": 0, "fail": 0, "xfail": 0, "xpass": 0, "skip": 1}
-    assert SUITES["faithfulness"](3)["counts"]["pass"] == 1
+    assert run_suites(["faithfulness"], [3])[0]["counts"]["pass"] == 1
 
 
 def test_dinfty_report():
@@ -371,11 +370,6 @@ def test_run_suites_repeats_its_reports():
     assert without_duration(run_suites(SUITE_NAMES, range(2, 7))) == without_duration(first)
 
 
-def test_suites_refuse_tables_of_another_rank():
-    with pytest.raises(ValueError, match="tables of rank 4"):
-        oracle.check_chevalley(3, oracle.RankTables(4))
-
-
 def test_identity_table_covers_the_bounded_suites():
     ctx = RankContext(4)
     for suite, count in (
@@ -409,7 +403,7 @@ def _flip_ladder(monkeypatch, k):
 
 def test_intertwiner_witness_labels_rows_and_columns(monkeypatch):
     _flip_ladder(monkeypatch, 1)
-    report = oracle.check_intertwiner(3)
+    report = run_suites(["intertwiner"], [3])[0]
     assert report["status"] == "fail"
     (bad,) = [e for e in report["checks"] if e["status"] == "fail"]
     assert bad["identity"] == "phi a_1 = annihilate_1 phi"
@@ -422,8 +416,7 @@ def test_intertwiner_witness_labels_rows_and_columns(monkeypatch):
 def test_a_ladder_fault_fails_both_modes(monkeypatch):
     n = 3
     _flip_ladder(monkeypatch, n - 1)
-    for check in (oracle.check_clifford, oracle.check_intertwiner, oracle.check_factorization):
-        report = check(n)
+    for report in run_suites(["clifford", "intertwiner", "factorization"], [n]):
         assert report["status"] == "fail", report["suite"]
         for entry in report["checks"]:
             if entry["status"] == "fail":
@@ -493,7 +486,7 @@ def _images_against_matrix_columns(n):
     tree = oracle._tree([(label, expr, "0") for label, expr, _ in sides])
     multi_term = False
     for state in truncated_spin_basis(ctx, n - 1).states:
-        j = tables.sbasis.position(state)
+        j = tables.sbasis.index[state]
         images = oracle._ColumnImages(ctx)
         walked = {}
         for (pos, target), v in oracle._sums(tree, state, images).items():
@@ -686,7 +679,7 @@ def test_operator_matrix_is_the_table_of_apply_operator(n):
         for j, state in enumerate(basis.states):
             image = oracle.apply_operator(name, k, oracle._one_state(state), ctx)
             for target, v in image.terms.items():
-                entries[(basis.position(target), j)] = v
+                entries[(basis.index[target], j)] = v
         want = ExactMatrix(len(basis), len(basis), entries)
         assert operator_matrix(token, basis, ctx) == want, token
 
@@ -715,11 +708,15 @@ def test_operator_matrix_reads_the_operator_table_when_it_runs(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_module_suite_alone_matches_its_run_suites_report(n):
+    # every suite, not only module: sharing one rank's tables among all
+    # eight suites changes no report but its duration
     def without_duration(report):
         return {k: v for k, v in report.items() if k != "duration"}
 
-    [shared] = [r for r in run_suites(SUITE_NAMES, [n]) if r["suite"] == "module"]
-    assert without_duration(oracle.check_module_structure(n)) == without_duration(shared)
+    shared = run_suites(SUITE_NAMES, [n])
+    assert [r["suite"] for r in shared] == list(SUITE_NAMES)
+    for name, report in zip(SUITE_NAMES, shared):
+        assert without_duration(run_suites([name], [n])[0]) == without_duration(report), name
 
 
 def test_a_dropped_F_image_fails_the_module_closure(monkeypatch):
@@ -734,7 +731,7 @@ def test_a_dropped_F_image_fails_the_module_closure(monkeypatch):
         return spinrep.SpinVector() if top in vec.terms else image
 
     monkeypatch.setitem(oracle._OPERATORS, "F", dropping)
-    report = oracle.check_module_structure(4)
+    report = run_suites(["module"], [4])[0]
     failed = {e["identity"]: e["witness"] for e in report["checks"] if e["status"] == "fail"}
     closure = "lowering closure from (plus,-) spans 8 states"
     block = "closure from (plus,-) is exactly the plus block"
