@@ -31,6 +31,7 @@ from .diagram import (
 )
 from .quiver import RankContext
 from .spinrep import (
+    HALVES,
     Combination,
     SpinVector,
     exact,
@@ -58,7 +59,7 @@ def _wedge(idx, k, inside):
     # create_k (k must be absent, and joins it), with the alternating phase
     if (k in idx) != inside:
         return None
-    phase = (-1) ** sum(1 for i in idx if i < k)
+    phase = (-1) ** len([i for i in idx if i < k])
     return (idx - {k} if inside else idx | {k}), phase
 
 
@@ -120,10 +121,6 @@ class CliffordElement(Combination):
         return key
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def identity(cls):
         return cls({((), ()): 1})
 
@@ -178,7 +175,7 @@ def product_bound(x: CliffordElement, y: CliffordElement) -> int:
 
 def act(x: CliffordElement, vec: FockVector, ctx: RankContext) -> FockVector:
     """Apply x to vec: per monomial, annihilators first, right to left."""
-    total = FockVector()
+    total = FockVector.ZERO
     if not vec:
         return total
     for (creators, annihilators), coeff in x.terms.items():
@@ -221,13 +218,17 @@ def embed_generator(kind: str, k: int, ctx: RankContext) -> CliffordElement:
 
 
 def fock_weight(idx, ctx: RankContext) -> tuple:
-    """Weight of b_I: +1/2 at coordinates outside I, -1/2 inside."""
+    """Weight of b_I: +1/2 at coordinates outside I, -1/2 inside.
+
+    The entries are the two shared halves of `spinrep.HALVES`, as in every
+    shape-side weight route, so equal weights hold the same two objects.
+    """
     n = ctx.n
     idx = frozenset(idx)
     for i in idx:
         ctx.check_index(i, "index")
-    half = Fraction(1, 2)
-    return tuple(-half if i in idx else half for i in range(1, n + 1))
+    plus, minus = HALVES[1], HALVES[-1]
+    return tuple([minus if i in idx else plus for i in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,9 @@ def parse_sign(text: str) -> Sign:
 
 def validate_diagram(rows, n=None) -> tuple:
     """Return rows as a tuple, checking strict decrease (and the rank bound)."""
-    rows = tuple(int(r) for r in rows)
-    for r in rows:
-        if r < 1:
-            raise ValueError("row lengths must be positive, got %r" % (rows,))
+    rows = tuple(map(int, rows))
+    if rows and min(rows) < 1:
+        raise ValueError("row lengths must be positive, got %r" % (rows,))
     for a, b in zip(rows, rows[1:]):
         if a <= b:
             raise ValueError("row lengths must strictly decrease, got %r" % (rows,))
@@ -112,7 +111,7 @@ def endpoints(rows, n: int) -> frozenset:
 
 def endpoint_count_below(rows, n: int, k: int) -> int:
     """Number of rows with endpoint strictly less than k (rows longer than n-k)."""
-    return sum(1 for l in rows if n - l < k)
+    return len([l for l in rows if n - l < k])
 
 
 def fock_index(state, n: int) -> frozenset:

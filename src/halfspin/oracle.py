@@ -68,7 +68,10 @@ class ExactMatrix:
     the right factor's columns.  Any other matrix, such as a sum in which
     two rows meet in one column, keeps the general form {(row, column):
     value}.  A matrix holds one form only, so equal matrices hold equal
-    dicts of the same form.
+    dicts of the same form.  A product by a map whose entry is 1 keeps the
+    left factor's (row, value) pair, and a sum keeps each pair that meets
+    none, so matrices may share these immutable pairs; no operation changes
+    a matrix's dicts in place.
     """
 
     __slots__ = ("nrows", "ncols", "_map", "_general")
@@ -139,10 +142,11 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         if self._map is not None and other._map is not None:
             out = dict(self._map)
-            for j, (i, v) in other._map.items():
+            for j, pair in other._map.items():
+                i, v = pair
                 mine = out.get(j)
                 if mine is None:
-                    out[j] = (i, sign * v)
+                    out[j] = pair if sign == 1 else (i, -v)
                 elif mine[0] != i:
                     break  # two rows meet in column j: the sum is general
                 else:
@@ -176,11 +180,15 @@ class ExactMatrix:
         left = self._map
         if left is not None and other._map is not None:
             out = {}
+            get = left.get
             for k, (j, b) in other._map.items():
-                hit = left.get(j)
+                hit = get(j)
                 if hit is not None:
-                    v = hit[1] * b
-                    out[k] = (hit[0], v if type(v) is int else exact(v))
+                    if b == 1:
+                        out[k] = hit
+                    else:
+                        v = hit[1] * b
+                        out[k] = (hit[0], v if type(v) is int else exact(v))
             return ExactMatrix._make(self.nrows, other.ncols, out)
         by_row = {}
         for (j, k), v in other._pairs().items():
@@ -325,7 +333,7 @@ def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatr
     the table is built, and applied to the basis's prebuilt one-state
     vectors.  One-term images go straight into the map form.  An image of
     two or more terms, which no operator of the two models makes, turns the
-    table to the general form.
+    table to the general form, and a zero image leaves its column empty.
     """
     name, k = parse_operator_token(op)
     apply = _OPERATORS.get(name) or partial(apply_operator, name)
@@ -335,6 +343,8 @@ def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatr
     spread = {}
     for j, vec in enumerate(basis.vectors):
         terms = apply(k, vec, ctx).terms
+        if not terms:
+            continue
         if len(terms) == 1:
             [(target, coeff)] = terms.items()
             cols[j] = (position[target], coeff)

@@ -14,11 +14,13 @@ None, and `linear` extends a kernel to a vector: E and F share the kernel
 once, and a and b share one parametrised by parity and row edit.
 `Combination` holds the arithmetic that the vectors of both models and
 the Clifford algebra's elements share, on plain {key: coeff} dicts
-(`add_terms`, `scale_terms`, `sum_terms`).
+(`add_terms`, `scale_terms`, `sum_terms`), and gives each of them one
+shared zero, which every zero image of `linear` is.
 
 Coefficients are exact: a plain int when integral, a Fraction otherwise
 (see `exact`).  Weights live in the epsilon coordinates, as length-n
-tuples of Fractions; for basis states every entry is +1/2 or -1/2.
+tuples of Fractions; for basis states every entry is one of the two
+shared halves of `HALVES`, +1/2 or -1/2.
 """
 
 from __future__ import annotations
@@ -99,10 +101,15 @@ class Combination:
     are equal when they have the same type and the same terms.  There is
     no hash: the terms are a plain dict, so a combination is not a key.
     A result may share its terms with an operand (v + zero holds v's
-    dict), so terms are never changed in place.
+    dict), and each subclass has one shared zero, `ZERO`, that operators
+    return for a zero image, so terms are never changed in place.
     """
 
     __slots__ = ("terms",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.ZERO = cls._make({})
 
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms or ()
@@ -147,14 +154,15 @@ def linear(kernel, vec, *args):
 
     kernel(state, *args) is the image of one basis state, a pair (target,
     coeff) with coeff nonzero, or None for zero; the result has the type
-    of vec.  A one-state vector, the common case, needs no sum.
+    of vec, and a zero result is that type's shared `ZERO`.  A one-state
+    vector, the common case, needs no sum.
     """
     terms = vec.terms
     if len(terms) == 1:
         [(state, c)] = terms.items()
         hit = kernel(state, *args)
         if hit is None:
-            return vec._make({})
+            return vec.ZERO
         v = c * hit[1]
         return vec._make({hit[0]: v if type(v) is int else exact(v)})
     out = {}
@@ -163,7 +171,8 @@ def linear(kernel, vec, *args):
         if hit is not None:
             target, v = hit
             out[target] = out.get(target, 0) + c * v
-    return vec._make({target: exact(v) for target, v in out.items() if v})
+    out = {target: exact(v) for target, v in out.items() if v}
+    return vec._make(out) if out else vec.ZERO
 
 
 class SpinVector(Combination):
@@ -315,12 +324,13 @@ def _simple_root_entries(i: int, n: int) -> tuple:
     return ((n - 2, 1), (n - 1, 1))
 
 
-# the two halves a basis-state weight is made of, shared by every route
-_HALVES = {1: Fraction(1, 2), -1: Fraction(-1, 2)}
+# the two halves a basis-state weight is made of, shared by every route (the
+# wedge side's `clifford.fock_weight` too), so equal weights compare by identity
+HALVES = {1: Fraction(1, 2), -1: Fraction(-1, 2)}
 
 
 def _halves(twice) -> tuple:
-    return tuple(_HALVES[t] if t in _HALVES else Fraction(t, 2) for t in twice)
+    return tuple([HALVES[t] if t in HALVES else Fraction(t, 2) for t in twice])
 
 
 def weight_eps(state, ctx: RankContext) -> tuple:

@@ -81,7 +81,7 @@ def test_element_construction():
     x = CliffordElement.monomial((2, 1), (3,), 2)
     assert x.terms == {((1, 2), (3,)): Fraction(2)}
     assert CliffordElement.identity().terms == {((), ()): Fraction(1)}
-    assert not CliffordElement.zero()
+    assert not CliffordElement()
     assert CliffordElement.creator(2).terms == {((2,), ()): Fraction(1)}
     assert CliffordElement.annihilator(1).terms == {((), (1,)): Fraction(1)}
     with pytest.raises(ValueError):
@@ -98,8 +98,8 @@ def test_product_examples():
     a1 = CliffordElement.annihilator(1)
     a2 = CliffordElement.annihilator(2)
     one = CliffordElement.identity()
-    assert a1 * a1 == CliffordElement.zero()
-    assert b2 * b2 == CliffordElement.zero()
+    assert a1 * a1 == CliffordElement()
+    assert b2 * b2 == CliffordElement()
     assert a1 * b1 + b1 * a1 == one
     assert a1 * b2 == -(b2 * a1)
     # a full normal ordering with a cross term
@@ -115,7 +115,7 @@ def test_act_examples():
     x = parse_clifford_expression("b2*a1", ctx)
     assert act(x, b(1, 3), ctx) == b(2, 3)
     assert act(CliffordElement.identity(), b(1, 3), ctx) == b(1, 3)
-    assert not act(CliffordElement.zero(), b(1, 3), ctx)
+    assert not act(CliffordElement(), b(1, 3), ctx)
     # annihilators act first, in descending order inside the monomial
     y = CliffordElement.monomial((), (1, 2))
     assert act(y, b(1, 2), ctx) == -b()
@@ -148,7 +148,7 @@ def clifford_elements(draw, n=3):
             max_size=3,
         )
     )
-    total = CliffordElement.zero()
+    total = CliffordElement()
     for creators, annihilators, coeff in terms:
         total = total + CliffordElement.monomial(sorted(creators), sorted(annihilators), coeff)
     return total
@@ -193,7 +193,7 @@ def _normal_order_word(word):
 
 def reference_product(x, y):
     """x * y by normal-ordering each concatenated pair of monomial words."""
-    total = CliffordElement.zero()
+    total = CliffordElement()
     for (s1, t1), c1 in x.terms.items():
         for (s2, t2), c2 in y.terms.items():
             word = [("b", i) for i in s1] + [("a", i) for i in t1] + [("b", i) for i in s2] + [("a", i) for i in t2]
@@ -293,7 +293,7 @@ def test_embedded_generators_satisfy_chevalley_on_vectors():
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             bracket = E[i] * F[j] - F[j] * E[i]
-            want = H[i] if i == j else CliffordElement.zero()
+            want = H[i] if i == j else CliffordElement()
             for v in vectors:
                 assert act(bracket, v, ctx) == act(want, v, ctx)
 
@@ -373,7 +373,7 @@ def test_fock_text_forms():
 def test_element_text_forms():
     x = CliffordElement.monomial((1, 3), (2,)) - 2 * CliffordElement.identity()
     assert format_clifford_element(x) == "-2 + b1 b3 a2"
-    assert format_clifford_element(CliffordElement.zero()) == "0"
+    assert format_clifford_element(CliffordElement()) == "0"
     assert format_clifford_element(CliffordElement.identity()) == "1"
     y = parse_clifford_expression("b1 b3 a2 - 2")
     assert y == x
@@ -413,3 +413,76 @@ def test_element_text_round_trip(x):
 def test_fock_text_round_trip(entries):
     v = FockVector([(frozenset(i), c) for i, c in entries])
     assert parse_fock_vector(format_fock_vector(v), RankContext(4)) == v
+
+
+def test_a_zero_wedge_image_is_the_shared_zero():
+    import itertools
+
+    ctx = RankContext(3)
+    zero = FockVector.ZERO
+    killed = 0
+    for r in range(4):
+        for idx in itertools.combinations(range(1, 4), r):
+            for k in range(1, 4):
+                for op in (create, annihilate):
+                    image = op(k, b(*idx), ctx)
+                    if not image:
+                        assert image is zero, (op.__name__, k, idx)
+                        killed += 1
+    # each of the 8 states is killed by create_k for k in it, by annihilate_k otherwise
+    assert killed == 8 * 3
+    assert create(1, zero, ctx) is zero and annihilate(2, zero, ctx) is zero
+    assert annihilate(3, b(1) - b(2), ctx) is zero
+    assert act(CliffordElement.annihilator(1), b(2, 3), ctx) is zero
+    assert act(CliffordElement.identity(), zero, ctx) is zero
+
+
+def test_act_on_the_shared_zero():
+    ctx = RankContext(3)
+    v = FockVector({frozenset({1}): 2, frozenset({2, 3}): -1})
+    x = CliffordElement({((2,), (1,)): 1, ((), ()): 3})
+    assert act(x, FockVector.ZERO, ctx) == FockVector.ZERO
+    assert act(CliffordElement.ZERO, v, ctx) == FockVector.ZERO
+    assert act(x, v, ctx) == FockVector({frozenset({2}): 2, frozenset({1}): 6, frozenset({2, 3}): -3})
+    assert FockVector.ZERO.terms == {} and CliffordElement.ZERO.terms == {}
+
+
+# ---------------------------------------------------------------------------
+# the Clifford embedding of the geometric action, differentially
+
+
+@st.composite
+def embedding_cases(draw):
+    """A rank n in 2..6, a shape vector of up to four terms and a word of at most
+    four letters (kind, k) in E, F, H, a and b, applied left to right."""
+    n = draw(st.integers(2, 6))
+    states = [(sign, rows) for sign in Sign for rows in enumerate_diagrams(n)]
+    coeffs = st.sampled_from((-2, -1, 1, 3, HALF))
+    vec = draw(st.dictionaries(st.sampled_from(states), coeffs, min_size=1, max_size=4))
+    letter = st.tuples(st.sampled_from("EFHab"), st.integers(1, n))
+    return RankContext(n), SpinVector(vec), draw(st.lists(letter, max_size=4))
+
+
+def _wedge_twin(kind, k, ctx):
+    """The algebra element of one letter: the embedded generator, or the ladder's twin."""
+    if kind == "a":
+        return CliffordElement.annihilator(k)
+    if kind == "b":
+        return CliffordElement.creator(k)
+    return embed_generator(kind, k, ctx)
+
+
+@given(embedding_cases())
+@settings(deadline=None, max_examples=300)
+def test_the_clifford_embedding_carries_the_geometric_action(case):
+    # the shape side applies each letter by its own operator (E_k and F_k
+    # from the dimension-vector sweep, never as b_{k+1} a_k); the wedge
+    # side acts by the algebra element through phi and back
+    from halfspin.oracle import apply_operator
+
+    ctx, v, word = case
+    shape, wedge = v, phi(v, ctx)
+    for kind, k in word:
+        shape = apply_operator(kind, k, shape, ctx)
+        wedge = act(_wedge_twin(kind, k, ctx), wedge, ctx)
+    assert phi_inverse(wedge, ctx) == shape

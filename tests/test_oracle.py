@@ -761,3 +761,38 @@ def test_suites_of_a_rank_share_its_weights_and_wedge_vectors(monkeypatch):
     assert all_pass(run_suites(["faithfulness", "module", "weights"], range(2, 5)))
     # one vector per wedge basis state, however many monomials act on it
     assert calls == {"weight_eps": 4 + 8 + 16, "wedge vectors": 4 + 8 + 16}
+
+
+def _product_reference(x, y):
+    """x * y summed entry by entry from the two entry dicts, for any two matrices."""
+    out = {}
+    for (i, j), a in x.entries.items():
+        for (j2, k), b in y.entries.items():
+            if j == j2:
+                out[(i, k)] = out.get((i, k), 0) + a * b
+    return ExactMatrix(x.nrows, y.ncols, out)
+
+
+def test_products_that_share_pairs_leave_their_factors_unchanged():
+    # a product by a map entry 1 keeps the left factor's (row, value) pair
+    # itself; later sums, differences and scales of the product must leave
+    # both factors as they were
+    tables = oracle.RankTables(4)
+    tokens = ["E_1", "F_2", "H_3", "a_4", "b_1", "1"]
+    mats = {t: tables.matrix(t) for t in tokens}
+    before = {t: dict(m.entries) for t, m in mats.items()}
+    shared = 0
+
+    def later(p, x, y):
+        q = (p + x - p.scale(3)).scale(Fraction(-1, 2)) + p * p - y
+        return 2 * q + p
+
+    for x in tokens:
+        for y in tokens:
+            p, want = mats[x] * mats[y], _product_reference(mats[x], mats[y])
+            assert p == want, (x, y)
+            left = set(map(id, mats[x]._map.values()))
+            shared += sum(id(pair) in left for pair in p._map.values())
+            assert later(p, mats[x], mats[y]) == later(want, mats[x], mats[y]), (x, y)
+    assert shared > 0
+    assert {t: dict(m.entries) for t, m in mats.items()} == before

@@ -1,13 +1,19 @@
 """Shape-model operators: Chevalley action, ladder operators, weights."""
 
+import io
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfspin import cli
+from halfspin.clifford import CliffordElement, FockVector, fock_weight
 from halfspin.diagram import Sign, enumerate_diagrams
+from halfspin.oracle import weight_routes
 from halfspin.quiver import RankContext, state_u
 from halfspin.spinrep import (
+    HALVES,
     SpinVector,
     apply_E,
     apply_F,
@@ -399,3 +405,69 @@ def test_operators_are_linear(v, w):
     ):
         assert op(v + w) == op(v) + op(w)
         assert op(v.scale(HALF)) == op(v).scale(HALF)
+
+
+# ---------------------------------------------------------------------------
+# the shared objects of the operator hot path
+
+
+def test_a_zero_image_is_the_shared_zero_of_its_type():
+    ctx = RankContext(4)
+    zero = SpinVector.ZERO
+    assert zero.terms == {} and type(zero) is SpinVector
+    killed = {}
+    for s in all_states(4):
+        v = SpinVector({s: 1})
+        for op in (apply_E, apply_F, apply_H, geometric_a, geometric_b):
+            for k in range(1, 5):
+                image = op(k, v, ctx)
+                if not image:
+                    assert image is zero, (op.__name__, k, s)
+                    killed[op.__name__] = killed.get(op.__name__, 0) + 1
+    # each of the five operators has zero images at rank 4
+    assert set(killed) == {"apply_E", "apply_F", "apply_H", "geometric_a", "geometric_b"}
+    # a zero vector, and a sum of states that all die, also map to the shared zero
+    both_tops = top(Sign.PLUS) + top(Sign.MINUS)
+    for op in (apply_E, apply_F, apply_H, geometric_a, geometric_b):
+        assert op(1, zero, ctx) is zero
+    assert apply_E(2, both_tops, ctx) is zero
+    assert kappa(zero, ctx) is zero
+
+
+ONE_OF_EACH_TYPE = [
+    SpinVector({(Sign.PLUS, (2,)): 2, (Sign.MINUS, ()): HALF}),
+    FockVector({frozenset({1, 3}): -1, frozenset(): 3}),
+    CliffordElement({((1,), (2,)): 1, ((), ()): Fraction(-3, 2)}),
+]
+
+
+@pytest.mark.parametrize("v", ONE_OF_EACH_TYPE, ids=lambda v: type(v).__name__)
+def test_arithmetic_on_the_shared_zero(v):
+    zero = type(v).ZERO
+    assert zero == type(v)() and not zero
+    assert zero + v == v and v + zero == v
+    assert zero - v == -v and v - zero == v
+    assert zero + zero == zero and -zero == zero
+    assert zero.scale(3) == zero and 5 * zero == zero
+    assert v - v == zero and v.scale(0) == zero
+    assert (zero + v).scale(2) == v + v
+    assert zero.terms == {}
+
+
+def test_the_shared_zeros_stay_empty_through_a_full_verify():
+    assert cli.main(["verify", "--n", "2..5", "--all"], io.StringIO()) == 0
+    for cls in (SpinVector, FockVector, CliffordElement):
+        assert cls.ZERO.terms == {} and type(cls.ZERO) is cls
+
+
+def test_every_weight_coordinate_is_a_shared_half():
+    plus, minus = HALVES[1], HALVES[-1]
+    assert (plus, minus) == (HALF, -HALF)
+    for n in range(2, 9):
+        ctx = RankContext(n)
+        for s in all_states(n):
+            for name, route in weight_routes():
+                assert all(c is plus or c is minus for c in route(s, ctx)), (name, n, s)
+        for r in range(n + 1):
+            for idx in itertools.combinations(range(1, n + 1), r):
+                assert all(c is plus or c is minus for c in fock_weight(idx, ctx)), (n, idx)

@@ -35,16 +35,18 @@ def _traced(monkeypatch, argv):
     return t.layer_metrics()
 
 
+TRACED_SUITES = "chevalley,factorization,intertwiner,weights,faithfulness"
+BOUNDED_ARGV = ["verify", "--n", "2..4", "--suite", TRACED_SUITES, "--json"]
+
+
 def test_tracer_reads_the_bounded_layers(monkeypatch):
-    suites = "chevalley,factorization,intertwiner,weights,faithfulness"
-    argv = ["verify", "--n", "2..4", "--suite", suites, "--json"]
-    metrics = _traced(monkeypatch, argv)
+    metrics = _traced(monkeypatch, BOUNDED_ARGV)
     import workloads
 
     # every layer the bounded benchmark workload must drive, its suites
     # narrowed to the ones run here: ladder, apply_H, weight, rank, act, ...
     skipped = {"oracle.suite.%s.s" % s for s in workloads.BOUNDED_SUITES.split(",")}
-    skipped -= {"oracle.suite.%s.s" % s for s in suites.split(",")}
+    skipped -= {"oracle.suite.%s.s" % s for s in TRACED_SUITES.split(",")}
     busy = [name for name in workloads.VerifyBounded.busy if name not in skipped]
     for name in (
         "spinrep.ladder.calls",
@@ -107,3 +109,28 @@ def test_rank_free_pass_applies_each_operator_as_often_as_pinned(monkeypatch):
     metrics = _traced(monkeypatch, argv)
     assert {name: metrics[name + ".calls"] for name in PINNED_RANK_FREE_CALLS} == PINNED_RANK_FREE_CALLS
 
+
+# per-layer calls of one traced `verify --n 2..4` over the suites of BOUNDED_ARGV
+PINNED_BOUNDED_CALLS = {
+    "quiver.dim_vector": 104,
+    "quiver.state_u": 124,
+    "spinrep.shift": 192,
+    "spinrep.apply_H": 96,
+    "spinrep.ladder": 192,
+    "spinrep.weight": 107,
+    "clifford.create_annihilate": 8759,
+    "clifford.act": 4672,
+    "oracle.tabulate": 63,
+    "oracle.matmul": 248,
+    "oracle.mateq": 133,
+    "oracle.matadd": 97,
+    "oracle.rank": 3,
+}
+
+
+def test_bounded_pass_does_the_pinned_work(monkeypatch):
+    # a bounded pass that got faster by applying fewer operators, multiplying
+    # fewer matrices or tabulating less, rather than by building fewer
+    # objects per call, moves these counts
+    metrics = _traced(monkeypatch, BOUNDED_ARGV)
+    assert {name: metrics[name + ".calls"] for name in PINNED_BOUNDED_CALLS} == PINNED_BOUNDED_CALLS
