@@ -5,6 +5,10 @@ Exit status: 0 on success, 1 when a verification suite fails, 2 on usage
 and I/O errors.  --json switches every command to machine-readable output;
 rationals are serialized as strings "p/q" so nothing is rounded.
 
+build_parser() declares only the command names and their help lines; a
+command's options are declared when that command is parsed, or its help or
+usage is formatted, so a call pays for the options of its own command alone.
+
 Requests beyond the size caps below are refused with exit status 2 before
 the work they bound is started; no option raises a cap.  An option that the
 rest of the command line would have the command ignore is refused the same
@@ -430,16 +434,39 @@ def cmd_export_matrix(args, out):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="halfspin",
-        description="Exact combinatorial models of the half-spin modules of so(2n).",
-        epilog="A request beyond a size cap (see each command's --help) exits with status 2.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    rank_help = "rank, 2..%d (MAX_RANK)" % MAX_RANK
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, which declares its options when it is first used.
 
-    p = sub.add_parser("enumerate", help="list all basis states with their invariants")
+    declare(parser) adds the command's options, positionals and func; it runs
+    once, before the parser parses or formats its help or usage.
+    """
+
+    def __init__(self, *, declare, **kwargs):
+        super().__init__(**kwargs)
+        self._declare = declare
+
+    def _declared(self):
+        if self._declare is not None:
+            declare, self._declare = self._declare, None
+            declare(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._declared()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._declared()
+        return super().format_usage()
+
+    def format_help(self):
+        self._declared()
+        return super().format_help()
+
+
+_RANK_HELP = "rank, 2..%d (MAX_RANK)" % MAX_RANK
+
+
+def _enumerate_options(p):
     p.add_argument(
         "--n",
         default=None,
@@ -452,21 +479,24 @@ def build_parser():
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("act", help="apply an operator word to a shape vector")
-    p.add_argument("--n", default=None, help=rank_help)
+
+def _act_options(p):
+    p.add_argument("--n", default=None, help=_RANK_HELP)
     p.add_argument("--json", action="store_true")
     p.add_argument("word", help="e.g. \"F_2 F_4\" or \"kappa a_1\"; rightmost acts first")
     p.add_argument("vector", help="e.g. \"(plus,-)\" or \"(plus,3,1) - 2 * (minus,2)\"")
     p.set_defaults(func=cmd_act)
 
-    p = sub.add_parser("weight", help="weight data of one basis state")
-    p.add_argument("--n", default=None, help=rank_help)
+
+def _weight_options(p):
+    p.add_argument("--n", default=None, help=_RANK_HELP)
     p.add_argument("--json", action="store_true")
     p.add_argument("state", help="e.g. \"(plus,3,1)\"")
     p.set_defaults(func=cmd_weight)
 
-    p = sub.add_parser("clifford", help="normal-order an algebra expression")
-    p.add_argument("--n", default=None, help=rank_help)
+
+def _clifford_options(p):
+    p.add_argument("--n", default=None, help=_RANK_HELP)
     p.add_argument("--apply", default=None, metavar="VEC", help="apply the element to a wedge vector, e.g. \"{1,3}\"")
     p.add_argument("--json", action="store_true")
     p.add_argument(
@@ -476,7 +506,8 @@ def build_parser():
     )
     p.set_defaults(func=cmd_clifford)
 
-    p = sub.add_parser("verify", help="run the exact verification suites")
+
+def _verify_options(p):
     p.add_argument(
         "--n",
         dest="ranks",
@@ -491,7 +522,8 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export-matrix", help="export an operator matrix as sparse triplets")
+
+def _export_matrix_options(p):
     p.add_argument("--n", default=None, help="rank, 2..%d (MAX_BASIS_RANK)" % MAX_BASIS_RANK)
     p.add_argument("--basis", choices=("spin", "fock"), default="spin")
     p.add_argument("--out", dest="out_path", default=None, help="write to a file instead of stdout")
@@ -499,6 +531,21 @@ def build_parser():
     p.add_argument("operator", help="operator word, e.g. \"F_4\" or \"b_2 a_1\"")
     p.set_defaults(func=cmd_export_matrix)
 
+
+def build_parser():
+    """The command line's parser; each command's options wait in _CommandParser."""
+    parser = argparse.ArgumentParser(
+        prog="halfspin",
+        description="Exact combinatorial models of the half-spin modules of so(2n).",
+        epilog="A request beyond a size cap (see each command's --help) exits with status 2.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub.add_parser("enumerate", help="list all basis states with their invariants", declare=_enumerate_options)
+    sub.add_parser("act", help="apply an operator word to a shape vector", declare=_act_options)
+    sub.add_parser("weight", help="weight data of one basis state", declare=_weight_options)
+    sub.add_parser("clifford", help="normal-order an algebra expression", declare=_clifford_options)
+    sub.add_parser("verify", help="run the exact verification suites", declare=_verify_options)
+    sub.add_parser("export-matrix", help="export an operator matrix as sparse triplets", declare=_export_matrix_options)
     return parser
 
 

@@ -749,9 +749,12 @@ def check_module_structure(tables: RankTables) -> list:
         label = "closure from (%s,-) is exactly the %s block" % (sign, sign)
         entries.append(_entry(label, not diff, "difference: %s" % diff))
     for sign in signs:
+        # exact integer keys: a Fraction keeps (numerator, denominator) in
+        # lowest terms, and hashing it would recompute a modular inverse
         weights = [w for s, w in zip(basis.states, tables.weights) if s[0] is sign]
+        keys = [tuple((c.numerator, c.denominator) for c in w) for w in weights]
         label = "weights in the %s block are pairwise distinct" % sign
-        entries.append(_entry(label, len(set(weights)) == len(weights), "a weight repeats"))
+        entries.append(_entry(label, len(set(keys)) == len(keys), "a weight repeats"))
     # wedge parity: image sizes under the basis dictionary
     parities = {sign: {len(cliff.phi_state(s, ctx)) % 2 for s in expected[sign]} for sign in signs}
     label = "plus block fills the even wedge part, minus the odd (every rank)"

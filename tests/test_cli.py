@@ -1,5 +1,6 @@
 """Command line behavior: text output, JSON schemas, exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -554,3 +555,63 @@ def _masked(text):
 def test_outputs_are_the_recorded_ones(case, capsys):
     rc, text = run(*case["argv"])
     assert (rc, _masked(text), capsys.readouterr().err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# stdout, stderr and exit code of argparse's own outputs at 80 columns: every
+# --help, no command, an unknown command or option, a missing positional or
+# value, a bad choice and -h after other options.  argparse prints help to
+# sys.stdout, not to main's out, and exits through SystemExit.
+ARGPARSE_RECORDED = json.loads((DATA / "argparse_outputs.json").read_text())
+
+
+def _call(argv, capsys):
+    """Exit code, main's out (masked), sys.stdout and sys.stderr of one main call."""
+    out = io.StringIO()
+    try:
+        rc = cli.main(list(argv), out)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, _masked(out.getvalue()), captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", ARGPARSE_RECORDED, ids=lambda case: " ".join(case["argv"]) or "(no command)")
+def test_argparse_outputs_are_the_recorded_ones(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _call(case["argv"], capsys) == (case["exit"], "", case["stdout"], case["stderr"])
+
+
+def test_repeated_calls_in_one_process_match_the_records(capsys, monkeypatch):
+    # every recorded argv twice in one process, the second pass in reverse
+    # order: no call carries parser state into the next, usage errors included
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = [(c["argv"], (c["exit"], c["stdout"], "", c["stderr"])) for c in RECORDED]
+    cases += [(c["argv"], (c["exit"], "", c["stdout"], c["stderr"])) for c in ARGPARSE_RECORDED]
+    calls = cases + cases[::-1]
+    assert any(expected[0] == 2 for _, expected in calls[:-1])
+    for argv, expected in calls:
+        assert _call(argv, capsys) == expected, argv
+
+
+def _commands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_a_command_declares_its_options_only_when_it_is_parsed():
+    minimal = {
+        "enumerate": [], "act": ["F_1", "(plus,-)"], "weight": ["(plus,-)"],
+        "clifford": ["a1"], "verify": [], "export-matrix": ["F_1"],
+    }
+    for name, rest in minimal.items():
+        parser = cli.build_parser()
+        commands = _commands(parser)
+        assert list(commands) == list(minimal)
+        assert {c: [a.dest for a in p._actions] for c, p in commands.items()} == {c: ["help"] for c in minimal}
+        args = parser.parse_args([name] + rest)
+        assert args.func is getattr(cli, "cmd_" + name.replace("-", "_"))
+        declared = {c for c, p in commands.items() if [a.dest for a in p._actions] != ["help"]}
+        assert declared == {name}
+    # a command's help and usage, formatted without a parse, show its options
+    commands = _commands(cli.build_parser())
+    assert "--max-boxes MAX_BOXES" in commands["verify"].format_usage()
+    assert "--basis {spin,fock}" in commands["export-matrix"].format_help()

@@ -740,6 +740,18 @@ def test_a_dropped_F_image_fails_the_module_closure(monkeypatch):
     assert failed[block].startswith("difference: [")
 
 
+def test_a_repeated_weight_fails_the_module_distinctness():
+    # one plus state given a second plus state's weight, rebuilt from new
+    # Fractions, fails the plus block's distinctness check and no other
+    tables = oracle.RankTables(4)
+    weights = list(tables.weights)
+    first, second = [i for i, s in enumerate(tables.sbasis.states) if s[0] is Sign.PLUS][:2]
+    weights[second] = tuple(Fraction(c.numerator * 3, c.denominator * 3) for c in weights[first])
+    tables.weights = weights
+    failed = {e["identity"]: e["witness"] for e in oracle.check_module_structure(tables) if e["status"] == "fail"}
+    assert failed == {"weights in the plus block are pairwise distinct": "a weight repeats"}
+
+
 def test_suites_of_a_rank_share_its_weights_and_wedge_vectors(monkeypatch):
     # the module and weights suites read one Cartan-route weight per state,
     # and faithfulness acts on the wedge basis's prebuilt vectors
