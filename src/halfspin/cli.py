@@ -5,9 +5,9 @@ Exit status: 0 on success, 1 when a verification suite fails, 2 on usage
 and I/O errors.  --json switches every command to machine-readable output;
 rationals are serialized as strings "p/q" so nothing is rounded.
 
-build_parser() declares only the command names and their help lines; a
-command's options are declared when that command is parsed, or its help or
-usage is formatted, so a call pays for the options of its own command alone.
+build_parser() lists only the command names and their help lines; a
+command's parser is built, and its options declared, only when that command
+is parsed, so a call builds two parsers: the top-level one and its command's.
 
 Requests beyond the size caps below are refused with exit status 2 before
 the work they bound is started; no option raises a cap.  An option that the
@@ -434,33 +434,20 @@ def cmd_export_matrix(args, out):
     return 0
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser, which declares its options when it is first used.
+class _Command:
+    """A command whose parser is built, and declare(parser) run, only when it is parsed.
 
-    declare(parser) adds the command's options, positionals and func; it runs
-    once, before the parser parses or formats its help or usage.
+    parse_known_args is the one method argparse calls on a chosen command.
     """
 
     def __init__(self, *, declare, **kwargs):
-        super().__init__(**kwargs)
         self._declare = declare
+        self._kwargs = kwargs
 
-    def _declared(self):
-        if self._declare is not None:
-            declare, self._declare = self._declare, None
-            declare(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._declared()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self):
-        self._declared()
-        return super().format_usage()
-
-    def format_help(self):
-        self._declared()
-        return super().format_help()
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._declare(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 _RANK_HELP = "rank, 2..%d (MAX_RANK)" % MAX_RANK
@@ -533,13 +520,14 @@ def _export_matrix_options(p):
 
 
 def build_parser():
-    """The command line's parser; each command's options wait in _CommandParser."""
+    """The command line's parser: each command's name and help line, and a _Command
+    that builds the command's own parser when parsed, so a call builds two parsers."""
     parser = argparse.ArgumentParser(
         prog="halfspin",
         description="Exact combinatorial models of the half-spin modules of so(2n).",
         epilog="A request beyond a size cap (see each command's --help) exits with status 2.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     sub.add_parser("enumerate", help="list all basis states with their invariants", declare=_enumerate_options)
     sub.add_parser("act", help="apply an operator word to a shape vector", declare=_act_options)
     sub.add_parser("weight", help="weight data of one basis state", declare=_weight_options)

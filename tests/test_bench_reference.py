@@ -1,8 +1,9 @@
-"""The benchmark's two verify commands still give the answers it recorded.
+"""The benchmark's workloads still give the answers it recorded.
 
 The commands and the scoring are the benchmark's own (``bench/workloads.py``,
-imported here and never changed), scored against ``bench/reference/``.  A
-changed answer therefore fails this test before it reaches a benchmark run.
+imported here and never changed), scored against ``bench/reference/``: the
+two verify commands, and one seed-0 pass of each query workload.  A changed
+answer therefore fails this test before it reaches a benchmark run.
 """
 
 import io
@@ -16,18 +17,26 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _run(monkeypatch, name):
-    """The workload's one verify call, through `cli.main`: (failed operations, exit code)."""
+    """The workload's seed-0 pass, each call through `cli.main`: (failed operations, highest exit code)."""
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    [op] = workloads.WORKLOADS[name](seed=0).pass_ops()
-    out = io.StringIO()
-    rc = cli.main(op.argv, out)
-    return workloads.count_failed(op, rc, out.getvalue()), rc
+    failed = highest = 0
+    for op in workloads.WORKLOADS[name](seed=0).pass_ops():
+        out = io.StringIO()
+        rc = cli.main(op.argv, out)
+        failed += workloads.count_failed(op, rc, out.getvalue())
+        highest = max(highest, rc)
+    return failed, highest
 
 
 @pytest.mark.parametrize("name", ["verify_dinfty", "verify_bounded"])
 def test_bench_verify_commands_match_their_references(monkeypatch, name):
+    assert _run(monkeypatch, name) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["point_queries", "wedge_algebra"])
+def test_bench_query_workloads_match_their_references(monkeypatch, name):
     assert _run(monkeypatch, name) == (0, 0)
 
 

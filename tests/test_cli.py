@@ -1,6 +1,7 @@
 """Command line behavior: text output, JSON schemas, exit codes."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
 from halfspin import cli, oracle
@@ -597,21 +599,97 @@ def _commands(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def test_a_command_declares_its_options_only_when_it_is_parsed():
-    minimal = {
-        "enumerate": [], "act": ["F_1", "(plus,-)"], "weight": ["(plus,-)"],
-        "clifford": ["a1"], "verify": [], "export-matrix": ["F_1"],
-    }
-    for name, rest in minimal.items():
-        parser = cli.build_parser()
-        commands = _commands(parser)
-        assert list(commands) == list(minimal)
-        assert {c: [a.dest for a in p._actions] for c, p in commands.items()} == {c: ["help"] for c in minimal}
-        args = parser.parse_args([name] + rest)
+# one short call of each command, in the order build_parser lists them
+MINIMAL = {
+    "enumerate": ["--n", "2"],
+    "act": ["--n", "2", "F_1", "(plus,-)"],
+    "weight": ["--n", "2", "(plus,-)"],
+    "clifford": ["--n", "2", "a1"],
+    "verify": ["--n", "2", "--suite", "weights"],
+    "export-matrix": ["--n", "2", "F_1"],
+}
+
+
+def test_a_call_builds_the_top_level_parser_and_its_commands_alone(monkeypatch, capsys):
+    # every argparse parser built is recorded by its prog: a command's parser
+    # is built, and its options declared, only when that command is parsed
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    assert list(_commands(cli.build_parser())) == list(MINIMAL)
+    assert built == ["halfspin"]
+    for name, rest in MINIMAL.items():
+        built.clear()
+        args = cli.build_parser().parse_args([name] + rest)
         assert args.func is getattr(cli, "cmd_" + name.replace("-", "_"))
-        declared = {c for c, p in commands.items() if [a.dest for a in p._actions] != ["help"]}
-        assert declared == {name}
-    # a command's help and usage, formatted without a parse, show its options
-    commands = _commands(cli.build_parser())
-    assert "--max-boxes MAX_BOXES" in commands["verify"].format_usage()
-    assert "--basis {spin,fock}" in commands["export-matrix"].format_help()
+        assert built == ["halfspin", "halfspin " + name]
+        built.clear()
+        assert run(name, *rest)[0] == 0
+        assert built == ["halfspin", "halfspin " + name]
+    for argv in (["--help"], [], ["bogus"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv, io.StringIO())
+        assert built == ["halfspin"], argv
+    capsys.readouterr()
+
+
+# the argv grammar, drawn without regard to which command an option belongs
+# to: valid tokens (verify ranks at most 5, so a valid call stays short)
+# mixed with hostile text.  --out is drawn only with OUT, which the test
+# replaces by a file of its own.
+OUT = "<out>"
+_FLAGS = ["--dinfty", "--json", "--csv", "--all", "-h", "--help", "--"]
+_VALUED = ["--n", "--max-boxes", "--suite", "--basis", "--apply"]
+_OPERAND = st.one_of(
+    st.sampled_from([
+        "2", "3", "4", "5", "2..5", "3..4", "0", "1", "10000", "F_1", "E_2 F_1", "kappa a_1", "H_1",
+        "create_1", "(plus,-)", "(minus,1)", "(plus,2,1) - 2 * (minus,1)", "a1*b1 + b1*a1", "b2 b1",
+        "{1,3}", "{}", "weights", "module,serre", "spin", "fock",
+    ]),
+    st.sampled_from([
+        "", " ", ",", ",,", "1_5", "+4", "\u0664", "\u0661\u0662", "\u00b2", "-3", "2..", "5..2",
+        "(plus,,1)", "{1,,3}", "a1,", "(plus,3,1", "F_0", "F_+1", "1/0 * (plus,-)", "weights,",
+    ]),
+    st.integers(10**5, 10**60).map(str),
+    st.tuples(st.integers(1, 3000), st.sampled_from(["a1", "plus,-", "{1}"])).map(
+        lambda t: "(" * t[0] + t[1] + ")" * t[0]
+    ),
+    st.text(alphabet="()[]{},_+-*/. 0123456789\u0664\u00b2abFEHplusminkaeyt", max_size=24),
+)
+_UNIT = st.one_of(
+    st.sampled_from(_FLAGS).map(lambda f: [f]),
+    st.tuples(st.sampled_from(_VALUED), _OPERAND).map(list),
+    _OPERAND.map(lambda o: [o]),
+    st.just(["--out", OUT]),
+)
+# a command alone, none, an unknown one, or a valid call to build on
+_HEAD = st.one_of(
+    st.just([]),
+    st.sampled_from([[name] for name in MINIMAL] + [["bogus"], [""], ["Act"], ["export_matrix"], ["-x"]]),
+    st.sampled_from([[name] + rest for name, rest in MINIMAL.items()]),
+)
+_ARGV = st.tuples(_HEAD, st.lists(_UNIT, max_size=8)).map(lambda t: t[0] + [tok for unit in t[1] for tok in unit])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGV)
+def test_any_argv_exits_0_1_or_2_promptly(tmp_path_factory, argv):
+    argv = [str(tmp_path_factory.getbasetemp() / "fuzz.out") if tok == OUT else tok for tok in argv]
+    out, stdout, stderr = io.StringIO(), io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main(argv, out)
+        except SystemExit as exc:
+            rc = exc.code
+    assert time.perf_counter() - start < 5, argv
+    assert rc in (0, 1, 2), argv
+    if rc == 2:
+        assert out.getvalue() == "", argv
+        assert any(line.startswith("error: ") or ": error: " in line for line in stderr.getvalue().splitlines()), argv
