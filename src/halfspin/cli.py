@@ -41,7 +41,7 @@ class CliError(Exception):
     pass
 
 
-# act, weight and clifford: the work and memory of one query grow linearly in n
+# act, weight and clifford: O(n) per weight query and per single-box edit of an E/F step
 MAX_RANK = 10000
 # enumerate and export-matrix: the whole basis of 2^n states
 MAX_BASIS_RANK = 14
@@ -175,7 +175,9 @@ def _emit_doc(args, doc, text, out):
 
 
 def _eps_strings(eps):
-    return [str(c) for c in eps]
+    # a basis-state weight is made of the two shared halves, told apart by identity
+    plus, minus = spinrep.HALVES[1], spinrep.HALVES[-1]
+    return ["1/2" if c is plus else "-1/2" if c is minus else str(c) for c in eps]
 
 
 def _usage(parse, *args):
@@ -527,7 +529,7 @@ def build_parser():
         description="Exact combinatorial models of the half-spin modules of so(2n).",
         epilog="A request beyond a size cap (see each command's --help) exits with status 2.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command, prog=parser.prog)
     sub.add_parser("enumerate", help="list all basis states with their invariants", declare=_enumerate_options)
     sub.add_parser("act", help="apply an operator word to a shape vector", declare=_act_options)
     sub.add_parser("weight", help="weight data of one basis state", declare=_weight_options)

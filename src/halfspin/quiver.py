@@ -7,17 +7,21 @@ the fork at vertex 1.
 
 The functions of a signed shape take it as the basis state (sign, rows),
 the one form the operators and weights pass around.  A `RankContext` holds
-the graph as neighbour lists, so building one and computing u = w - Cv both
-cost O(n).  It memoizes three things per basis state it has validated,
-keyed by the state itself: the dimension vector (`_dim_vectors`), u = w - Cv
-(`_u`, filled by `state_u`), and the E/F images that one sweep over the
-state's single-box edits finds (`_moves`, filled by the E/F kernel
-`spinrep._shift_state`).  The memos live and die with their context.
+the graph as its edges and neighbour lists.  Building one and computing
+u = w - Cv cost O(n); a dimension vector costs O(n + rows), its strings'
+vertex runs summed in one difference array.  An E/F step sweeps the shape's
+2 * rows single-box edits, so it costs O(n) per edit.  A context memoizes
+three things per basis state it has validated, keyed by the state itself:
+the dimension vector (`_dim_vectors`), u = w - Cv (`_u`, filled by
+`state_u`), and the E/F images that one sweep over the state's single-box
+edits finds (`_moves`, filled by the E/F kernel `spinrep._shift_state`).
+The memos live and die with their context.
 """
 
 from __future__ import annotations
 
-from operator import add, itemgetter
+from itertools import accumulate
+from operator import add, itemgetter, sub
 
 from .diagram import Sign, validate_diagram
 
@@ -29,16 +33,15 @@ class RankContext:
         if n < 2:
             raise ValueError("rank must be at least 2, got %r" % n)
         self.n = n
-        edges = [(i, i + 1) for i in range(1, n - 1)]
+        # the path 1 - 2 - ... - n-1, then the fork edge n-2 - n
+        self.edges = tuple(zip(range(1, n - 1), range(2, n))) + (((n - 2, n),) if n >= 3 else ())
+        # neighbours[i - 1] lists the vertices joined to vertex i: (i-1, i+1) inside the
+        # path, one at its ends 1 and n-1; the fork edge joins n-2 and n
+        neighbours = [()] * n
         if n >= 3:
-            edges.append((n - 2, n))
-        self.edges = tuple(edges)
-        neighbours = [[] for _ in range(n)]
-        for i, j in edges:
-            neighbours[i - 1].append(j)
-            neighbours[j - 1].append(i)
-        # neighbours[i - 1] lists the vertices joined to vertex i
-        self.neighbours = tuple(tuple(ns) for ns in neighbours)
+            neighbours = [(2,)] + list(zip(range(1, n - 2), range(3, n))) + [(n - 2,), (n - 2,)]
+            neighbours[n - 3] += (n,)
+        self.neighbours = tuple(neighbours)
         # (sign, rows) -> dimension vector, filled by dim_vector
         self._dim_vectors = {}
         # (sign, rows) -> {+k: (F_k image, 1), -k: (E_k image, 1)}, filled by spinrep._shift_state
@@ -105,19 +108,22 @@ def validate_string_interval(s: StringInterval, ctx: RankContext) -> StringInter
     return s
 
 
-def string_dim_vector(s: StringInterval, ctx: RankContext) -> tuple:
-    """Vertex-graded dimension of the string s."""
+def _string_runs(s: StringInterval, ctx: RankContext) -> tuple:
+    """The vertices of the string s, validated, as half-open runs (lo, hi) of vector indices."""
     validate_string_interval(s, ctx)
     n = ctx.n
-    v = [0] * n
     if s.end <= n - 1:  # vertices start..end
-        v[s.start - 1:s.end] = [1] * (s.end - s.start + 1)
-    elif s.end == n:  # vertices start..n-2 and n
-        v[n - 1] = 1
-        if s.start <= n - 2:
-            v[s.start - 1:n - 2] = [1] * (n - 1 - s.start)
-    else:  # fork, end == n + 1: vertices start..n
-        v[s.start - 1:] = [1] * (n + 1 - s.start)
+        return ((s.start - 1, s.end),)
+    if s.end == n:  # vertices start..n-2 and n
+        return ((s.start - 1, n - 2), (n - 1, n)) if s.start <= n - 2 else ((n - 1, n),)
+    return ((s.start - 1, n),)  # fork, end == n + 1: vertices start..n
+
+
+def string_dim_vector(s: StringInterval, ctx: RankContext) -> tuple:
+    """Vertex-graded dimension of the string s."""
+    v = [0] * ctx.n
+    for lo, hi in _string_runs(s, ctx):
+        v[lo:hi] = [1] * (hi - lo)
     return tuple(v)
 
 
@@ -146,9 +152,10 @@ def a_sets(state, ctx: RankContext) -> list:
 def dim_vector(state, ctx: RankContext) -> tuple:
     """Sum of the string dimension vectors over the rows of a basis state.
 
-    Memoized on ctx by the state itself: only validated shapes are stored,
-    so invalid rows raise on every call.  Rows given as a list are keyed
-    by their tuple.
+    Each string adds its vertex runs to one difference array, summed once at
+    the end, so a miss costs O(n + rows).  Memoized on ctx by the state
+    itself: only validated shapes are stored, so invalid rows raise on every
+    call.  Rows given as a list are keyed by their tuple.
     """
     try:
         v = ctx._dim_vectors.get(state)
@@ -156,16 +163,21 @@ def dim_vector(state, ctx: RankContext) -> tuple:
         state = (state[0], tuple(state[1]))
         v = ctx._dim_vectors.get(state)
     if v is None:
-        total = (0,) * ctx.n
+        steps = [0] * (ctx.n + 1)
         for s in a_sets(state, ctx):
-            total = tuple(map(add, total, string_dim_vector(s, ctx)))
-        v = ctx._dim_vectors[state] = total
+            for lo, hi in _string_runs(s, ctx):
+                steps[lo] += 1
+                steps[hi] -= 1
+        del steps[-1]
+        v = ctx._dim_vectors[state] = tuple(accumulate(steps))
     return v
 
 
 def unit_vector(k: int, ctx: RankContext) -> tuple:
     ctx.check_index(k)
-    return tuple(1 if i == k else 0 for i in range(1, ctx.n + 1))
+    v = [0] * ctx.n
+    v[k - 1] = 1
+    return tuple(v)
 
 
 def framing_vector(sign: Sign, ctx: RankContext) -> tuple:
@@ -176,14 +188,21 @@ def framing_vector(sign: Sign, ctx: RankContext) -> tuple:
 def weight_u(v, w, ctx: RankContext) -> tuple:
     """u = w - C v, the Cartan eigenvalue vector (entries may be negative).
 
-    Row i of C v is 2 v_i minus the sum of v over the neighbours of i.
+    Row i of C v is 2 v_i minus the sum of v over the neighbours of i.  The
+    first n-2 edges of ctx, the path i - i+1, are added as two shifted
+    slices and the fork edge after them alone: O(n).
     """
     n = ctx.n
     if len(v) != n or len(w) != n:
         raise ValueError("dimension vector length must equal rank %d" % n)
-    return tuple(
-        w[i] - 2 * v[i] + sum(v[j - 1] for j in ctx.neighbours[i]) for i in range(n)
-    )
+    u = list(map(sub, w, map(add, v, v)))
+    path = n - 2
+    u[:path] = map(add, u[:path], v[1:path + 1])
+    u[1:path + 1] = map(add, u[1:path + 1], v[:path])
+    for i, j in ctx.edges[path:]:  # the fork edge n-2 - n
+        u[i - 1] += v[j - 1]
+        u[j - 1] += v[i - 1]
+    return tuple(u)
 
 
 def state_u(state, ctx: RankContext) -> tuple:

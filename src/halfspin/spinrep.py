@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate, compress
 from operator import sub
 
 from .diagram import (
@@ -47,12 +48,12 @@ from .quiver import RankContext, dim_vector, state_u
 def exact(v):
     """The exact form of a coefficient: an int when integral, else a Fraction.
 
-    An int is kept as it is and a Fraction with denominator 1 becomes its
-    numerator; anything else goes through Fraction(v), so text that is no
-    number raises ValueError.
+    An int is kept as it is, a Fraction as it is unless its denominator is 1,
+    when it becomes its numerator; anything else goes through Fraction(v),
+    so text that is no number raises ValueError.
     """
     if type(v) is not int:
-        v = Fraction(v)
+        v = v if type(v) is Fraction else Fraction(v)
         if v.denominator == 1:
             return v.numerator
     return v
@@ -337,17 +338,19 @@ def weight_eps(state, ctx: RankContext) -> tuple:
     """Weight of a basis state in epsilon coordinates, via u = w - Cv.
 
     The sum of u_i times the fundamental weight i, accumulated doubled in
-    ints over the nonzero entries only.
+    ints over the nonzero entries only, each contiguous run of a fundamental
+    weight added to one difference array summed once: O(n + nnz(u)).
     """
     u = state_u(state, ctx)
     n = ctx.n
-    twice = [0] * n
-    for i, ui in enumerate(u, start=1):
-        if ui:
-            for coords, value in _twice_fundamental_weight(i, n):
-                for j in coords:
-                    twice[j] += ui * value
-    return _halves(twice)
+    steps = [0] * (n + 1)
+    for i in compress(range(1, n + 1), u):
+        ui = u[i - 1]
+        for coords, value in _twice_fundamental_weight(i, n):
+            steps[coords[0]] += ui * value
+            steps[coords[-1] + 1] -= ui * value
+    del steps[-1]
+    return _halves(accumulate(steps))
 
 
 def weight_eps_alpha(state, ctx: RankContext) -> tuple:

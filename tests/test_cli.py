@@ -9,13 +9,16 @@ import re
 import subprocess
 import sys
 import time
+from operator import sub
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
-from halfspin import cli, oracle
+from halfspin import cli, oracle, spinrep
+from halfspin.quiver import RankContext, dim_vector
+from halfspin.spinrep import parse_basis_state, parse_spin_vector
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -381,6 +384,34 @@ def test_point_queries_are_linear_in_rank():
     assert doc["fock_index"] == "{1997,1998}"
     doc = timed("act", "--n", "2000", "--json", "F_1999 E_1998 H_5", "(plus,1)")
     assert doc["result"] == "0"
+
+
+# 100 rows at rank 10000 that E_7000, then F_9000, then E_5000 can each move by one box
+SHAPE_100 = "(plus,%s)" % ",".join(map(str, [*range(9900, 1000, -100), 999, *range(900, 0, -100), 1]))
+
+
+def test_point_queries_at_max_rank_stay_linear_in_n():
+    # each E/F step sweeps the 2 * rows single-box edits at O(n) each; when each
+    # edit's dimension vector added one n-tuple per row, this act took 10-30 s
+    def timed(*argv):
+        started = time.perf_counter()
+        rc, text = run(*argv)
+        assert time.perf_counter() - started < 3.0, argv[0]
+        assert rc == 0
+        return json.loads(text)
+
+    n = 10000
+    ctx = RankContext(n)
+    before = parse_basis_state(SHAPE_100, ctx)
+    assert len(before[1]) == 100
+    doc = timed("act", "--n", str(n), "--json", "E_5000 F_9000 E_7000", SHAPE_100)
+    [(after, coeff)] = parse_spin_vector(doc["result"], ctx).terms.items()
+    assert coeff == 1 and after[0] is before[0]
+    delta = map(sub, dim_vector(after, ctx), dim_vector(before, ctx))
+    assert {k: d for k, d in enumerate(delta, start=1) if d} == {5000: -1, 9000: 1, 7000: -1}
+    doc = timed("weight", "--n", str(n), "--json", SHAPE_100)
+    for route in (spinrep.weight_eps_alpha, spinrep.weight_eps_closed):
+        assert doc["eps"] == [str(c) for c in route(before, ctx)]
 
 
 ONE_PLUS_B_14 = "".join("(1+b%d)" % i for i in range(1, 15))

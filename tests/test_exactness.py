@@ -236,6 +236,18 @@ def test_exact_keeps_ints_and_reduces_integral_fractions():
     assert exact(0.5) == Fraction(1, 2) and type(exact(0.5)) is Fraction
 
 
+def test_exact_returns_a_fraction_as_it_is():
+    # a Fraction is not rebuilt: kept as the same object, or its numerator when integral
+    half, big = Fraction(1, 2), Fraction(10**30 + 1, 10**30)
+    assert exact(half) is half and exact(big) is big
+    assert type(exact(Fraction(10**30, 1))) is int and exact(Fraction(10**30, 1)) == 10**30
+    # every other input reads as before: an int when integral, else a reduced Fraction
+    for value, expected in ((7, 7), (-3, -3), (False, 0), (True, 1), (2.0, 2), (-0.25, Fraction(-1, 4)),
+                            ("5", 5), (" -6/4 ", Fraction(-3, 2)), ("8/4", 2), ("0.5", Fraction(1, 2))):
+        got = exact(value)
+        assert got == expected and type(got) is type(expected), value
+
+
 @pytest.mark.parametrize("junk", ["junk", "1/0x", "", "nan"])
 def test_exact_rejects_junk(junk):
     with pytest.raises(ValueError):

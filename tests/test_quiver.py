@@ -3,12 +3,13 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import halfspin
 from halfspin.diagram import Sign, enumerate_diagrams
@@ -28,6 +29,55 @@ from halfspin.quiver import (
 
 
 SIGNS = (Sign.PLUS, Sign.MINUS)
+
+
+def d_edges(n):
+    """The edges of the D_n graph, written out: the path 1 - ... - n-1 and the fork n-2 - n."""
+    return [(i, i + 1) for i in range(1, n - 1)] + ([(n - 2, n)] if n >= 3 else [])
+
+
+def summed_strings(state, ctx):
+    """The dimension vector as the plain sum of the string vectors over a_sets."""
+    total = [0] * ctx.n
+    for s in a_sets(state, ctx):
+        total = [a + b for a, b in zip(total, string_dim_vector(s, ctx))]
+    return tuple(total)
+
+
+def dense_u(v, w, n):
+    """w - Cv with the Cartan matrix C of d_edges(n) written out in full."""
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in d_edges(n):
+        c[i - 1][j - 1] = c[j - 1][i - 1] = -1
+    return tuple(w[i] - sum(c[i][j] * v[j] for j in range(n)) for i in range(n))
+
+
+def edge_u(v, w, n):
+    """w - Cv summed edge by edge over d_edges(n), for ranks too large for dense_u."""
+    u = [w[i] - 2 * v[i] for i in range(n)]
+    for i, j in d_edges(n):
+        u[i - 1] += v[j - 1]
+        u[j - 1] += v[i - 1]
+    return tuple(u)
+
+
+@st.composite
+def ranked_states(draw, max_rank=300):
+    """(n, state): a random strict partition with parts at most n-1, and a sign."""
+    n = draw(st.integers(2, max_rank))
+    rows = sorted(draw(st.sets(st.integers(1, n - 1), max_size=60)), reverse=True)
+    return n, (draw(st.sampled_from(SIGNS)), tuple(rows))
+
+
+def max_rank_states():
+    """A few basis states at rank 10000, with rows at both ends of the range."""
+    n, rng = 10000, random.Random(10000)
+    return [
+        (Sign.PLUS, ()),
+        (Sign.MINUS, (n - 1, n - 2, 2, 1)),
+        (Sign.PLUS, tuple(sorted(rng.sample(range(1, n), 50), reverse=True))),
+        (Sign.MINUS, tuple(sorted(rng.sample(range(1, n), 61), reverse=True))),
+    ]
 
 
 def test_rank_context_edges():
@@ -196,10 +246,7 @@ def test_a_sets_sum_matches_dim_vector():
         ctx = RankContext(n)
         for sign in SIGNS:
             for rows in enumerate_diagrams(n):
-                total = [0] * n
-                for s in a_sets((sign, rows), ctx):
-                    total = [a + b for a, b in zip(total, string_dim_vector(s, ctx))]
-                assert tuple(total) == dim_vector((sign, rows), ctx)
+                assert summed_strings((sign, rows), ctx) == dim_vector((sign, rows), ctx)
 
 
 def test_dim_vector_text_forms():
@@ -286,13 +333,40 @@ def test_dim_vector_memo_is_per_context():
 @given(st.data())
 @settings(deadline=None)
 def test_weight_u_matches_dense_cartan(data):
-    # the neighbour-list sum against w - Cv with C written out in full
-    n = data.draw(st.integers(2, 40))
+    # the sliced path and fork sums against w - Cv with C written out in full
+    n = data.draw(st.integers(2, 300))
     v = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
     w = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
-    edges = [(i, i + 1) for i in range(1, n - 1)] + ([(n - 2, n)] if n >= 3 else [])
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        c[i - 1][j - 1] = c[j - 1][i - 1] = -1
-    dense = tuple(w[i] - sum(c[i][j] * v[j] for j in range(n)) for i in range(n))
-    assert weight_u(v, w, RankContext(n)) == dense
+    assert weight_u(v, w, RankContext(n)) == dense_u(v, w, n)
+
+
+@given(ranked_states())
+@example((300, (Sign.PLUS, (299, 298, 150, 2, 1))))
+@example((300, (Sign.MINUS, tuple(range(299, 0, -2)))))
+@settings(deadline=None, max_examples=50)
+def test_large_rank_dim_vector_and_u_match_their_references(ranked):
+    n, state = ranked
+    ctx = RankContext(n)
+    v = dim_vector(state, ctx)
+    assert v == summed_strings(state, ctx)
+    assert state_u(state, ctx) == dense_u(v, framing_vector(state[0], ctx), n)
+
+
+@pytest.mark.parametrize("state", max_rank_states(), ids=lambda state: "%s-%d-rows" % (state[0], len(state[1])))
+def test_max_rank_dim_vector_and_u_match_their_references(state):
+    ctx = RankContext(10000)
+    v = dim_vector(state, ctx)
+    assert v == summed_strings(state, ctx)
+    assert state_u(state, ctx) == edge_u(v, framing_vector(state[0], ctx), 10000)
+    assert v[-2] + v[-1] == len(state[1])
+
+
+def test_neighbours_are_the_lists_the_edges_give():
+    for n in list(range(2, 301)) + [10000]:
+        ctx = RankContext(n)
+        assert ctx.edges == tuple(d_edges(n))
+        neighbours = [[] for _ in range(n)]
+        for i, j in ctx.edges:
+            neighbours[i - 1].append(j)
+            neighbours[j - 1].append(i)
+        assert ctx.neighbours == tuple(tuple(ns) for ns in neighbours), n

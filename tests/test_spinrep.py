@@ -2,10 +2,11 @@
 
 import io
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from halfspin import cli
 from halfspin.clifford import CliffordElement, FockVector, fock_weight
@@ -284,6 +285,50 @@ def test_weight_routes_agree():
             assert weight_eps_alpha(st_, ctx) == ref
             assert weight_eps_closed(st_, ctx) == ref
             assert all(abs(c) == HALF for c in ref)
+
+
+def weight_by_full_runs(state, ctx):
+    """The sum of u_i times the fundamental weight i, adding every coordinate of each
+    run of _twice_fundamental_weight for each nonzero u_i: O(n * nnz(u))."""
+    n = ctx.n
+    twice = [0] * n
+    for i, ui in enumerate(state_u(state, ctx), start=1):
+        if ui:
+            for coords, value in _twice_fundamental_weight(i, n):
+                for j in coords:
+                    twice[j] += ui * value
+    return tuple(Fraction(t, 2) for t in twice)
+
+
+@st.composite
+def ranked_states(draw, max_rank=300):
+    """(n, state): a random strict partition with parts at most n-1, and a sign."""
+    n = draw(st.integers(2, max_rank))
+    rows = sorted(draw(st.sets(st.integers(1, n - 1), max_size=60)), reverse=True)
+    return n, (draw(st.sampled_from(SIGNS)), tuple(rows))
+
+
+def _assert_weight_routes_agree(n, state):
+    ctx = RankContext(n)
+    ref = weight_by_full_runs(state, ctx)
+    assert weight_eps(state, ctx) == ref
+    assert weight_eps_alpha(state, ctx) == ref
+    assert weight_eps_closed(state, ctx) == ref
+
+
+@given(ranked_states())
+@example((300, (Sign.PLUS, (299, 298, 150, 2, 1))))
+@example((300, (Sign.MINUS, tuple(range(299, 0, -2)))))
+@settings(deadline=None, max_examples=50)
+def test_large_rank_weights_match_the_full_run_sum(ranked):
+    _assert_weight_routes_agree(*ranked)
+
+
+def test_max_rank_weights_match_the_full_run_sum():
+    n, rng = 10000, random.Random(10000)
+    for rows in ((), (n - 1, n - 2, 2, 1), tuple(sorted(rng.sample(range(1, n), 40), reverse=True))):
+        for sign in SIGNS:
+            _assert_weight_routes_agree(n, (sign, rows))
 
 
 def test_halved_variant_is_wrong_everywhere_but_empty():
