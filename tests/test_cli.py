@@ -13,7 +13,7 @@ from operator import sub
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from jsonschema import validate
 
 from halfspin import cli, oracle, spinrep
@@ -641,9 +641,10 @@ MINIMAL = {
 }
 
 
-def test_a_call_builds_the_top_level_parser_and_its_commands_alone(monkeypatch, capsys):
-    # every argparse parser built is recorded by its prog: a command's parser
-    # is built, and its options declared, only when that command is parsed
+def test_the_top_level_parser_is_built_once_and_a_call_builds_its_command_alone(monkeypatch, capsys):
+    # every argparse parser built is recorded by its prog: the top-level parser
+    # is built once per process, and a command's parser, with its options, only
+    # when that command is parsed
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -652,22 +653,38 @@ def test_a_call_builds_the_top_level_parser_and_its_commands_alone(monkeypatch, 
         built.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    cli.build_parser.cache_clear()
+    assert cli.build_parser() is cli.build_parser()
     assert list(_commands(cli.build_parser())) == list(MINIMAL)
     assert built == ["halfspin"]
     for name, rest in MINIMAL.items():
         built.clear()
         args = cli.build_parser().parse_args([name] + rest)
         assert args.func is getattr(cli, "cmd_" + name.replace("-", "_"))
-        assert built == ["halfspin", "halfspin " + name]
+        assert built == ["halfspin " + name]
         built.clear()
         assert run(name, *rest)[0] == 0
-        assert built == ["halfspin", "halfspin " + name]
+        assert built == ["halfspin " + name]
     for argv in (["--help"], [], ["bogus"]):
         built.clear()
         with pytest.raises(SystemExit):
             cli.main(argv, io.StringIO())
-        assert built == ["halfspin"], argv
+        assert built == [], argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["act", "--help"], ["--help"]])
+def test_help_is_formatted_at_the_width_of_each_call(argv, capsys, monkeypatch):
+    # the parser outlives the call that built it, so a width or formatter
+    # frozen when it was built would show in the next call's help
+    recorded = next(c for c in ARGPARSE_RECORDED if c["argv"] == argv)
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _call(argv, capsys) == (0, "", recorded["stdout"], recorded["stderr"])
+    monkeypatch.setenv("COLUMNS", "50")
+    rc, _, text, err = _call(argv, capsys)
+    assert (rc, err) == (0, "")
+    assert text != recorded["stdout"]
 
 
 # the argv grammar, drawn without regard to which command an option belongs
@@ -705,7 +722,37 @@ _HEAD = st.one_of(
     st.sampled_from([[name] for name in MINIMAL] + [["bogus"], [""], ["Act"], ["export_matrix"], ["-x"]]),
     st.sampled_from([[name] + rest for name, rest in MINIMAL.items()]),
 )
-_ARGV = st.tuples(_HEAD, st.lists(_UNIT, max_size=8)).map(lambda t: t[0] + [tok for unit in t[1] for tok in unit])
+# the other branch: a command followed by its own options, each with a value
+# it takes, and as many operands as it takes, so that most of these draws
+# reach its func; it is listed first, as hypothesis favours a first branch
+_VALUES = {
+    "--n": ["2", "3", "4", "5"], "--max-boxes": ["0", "3", "5"], "--suite": ["weights", "module,serre"],
+    "--basis": ["spin", "fock"], "--apply": ["{1,3}", "{}"], "--out": [OUT],
+}
+_OWN = {
+    "enumerate": (["--n", "--dinfty", "--max-boxes", "--json", "--csv"], 0),
+    "act": (["--n", "--json"], 2),
+    "weight": (["--n", "--json"], 1),
+    "clifford": (["--n", "--apply", "--json"], 1),
+    "verify": (["--n", "--suite", "--all", "--dinfty", "--max-boxes", "--json"], 0),
+    "export-matrix": (["--n", "--basis", "--out", "--json"], 1),
+}
+
+
+def _own_call(name):
+    options, operands = _OWN[name]
+    unit = st.sampled_from(options).flatmap(
+        lambda o: st.sampled_from(_VALUES[o]).map(lambda v: [o, v]) if o in _VALUES else st.just([o])
+    )
+    return st.tuples(st.lists(unit, max_size=4), st.lists(_OPERAND, min_size=operands, max_size=operands)).map(
+        lambda t: [name] + [tok for unit in t[0] for tok in unit] + t[1]
+    )
+
+
+_ARGV = st.one_of(
+    st.sampled_from(list(_OWN)).flatmap(_own_call),
+    st.tuples(_HEAD, st.lists(_UNIT, max_size=8)).map(lambda t: t[0] + [tok for unit in t[1] for tok in unit]),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -714,11 +761,16 @@ def test_any_argv_exits_0_1_or_2_promptly(tmp_path_factory, argv):
     argv = [str(tmp_path_factory.getbasetemp() / "fuzz.out") if tok == OUT else tok for tok in argv]
     out, stdout, stderr = io.StringIO(), io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    reached = []  # each cmd_* records here that the call got to it
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), pytest.MonkeyPatch.context() as mp:
+        for name in MINIMAL:
+            func = getattr(cli, "cmd_" + name.replace("-", "_"))
+            mp.setattr(cli, func.__name__, lambda *a, func=func: reached.append(func) or func(*a))
         try:
             rc = cli.main(argv, out)
         except SystemExit as exc:
             rc = exc.code
+    event("reaches a command's func" if reached else "stops before a command's func")
     assert time.perf_counter() - start < 5, argv
     assert rc in (0, 1, 2), argv
     if rc == 2:
