@@ -283,7 +283,7 @@ def cmd_enumerate(args, out):
             r["diagram"],
             format_dim_vector(r["v"]),
             format_dim_vector(r["u"]),
-            "(%s)" % ",".join(r["weight"]),
+            format_dim_vector(r["weight"]),
             r["fock_index"],
         ]
         for r in rows
@@ -322,7 +322,7 @@ def cmd_weight(args, out):
     u = state_u(state, ctx)
     idx = format_fock_index(cliff.phi_state(state, ctx))
     doc = {"command": "weight", "n": ctx.n, "state": format_basis_state(state), "eps": eps, "u": list(u), "fock_index": idx}
-    text = None if args.json else "weight=(%s)\tu=%s\tfock_index=%s" % (",".join(eps), format_dim_vector(u), idx)
+    text = None if args.json else "weight=%s\tu=%s\tfock_index=%s" % (format_dim_vector(eps), format_dim_vector(u), idx)
     _emit_doc(args, doc, text, out)
     return 0
 

@@ -51,7 +51,7 @@ from .diagram import (
     format_fock_index,
     parse_decimal,
 )
-from .quiver import RankContext
+from .quiver import RankContext, format_dim_vector
 from . import spinrep
 from . import clifford as cliff
 from .spinrep import SpinVector, exact, format_basis_state
@@ -270,10 +270,10 @@ def spin_basis(ctx: RankContext) -> IndexedBasis:
 
 
 def truncated_spin_basis(ctx: RankContext, max_boxes: int) -> IndexedBasis:
+    # a cap of n boxes or more admits the one-row shape (n,), which needs rank > n
+    if max_boxes > ctx.n - 1:
+        raise ValueError("box cap %d needs rank > %d, got %d" % (max_boxes, ctx.n, ctx.n))
     shapes = enumerate_diagrams_by_boxes(max_boxes)
-    for rows in shapes:
-        if rows and rows[0] > ctx.n - 1:
-            raise ValueError("box cap %d needs rank > %d, got %d" % (max_boxes, rows[0], ctx.n))
     states = [(sign, rows) for sign in (Sign.PLUS, Sign.MINUS) for rows in shapes]
     return IndexedBasis(states, label=format_basis_state)
 
@@ -457,6 +457,10 @@ def _matrix_witness(got: ExactMatrix, want: ExactMatrix, rows: IndexedBasis, col
                 b,
             )
     return None
+
+
+def _pointwise_witness(identity, state, got, want):
+    return "%s at state %s: got %s, expected %s" % (identity, format_basis_state(state), got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +792,16 @@ def weight_routes() -> list:
     ]
 
 
+def _weight_witness(routes, states, wants, ctx: RankContext):
+    """The witness of the first (state, route), states outermost, whose weight differs from wants."""
+    for state, want in zip(states, wants):
+        for name, route in routes:
+            got = route(state, ctx)
+            if got != want:
+                return _pointwise_witness(name, state, format_dim_vector(got), format_dim_vector(want))
+    return None
+
+
 def check_weight_consistency(tables: RankTables) -> list:
     """All weight routes agree on every basis state; the near-miss variant is pinned."""
     ctx, basis = tables.ctx, tables.sbasis
@@ -796,14 +810,7 @@ def check_weight_consistency(tables: RankTables) -> list:
     reference_name = routes[0][0]
     wants = tables.weights
     for name, route in routes[1:]:
-        bad = None
-        for state, want in zip(basis.states, wants):
-            got = route(state, ctx)
-            if got != want:
-                bad = "state %s: %s gives %s, %s gives %s" % (
-                    format_basis_state(state), name, _format_eps(got), reference_name, _format_eps(want)
-                )
-                break
+        bad = _weight_witness([(name, route)], basis.states, wants, ctx)
         label = "%s agrees with %s on all %d states" % (name, reference_name, len(basis))
         entries.append(_entry(label, bad is None, bad))
     variant = spinrep.weight_eps_halved_variant
@@ -819,15 +826,11 @@ def check_weight_consistency(tables: RankTables) -> list:
                 "halved-row-sum variant matches at (plus,2)",
                 got == want,
                 "variant gives %s, consistent routes give %s"
-                % (_format_eps(got), _format_eps(want)),
+                % (format_dim_vector(got), format_dim_vector(want)),
                 expected_fail=True,
             )
         )
     return entries
-
-
-def _format_eps(eps):
-    return "(%s)" % ",".join(str(c) for c in eps)
 
 
 def check_faithfulness(tables: RankTables) -> list:
@@ -874,10 +877,6 @@ def _format_side(comb):
     return spinrep.format_spin_vector(SpinVector(comb))
 
 
-def _pointwise_witness(identity, state, got, want):
-    return "%s at state %s: got %s, expected %s" % (identity, format_basis_state(state), got, want)
-
-
 def check_dinfty(max_boxes: int, n: int):
     """Re-run the operator identities on all shapes with at most max_boxes boxes.
 
@@ -892,7 +891,9 @@ def check_dinfty(max_boxes: int, n: int):
     printed as wedge or shape vectors by their states.  Each operator's
     image of each basis state, and each state's one-state vector, is
     computed once per column and kept for that column only, since a cache
-    kept for the whole run costs memory for little more reuse.
+    kept for the whole run costs memory for little more reuse.  The weight
+    family reads no column images: its routes are compared after the
+    columns, over all states at once (`_weight_witness`).
     """
     t0 = time.perf_counter()
     ctx = RankContext(n)
@@ -902,8 +903,7 @@ def check_dinfty(max_boxes: int, n: int):
         if suite != "weights":
             rows = identities(suite, ctx)
             families.append((suite, rows, _tree(rows)))
-    routes = weight_routes()
-    bad = {}  # suite -> witness of the family's first failure
+    bad = {}  # suite -> witness of the family's first failure, None for weights that agree
     for state in states:
         images = _ColumnImages(ctx)
         for suite, rows, tree in families:
@@ -914,19 +914,13 @@ def check_dinfty(max_boxes: int, n: int):
                 label, lhs, rhs = rows[min(failing)]
                 got, want = (_format_side(_image(side, state, images)) for side in (lhs, rhs))
                 bad[suite] = _pointwise_witness(label, state, got, want)
-        if "weights" not in bad:
-            want = routes[0][1](state, ctx)
-            for name, route in routes[1:]:
-                got = route(state, ctx)
-                if got != want:
-                    bad["weights"] = _pointwise_witness(
-                        name, state, _format_eps(got), _format_eps(want)
-                    )
-                    break
+    routes = weight_routes()
+    wants = (routes[0][1](state, ctx) for state in states)
+    bad["weights"] = _weight_witness(routes[1:], states, wants, ctx)
     entries = []
     for suite, family in _DINFTY_FAMILIES:
         label = "%s (pointwise on %d states)" % (family, len(states))
-        entries.append(_entry(label, suite not in bad, bad.get(suite)))
+        entries.append(_entry(label, bad.get(suite) is None, bad.get(suite)))
     return _finalize("dinfty", n, entries, t0, max_boxes=max_boxes, mode="truncated")
 
 

@@ -7,15 +7,15 @@ the fork at vertex 1.
 
 The functions of a signed shape take it as the basis state (sign, rows),
 the one form the operators and weights pass around.  A `RankContext` holds
-the graph as its edges and neighbour lists.  Building one and computing
-u = w - Cv cost O(n); a dimension vector costs O(n + rows), its strings'
-vertex runs summed in one difference array.  An E/F step sweeps the shape's
-2 * rows single-box edits, so it costs O(n) per edit.  A context memoizes
-three things per basis state it has validated, keyed by the state itself:
-the dimension vector (`_dim_vectors`), u = w - Cv (`_u`, filled by
-`state_u`), and the E/F images that one sweep over the state's single-box
-edits finds (`_moves`, filled by the E/F kernel `spinrep._shift_state`).
-The memos live and die with their context.
+n and reads the graph's edges off it, so building one costs O(1).
+Computing u = w - Cv costs O(n); a dimension vector costs O(n + rows), its
+strings' vertex runs summed in one difference array.  An E/F step sweeps
+the shape's 2 * rows single-box edits, so it costs O(n) per edit.  A
+context memoizes three things per basis state it has validated, keyed by
+the state itself: the dimension vector (`_dim_vectors`), u = w - Cv (`_u`,
+filled by `state_u`), and the E/F images that one sweep over the state's
+single-box edits finds (`_moves`, filled by the E/F kernel
+`spinrep._shift_state`).  The memos live and die with their context.
 """
 
 from __future__ import annotations
@@ -27,21 +27,12 @@ from .diagram import Sign, validate_diagram
 
 
 class RankContext:
-    """Rank data: edges, neighbour lists, and the dimension-vector, u and sweep memos."""
+    """Rank data: the rank n, and the dimension-vector, u and sweep memos."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("rank must be at least 2, got %r" % n)
         self.n = n
-        # the path 1 - 2 - ... - n-1, then the fork edge n-2 - n
-        self.edges = tuple(zip(range(1, n - 1), range(2, n))) + (((n - 2, n),) if n >= 3 else ())
-        # neighbours[i - 1] lists the vertices joined to vertex i: (i-1, i+1) inside the
-        # path, one at its ends 1 and n-1; the fork edge joins n-2 and n
-        neighbours = [()] * n
-        if n >= 3:
-            neighbours = [(2,)] + list(zip(range(1, n - 2), range(3, n))) + [(n - 2,), (n - 2,)]
-            neighbours[n - 3] += (n,)
-        self.neighbours = tuple(neighbours)
         # (sign, rows) -> dimension vector, filled by dim_vector
         self._dim_vectors = {}
         # (sign, rows) -> {+k: (F_k image, 1), -k: (E_k image, 1)}, filled by spinrep._shift_state
@@ -55,7 +46,9 @@ class RankContext:
             raise ValueError("%s %r out of range 1..%d" % (what, k, self.n))
 
     def adjacent(self, i: int, j: int) -> bool:
-        return j in self.neighbours[i - 1]
+        """Whether vertices i and j are joined: by the path 1 - ... - n-1 or the fork edge n-2 - n."""
+        lo, hi = (i, j) if i < j else (j, i)
+        return hi == lo + 1 < self.n or (lo, hi) == (self.n - 2, self.n)
 
     def cartan_entry(self, i: int, j: int) -> int:
         """The Cartan matrix entry C_ij: 2 on the diagonal, -1 on edges, else 0."""
@@ -189,8 +182,8 @@ def weight_u(v, w, ctx: RankContext) -> tuple:
     """u = w - C v, the Cartan eigenvalue vector (entries may be negative).
 
     Row i of C v is 2 v_i minus the sum of v over the neighbours of i.  The
-    first n-2 edges of ctx, the path i - i+1, are added as two shifted
-    slices and the fork edge after them alone: O(n).
+    n-2 path edges i - i+1 are added as two shifted slices and the fork
+    edge n-2 - n after them alone: O(n).
     """
     n = ctx.n
     if len(v) != n or len(w) != n:
@@ -199,9 +192,9 @@ def weight_u(v, w, ctx: RankContext) -> tuple:
     path = n - 2
     u[:path] = map(add, u[:path], v[1:path + 1])
     u[1:path + 1] = map(add, u[1:path + 1], v[:path])
-    for i, j in ctx.edges[path:]:  # the fork edge n-2 - n
-        u[i - 1] += v[j - 1]
-        u[j - 1] += v[i - 1]
+    if n >= 3:  # the fork edge n-2 - n
+        u[n - 3] += v[n - 1]
+        u[n - 1] += v[n - 3]
     return tuple(u)
 
 
@@ -218,4 +211,5 @@ def state_u(state, ctx: RankContext) -> tuple:
 
 
 def format_dim_vector(v) -> str:
+    """A vector's entries, comma-joined in parentheses: how v, u and weights print."""
     return "(%s)" % ",".join(str(x) for x in v)

@@ -200,6 +200,9 @@ def test_clifford_usage_errors(capsys):
     assert refusal(capsys, "clifford", "--n", "4", "--apply", "{1_0}", "a1") == "error: cannot parse index set '{1_0}'\n"
     assert refusal(capsys, "clifford", "--n", "4", "--apply", "{+1}", "a1") == "error: cannot parse index set '{+1}'\n"
     assert refusal(capsys, "clifford", "--n", "12", "b\u0663") == "error: cannot tokenize 'b\u0663' at position 0\n"
+    assert refusal(capsys, "clifford", "--n", "2", "*") == "error: unexpected token '*' in '*'\n"
+    assert refusal(capsys, "clifford", "--n", "2", "a1 )") == "error: trailing input ')' in 'a1 )'\n"
+    assert refusal(capsys, "clifford", "--n", "2", ")") == "error: unexpected token ')' in ')'\n"
 
 
 def test_verify_text():

@@ -1,9 +1,9 @@
 """Exactness: no floating point in the package, and integral coefficients stored as ints.
 
-Also the package's unused-import, written-once and one-argument-state
-lints, the two storage forms of ExactMatrix checked against a plain dict of
-entries, and the one combination base of the three vector types checked the
-same way.
+Also the package's unused-import, unused-private-definition, written-once
+and one-argument-state lints, the two storage forms of ExactMatrix checked
+against a plain dict of entries, and the one combination base of the three
+vector types checked the same way.
 """
 
 import ast
@@ -115,6 +115,83 @@ def test_the_lint_sees_each_unused_import():
         (4, "regex"),
         (6, "dumps"),
         (7, "sibling"),
+    ]
+
+
+def unused_private_definitions(trees):
+    """(module, line, name) for each module-level private name that no tree reads.
+
+    trees maps a module name to its parsed source.  A private name starts
+    with one underscore and is not a dunder; it is defined by a def, class
+    or assignment at module level.  It is read by a loaded name, an
+    attribute of that name (`oracle._tree`) or a from-import of it, in any
+    of the trees.
+    """
+    defined = []
+    read = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (module, node.lineno, name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(
+        (module, line, name)
+        for module, line, name in defined
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__")) and name not in read
+    )
+
+
+def test_no_unused_private_definitions_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert unused_private_definitions(trees) == []
+
+
+def test_the_lint_sees_each_unused_private_definition():
+    trees = {
+        "a.py": ast.parse(
+            "from .b import _imported\n"
+            "__version__ = '1'\n"
+            "_READ = 1\n"
+            "_WRITTEN = 2\n"
+            "_WRITTEN = 3\n"
+            "_first, _second = 4, 5\n"
+            "def _read_here():\n"
+            "    def _nested():\n"
+            "        pass\n"
+            "    return _READ + _first\n"
+            "def _by_attribute():\n"
+            "    return _read_here()\n"
+            "class _Unused:\n"
+            "    pass\n"
+        ),
+        "b.py": ast.parse(
+            "from . import a\n"
+            "def _imported():\n"
+            "    return a._by_attribute()\n"
+            "def _unused():\n"
+            "    pass\n"
+        ),
+    }
+    assert unused_private_definitions(trees) == [
+        ("a.py", 4, "_WRITTEN"),
+        ("a.py", 5, "_WRITTEN"),
+        ("a.py", 6, "_second"),
+        ("a.py", 13, "_Unused"),
+        ("b.py", 4, "_unused"),
     ]
 
 

@@ -435,6 +435,34 @@ def test_a_ladder_fault_fails_both_modes(monkeypatch):
     }
 
 
+def test_a_weight_route_fault_fails_both_modes(monkeypatch):
+    # the closed form with its first and last coordinates swapped; (plus,-)
+    # has equal ends, so the first state it gets wrong is (plus,1), and
+    # both modes print that state's witness in the same form
+    from halfspin import spinrep
+
+    real = spinrep.weight_eps_closed
+
+    def swapped(state, ctx):
+        eps = list(real(state, ctx))
+        eps[0], eps[-1] = eps[-1], eps[0]
+        return tuple(eps)
+
+    monkeypatch.setattr(spinrep, "weight_eps_closed", swapped)
+    (report,) = run_suites(["weights"], [4])
+    failed = {e["identity"]: e["witness"] for e in report["checks"] if e["status"] == "fail"}
+    assert failed == {
+        "closed form agrees with cartan eigenvalue route on all 16 states":
+            "closed form at state (plus,1): got (-1/2,1/2,-1/2,1/2), expected (1/2,1/2,-1/2,-1/2)",
+    }
+    report = oracle.check_dinfty(3, 6)
+    failed = {e["identity"]: e["witness"] for e in report["checks"] if e["status"] == "fail"}
+    assert failed == {
+        "weight routes agree (pointwise on 10 states)":
+            "closed form at state (plus,1): got (-1/2,1/2,1/2,1/2,-1/2,1/2), expected (1/2,1/2,1/2,1/2,-1/2,-1/2)",
+    }
+
+
 def test_dinfty_witness_text_follows_the_states_of_the_image(monkeypatch):
     # the intertwiner rows served under the Chevalley family's name still
     # print their witness as wedge vectors: the text is read off the image's

@@ -44,11 +44,17 @@ def summed_strings(state, ctx):
     return tuple(total)
 
 
-def dense_u(v, w, n):
-    """w - Cv with the Cartan matrix C of d_edges(n) written out in full."""
+def d_cartan(n):
+    """The Cartan matrix of d_edges(n), written out in full as row tuples."""
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in d_edges(n):
         c[i - 1][j - 1] = c[j - 1][i - 1] = -1
+    return tuple(map(tuple, c))
+
+
+def dense_u(v, w, n):
+    """w - Cv with the Cartan matrix C of d_edges(n) written out in full."""
+    c = d_cartan(n)
     return tuple(w[i] - sum(c[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
@@ -80,11 +86,21 @@ def max_rank_states():
     ]
 
 
+def joined_pairs(n):
+    """Every ordered pair of vertices that RankContext(n).adjacent joins, sorted."""
+    ctx = RankContext(n)
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if ctx.adjacent(i, j)]
+
+
+def both_ways(edges):
+    return sorted(edges + [(j, i) for i, j in edges])
+
+
 def test_rank_context_edges():
-    assert RankContext(2).edges == ()
-    assert RankContext(3).edges == ((1, 2), (1, 3))
-    assert RankContext(4).edges == ((1, 2), (2, 3), (2, 4))
-    assert RankContext(5).edges == ((1, 2), (2, 3), (3, 4), (3, 5))
+    assert joined_pairs(2) == []
+    assert joined_pairs(3) == both_ways([(1, 2), (1, 3)])
+    assert joined_pairs(4) == both_ways([(1, 2), (2, 3), (2, 4)])
+    assert joined_pairs(5) == both_ways([(1, 2), (2, 3), (3, 4), (3, 5)])
     with pytest.raises(ValueError):
         RankContext(1)
 
@@ -103,11 +119,13 @@ def test_cartan_matrix():
         (0, -1, 2, 0),
         (0, -1, 0, 2),
     )
-    assert RankContext(4).neighbours == ((2,), (1, 3, 4), (2,), (2,))
+    ctx = RankContext(4)
+    neighbours = [tuple(j for j in range(1, 5) if ctx.adjacent(i, j)) for i in range(1, 5)]
+    assert neighbours == [(2,), (1, 3, 4), (2,), (2,)]
     # symmetric, diagonal 2, off-diagonal -1 exactly on edges
     for n in (2, 3, 5, 6):
         c = dense_cartan(n)
-        edges = {frozenset(e) for e in RankContext(n).edges}
+        edges = {frozenset(e) for e in d_edges(n)}
         for i in range(n):
             assert c[i][i] == 2
             for j in range(n):
@@ -361,12 +379,25 @@ def test_max_rank_dim_vector_and_u_match_their_references(state):
     assert v[-2] + v[-1] == len(state[1])
 
 
-def test_neighbours_are_the_lists_the_edges_give():
-    for n in list(range(2, 301)) + [10000]:
-        ctx = RankContext(n)
-        assert ctx.edges == tuple(d_edges(n))
-        neighbours = [[] for _ in range(n)]
-        for i, j in ctx.edges:
-            neighbours[i - 1].append(j)
-            neighbours[j - 1].append(i)
-        assert ctx.neighbours == tuple(tuple(ns) for ns in neighbours), n
+def test_adjacent_and_cartan_entry_follow_the_edges():
+    # every pair at n = 2..300 (the Cartan matrix in full up to n = 60, as
+    # it adds only its diagonal to adjacent); at n = 10000, each vertex
+    # against its path neighbours, the next vertices along and the fork's ends
+    for n in range(2, 301):
+        assert joined_pairs(n) == both_ways(d_edges(n)), n
+        if n <= 60:
+            assert dense_cartan(n) == d_cartan(n), n
+    n = 10000
+    ctx = RankContext(n)
+    near = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in (i - 2, i - 1, i + 1, i + 2, n - 2, n)
+        if 1 <= j <= n and j != i
+    ]
+    edges = set(d_edges(n))
+    for i, j in near:
+        joined = (min(i, j), max(i, j)) in edges
+        assert ctx.adjacent(i, j) == joined, (i, j)
+        assert ctx.cartan_entry(i, j) == -joined, (i, j)
+    assert all(ctx.cartan_entry(i, i) == 2 for i in range(1, n + 1))
