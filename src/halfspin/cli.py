@@ -3,11 +3,13 @@
 Commands: enumerate, act, weight, clifford, verify, export-matrix.
 Exit status: 0 on success, 1 when a verification suite fails, 2 on usage
 and I/O errors.  --json switches every command to machine-readable output;
-rationals are serialized as strings "p/q" so nothing is rounded.
+rationals are serialized as strings "p/q" so nothing is rounded.  Every
+--json document is written by _json_text, byte for byte json.dumps(doc, indent=2).
 
 build_parser() lists only the command names and their help lines and is
 built once per process; a call builds only its own command's parser, with its
-options.  Help is formatted at the terminal width of the call that asks.
+options, and reads the terminal width once for it.  Help is formatted at the
+terminal width of the call that asks.
 
 Requests beyond the size caps below are refused with exit status 2 before
 the work they bound is started; no option raises a cap.  An option that the
@@ -22,6 +24,7 @@ import csv
 import functools
 import io
 import json
+import shutil
 import sys
 
 from . import oracle
@@ -171,9 +174,45 @@ def _emit(text, out):
         out.write("\n")
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(doc):
+    """json.dumps(doc, indent=2), byte for byte, without json's pure-Python encoder;
+    a document holding a type or a dict key that _json_value refuses goes to json whole."""
+    try:
+        return _json_value(doc, "\n")
+    except TypeError:
+        return json.dumps(doc, indent=2)
+
+
+def _json_value(x, newline):
+    """x as json.dumps(x, indent=2) writes it at the indent that newline ends with;
+    a list of str alone, or of int alone, is written by one str.join."""
+    kind = type(x)
+    if kind is str:
+        return _encode_string(x)
+    if kind is int:
+        return repr(x)
+    if x is None:
+        return "null"
+    if kind is bool or kind is float:
+        return json.dumps(x)
+    inner = newline + "  "
+    if kind is dict:  # the encoder refuses a key that is not a str with a TypeError
+        items, brackets = [_encode_string(k) + ": " + _json_value(v, inner) for k, v in x.items()], "{}"
+    elif kind is list:
+        kinds = set(map(type, x))
+        encode = _encode_string if kinds == {str} else repr if kinds == {int} else None
+        items, brackets = map(encode, x) if encode else [_json_value(v, inner) for v in x], "[]"
+    else:
+        raise TypeError(kind)
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1] if x else brackets
+
+
 def _emit_doc(args, doc, text, out):
     """The command's document with --json, else its text (which may be None with --json)."""
-    _emit(json.dumps(doc, indent=2) if args.json else text, out)
+    _emit(_json_text(doc) if args.json else text, out)
 
 
 def _eps_strings(eps):
@@ -271,29 +310,29 @@ def cmd_enumerate(args, out):
                 "fock_index": format_fock_index(idx),
             }
         )
-    if args.json:
-        doc = {"command": "enumerate", "n": ctx.n, "mode": "truncated" if args.dinfty else "bounded", "rows": rows}
-        if args.dinfty:
-            doc["max_boxes"] = args.max_boxes
-        _emit(json.dumps(doc, indent=2), out)
-        return 0
-    table = [["sign", "diagram", "v", "u", "weight", "fock_index"]] + [
-        [
-            r["sign"],
-            r["diagram"],
-            format_dim_vector(r["v"]),
-            format_dim_vector(r["u"]),
-            format_dim_vector(r["weight"]),
-            r["fock_index"],
+    doc = {"command": "enumerate", "n": ctx.n, "mode": "truncated" if args.dinfty else "bounded", "rows": rows}
+    if args.dinfty:
+        doc["max_boxes"] = args.max_boxes
+    text = None
+    if not args.json:
+        table = [["sign", "diagram", "v", "u", "weight", "fock_index"]] + [
+            [
+                r["sign"],
+                r["diagram"],
+                format_dim_vector(r["v"]),
+                format_dim_vector(r["u"]),
+                format_dim_vector(r["weight"]),
+                r["fock_index"],
+            ]
+            for r in rows
         ]
-        for r in rows
-    ]
-    if args.csv:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(table)
-        _emit(buf.getvalue().rstrip("\n"), out)
-    else:
-        _emit("\n".join("\t".join(row) for row in table), out)
+        if args.csv:
+            buf = io.StringIO()
+            csv.writer(buf).writerows(table)
+            text = buf.getvalue().rstrip("\n")
+        else:
+            text = "\n".join("\t".join(row) for row in table)
+    _emit_doc(args, doc, text, out)
     return 0
 
 
@@ -362,28 +401,21 @@ def cmd_verify(args, out):
                 raise CliError("--suite names no suite (choose from %s)" % ", ".join(oracle.SUITE_NAMES))
         reports = _usage(oracle.run_suites, names, ranks)
     ok = oracle.all_pass(reports)
-    if args.json:
-        doc = {"command": "verify", "ok": ok, "reports": reports}
-        _emit(json.dumps(doc, indent=2), out)
-    else:
-        for r in reports:
-            c = r["counts"]
-            extras = []
-            for key in ("xfail", "xpass", "skip"):
-                if c[key]:
-                    extras.append("%d %s" % (c[key], key))
-            suffix = (", " + ", ".join(extras)) if extras else ""
-            scope = "max_boxes=%d, ambient n=%d" % (r["max_boxes"], r["n"]) if r.get("mode") == "truncated" else "n=%d" % r["n"]
-            _emit(
-                "%s %s: %s (%d identities%s) [%.3fs]"
-                % (r["suite"], scope, r["status"], c["pass"] + c["fail"], suffix, r["duration"]),
-                out,
-            )
-            if r["status"] != "pass":
-                for e in r["checks"]:
-                    if e["status"] in ("fail", "xpass"):
-                        _emit("  %s: %s (%s)" % (e["status"], e["identity"], e["witness"]), out)
-        _emit("overall: %s" % ("pass" if ok else "fail"), out)
+    lines = []
+    for r in reports:
+        c = r["counts"]
+        extras = ["%d %s" % (c[key], key) for key in ("xfail", "xpass", "skip") if c[key]]
+        suffix = (", " + ", ".join(extras)) if extras else ""
+        scope = "max_boxes=%d, ambient n=%d" % (r["max_boxes"], r["n"]) if r.get("mode") == "truncated" else "n=%d" % r["n"]
+        lines.append(
+            "%s %s: %s (%d identities%s) [%.3fs]"
+            % (r["suite"], scope, r["status"], c["pass"] + c["fail"], suffix, r["duration"])
+        )
+        if r["status"] != "pass":
+            lines += ["  %s: %s (%s)" % (e["status"], e["identity"], e["witness"])
+                      for e in r["checks"] if e["status"] in ("fail", "xpass")]
+    lines.append("overall: %s" % ("pass" if ok else "fail"))
+    _emit_doc(args, {"command": "verify", "ok": ok, "reports": reports}, "\n".join(lines), out)
     return 0 if ok else 1
 
 
@@ -415,7 +447,7 @@ def cmd_export_matrix(args, out):
             "cols": matrix.ncols,
             "entries": [[i, j, str(v)] for (i, j), v in triplets],
         }
-        text = json.dumps(doc, indent=2)
+        text = _json_text(doc)
     else:
         lines = [
             "# operator: %s" % args.operator,
@@ -442,6 +474,8 @@ class _Command:
     """A command whose parser is built, and declare(parser) run, only when it is parsed.
 
     parse_known_args is the one method argparse calls on a chosen command.
+    It reads the terminal width once, as each HelpFormatter would for itself,
+    and fixes the parser's formatters to it: help and usage follow each call's COLUMNS.
     """
 
     def __init__(self, *, declare, **kwargs):
@@ -449,7 +483,9 @@ class _Command:
         self._kwargs = kwargs
 
     def parse_known_args(self, args, namespace):
-        parser = argparse.ArgumentParser(**self._kwargs)
+        width = shutil.get_terminal_size().columns - 2  # HelpFormatter's own default
+        formatter = functools.partial(argparse.HelpFormatter, width=width)
+        parser = argparse.ArgumentParser(formatter_class=formatter, **self._kwargs)
         self._declare(parser)
         return parser.parse_known_args(args, namespace)
 

@@ -25,10 +25,15 @@ class Sign(Enum):
     __hash__ = object.__hash__
 
     def flip(self) -> "Sign":
-        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
+        return MINUS if self is PLUS else PLUS
 
     def __str__(self) -> str:
         return self.value
+
+
+# the members as module names, for per-state code: a global read, where
+# Sign.PLUS is an Enum class-attribute lookup on every call
+PLUS, MINUS = Sign.PLUS, Sign.MINUS
 
 
 def parse_sign(text: str) -> Sign:
@@ -125,7 +130,7 @@ def fock_index(state, n: int) -> frozenset:
     """
     sign, rows = state
     idx = set(endpoints(rows, n))
-    if (len(rows) % 2 == 1) == (sign is Sign.PLUS):
+    if (len(rows) % 2 == 1) == (sign is PLUS):
         idx.add(n)
     return frozenset(idx)
 
@@ -137,7 +142,7 @@ def fock_index_inverse(idx, n: int):
         if not 1 <= i <= n:
             raise ValueError("index %r out of range 1..%d" % (i, n))
     rows = tuple(sorted((n - i for i in idx if i < n), reverse=True))
-    sign = Sign.PLUS if (len(rows) % 2 == 1) == (n in idx) else Sign.MINUS
+    sign = PLUS if (len(rows) % 2 == 1) == (n in idx) else MINUS
     return sign, rows
 
 

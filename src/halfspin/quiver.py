@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import add, itemgetter, sub
 
-from .diagram import Sign, validate_diagram
+from .diagram import PLUS, Sign, validate_diagram
 
 
 class RankContext:
@@ -131,7 +131,7 @@ def a_sets(state, ctx: RankContext) -> list:
     n = ctx.n
     out = []
     for i, l in enumerate(rows, start=1):
-        odd_role = (i % 2 == 1) if sign is Sign.PLUS else (i % 2 == 0)
+        odd_role = (i % 2 == 1) if sign is PLUS else (i % 2 == 0)
         if odd_role:
             if l > 1:
                 out.append(StringInterval(n - l, n))
@@ -175,7 +175,7 @@ def unit_vector(k: int, ctx: RankContext) -> tuple:
 
 def framing_vector(sign: Sign, ctx: RankContext) -> tuple:
     # w is the unit vector at vertex n (PLUS) or n-1 (MINUS)
-    return unit_vector(ctx.n if sign is Sign.PLUS else ctx.n - 1, ctx)
+    return unit_vector(ctx.n if sign is PLUS else ctx.n - 1, ctx)
 
 
 def weight_u(v, w, ctx: RankContext) -> tuple:

@@ -31,7 +31,7 @@ from itertools import accumulate, compress
 from operator import sub
 
 from .diagram import (
-    Sign,
+    PLUS,
     endpoint_count_below,
     add_row_with_endpoint,
     remove_row_with_endpoint,
@@ -274,7 +274,7 @@ def _ladder(state, k, ctx, parity, edit):
     sign, rows = state
     n = ctx.n
     if k == n:
-        w_n = 1 if sign is Sign.PLUS else 0
+        w_n = 1 if sign is PLUS else 0
         if (w_n + len(rows)) % 2 != parity:
             return None
         return (sign.flip(), rows), (-1) ** len(rows)
@@ -366,7 +366,7 @@ def weight_eps_alpha(state, ctx: RankContext) -> tuple:
     n = ctx.n
     validate_diagram(rows, n)
     twice = [0] * n
-    for coords, value in _twice_fundamental_weight(n if sign is Sign.PLUS else n - 1, n):
+    for coords, value in _twice_fundamental_weight(n if sign is PLUS else n - 1, n):
         for j in coords:
             twice[j] += value
 
@@ -377,7 +377,7 @@ def weight_eps_alpha(state, ctx: RankContext) -> tuple:
     mu = conjugate(rows)
     if mu:
         hi, lo = (mu[0] + 1) // 2, mu[0] // 2
-        if sign is Sign.PLUS:
+        if sign is PLUS:
             subtract(n, hi)
             subtract(n - 1, lo)
         else:
@@ -398,7 +398,7 @@ def _closed_form(state, ctx, twice_per_row):
     for l in rows:
         twice[n - l - 1] -= twice_per_row
     s = len(rows)
-    plus_tip = (s % 2 == 0) if sign is Sign.PLUS else (s % 2 == 1)
+    plus_tip = (s % 2 == 0) if sign is PLUS else (s % 2 == 1)
     twice[n - 1] = 1 if plus_tip else -1
     return _halves(twice)
 
@@ -449,7 +449,7 @@ def parse_basis_state(text: str, ctx=None):
 
 def _state_sort_key(state):
     sign, rows = state
-    return (0 if sign is Sign.PLUS else 1, diagram_sort_key(rows))
+    return (0 if sign is PLUS else 1, diagram_sort_key(rows))
 
 
 def format_terms(terms, sort_key, body) -> str:

@@ -676,18 +676,60 @@ def test_the_top_level_parser_is_built_once_and_a_call_builds_its_command_alone(
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [["act", "--help"], ["--help"]])
+@pytest.mark.parametrize("argv", [
+    ["act", "--help"],
+    ["--help"],
+    ["act", "--n", "4", "F_1"],
+    ["export-matrix", "--n", "2", "--basis", "x", "F_1"],
+])
 def test_help_is_formatted_at_the_width_of_each_call(argv, capsys, monkeypatch):
     # the parser outlives the call that built it, so a width or formatter
-    # frozen when it was built would show in the next call's help
+    # frozen when it was built would show in the next call's help; a
+    # command's parser reads the width once per call, for its usage errors too
     recorded = next(c for c in ARGPARSE_RECORDED if c["argv"] == argv)
+    expected = (recorded["exit"], "", recorded["stdout"], recorded["stderr"])
     cli.build_parser.cache_clear()
-    monkeypatch.setenv("COLUMNS", "80")
-    assert _call(argv, capsys) == (0, "", recorded["stdout"], recorded["stderr"])
-    monkeypatch.setenv("COLUMNS", "50")
-    rc, _, text, err = _call(argv, capsys)
-    assert (rc, err) == (0, "")
-    assert text != recorded["stdout"]
+    for columns in ("80", "50", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = _call(argv, capsys)
+        if columns == "80":
+            assert got == expected
+        else:
+            assert got[:2] == expected[:2] and got[2:] != expected[2:]
+
+
+# JSON trees of every type json writes, NaN and the infinities included, with
+# lists of str alone and of int alone drawn on purpose: _json_text writes those by one join
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+        st.lists(st.text(max_size=4), max_size=5),
+        st.lists(st.integers(), max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(_JSON_TREES)
+def test_the_json_writer_is_json_dumps_with_indent_2(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], {"a": {}}, [1, True], ["a", 1], "\x00 \ud800", -0.0, 10**40, {"u": [0, -1], "eps": ["1/2"]},
+], ids=repr)
+def test_the_json_writer_on_edge_cases(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_the_json_writer_hands_a_dict_with_an_int_key_to_json():
+    doc = {"a": [1], 2: None}
+    with pytest.raises(TypeError):
+        cli._json_value(doc, "\n")
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
 
 
 # the argv grammar, drawn without regard to which command an option belongs

@@ -1,9 +1,9 @@
 """Exactness: no floating point in the package, and integral coefficients stored as ints.
 
-Also the package's unused-import, unused-private-definition, written-once
-and one-argument-state lints, the two storage forms of ExactMatrix checked
-against a plain dict of entries, and the one combination base of the three
-vector types checked the same way.
+Also the package's unused-import, one-JSON-writer, unused-private-definition,
+written-once and one-argument-state lints, the two storage forms of
+ExactMatrix checked against a plain dict of entries, and the one combination
+base of the three vector types checked the same way.
 """
 
 import ast
@@ -116,6 +116,43 @@ def test_the_lint_sees_each_unused_import():
         (6, "dumps"),
         (7, "sibling"),
     ]
+
+
+def indented_json_dumps(tree, writer="_json_text"):
+    """Line of each json.dumps(..., indent=...) call outside the function named writer.
+
+    indent sends json to its pure-Python encoder; cli's writer falls back to
+    that call alone, for a document it does not write itself.
+    """
+    exempt = {id(node) for f in ast.walk(tree) if getattr(f, "name", None) == writer for node in ast.walk(f)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in exempt
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+        and any(k.arg == "indent" for k in node.keywords)
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_json_documents_are_written_by_one_writer(path):
+    found = indented_json_dumps(ast.parse(path.read_text(), str(path)))
+    assert not found, "%s: lines %s" % (path.name, found)
+
+
+def test_the_lint_sees_each_indented_json_dumps():
+    code = (
+        "import json\n"
+        "from json import dumps\n"
+        "def _json_text(doc):\n"
+        "    return json.dumps(doc, indent=2)\n"
+        "def report(doc):\n"
+        "    return json.dumps(doc, indent=2)\n"
+        "compact = json.dumps({}, sort_keys=True)\n"
+        "other = dumps([], indent=4)\n"
+    )
+    assert indented_json_dumps(ast.parse(code)) == [6, 8]
 
 
 def unused_private_definitions(trees):
