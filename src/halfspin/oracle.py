@@ -45,7 +45,8 @@ from functools import cached_property, partial
 from types import MappingProxyType
 
 from .diagram import (
-    Sign,
+    MINUS,
+    PLUS,
     enumerate_diagrams,
     enumerate_diagrams_by_boxes,
     format_fock_index,
@@ -265,7 +266,7 @@ class IndexedBasis:
 def spin_basis(ctx: RankContext) -> IndexedBasis:
     """All 2^n basis states: the plus block first, then the minus block."""
     shapes = enumerate_diagrams(ctx.n)
-    states = [(sign, rows) for sign in (Sign.PLUS, Sign.MINUS) for rows in shapes]
+    states = [(sign, rows) for sign in (PLUS, MINUS) for rows in shapes]
     return IndexedBasis(states, label=format_basis_state)
 
 
@@ -274,7 +275,7 @@ def truncated_spin_basis(ctx: RankContext, max_boxes: int) -> IndexedBasis:
     if max_boxes > ctx.n - 1:
         raise ValueError("box cap %d needs rank > %d, got %d" % (max_boxes, ctx.n, ctx.n))
     shapes = enumerate_diagrams_by_boxes(max_boxes)
-    states = [(sign, rows) for sign in (Sign.PLUS, Sign.MINUS) for rows in shapes]
+    states = [(sign, rows) for sign in (PLUS, MINUS) for rows in shapes]
     return IndexedBasis(states, label=format_basis_state)
 
 
@@ -734,7 +735,7 @@ def check_module_structure(tables: RankTables) -> list:
     """
     ctx, basis = tables.ctx, tables.sbasis
     n = ctx.n
-    signs = (Sign.PLUS, Sign.MINUS)
+    signs = (PLUS, MINUS)
     entries = []
     half_dim = 2 ** (n - 1)
     down = {}
@@ -762,12 +763,12 @@ def check_module_structure(tables: RankTables) -> list:
     # wedge parity: image sizes under the basis dictionary
     parities = {sign: {len(cliff.phi_state(s, ctx)) % 2 for s in expected[sign]} for sign in signs}
     label = "plus block fills the even wedge part, minus the odd (every rank)"
-    witness = "parities: plus=%s minus=%s" % (sorted(parities[Sign.PLUS]), sorted(parities[Sign.MINUS]))
-    entries.append(_entry(label, parities[Sign.PLUS] == {0} and parities[Sign.MINUS] == {1}, witness))
+    witness = "parities: plus=%s minus=%s" % (sorted(parities[PLUS]), sorted(parities[MINUS]))
+    entries.append(_entry(label, parities[PLUS] == {0} and parities[MINUS] == {1}, witness))
     # A rank-parity variant of the matching rule is pinned here as a
     # regression: it happens to agree for even n and is wrong for odd n.
-    even_block_sign = Sign.PLUS if parities[Sign.PLUS] == {0} else Sign.MINUS
-    variant_expected = Sign.PLUS if n % 2 == 0 else Sign.MINUS
+    even_block_sign = PLUS if parities[PLUS] == {0} else MINUS
+    variant_expected = PLUS if n % 2 == 0 else MINUS
     label = "rank-parity variant: even wedge part is the %s block" % variant_expected
     witness = "even wedge part is the %s block for every rank" % even_block_sign
     entries.append(_entry(label, even_block_sign == variant_expected, witness, expected_fail=n % 2 == 1))
@@ -818,7 +819,7 @@ def check_weight_consistency(tables: RankTables) -> list:
     label = "halved-row-sum variant deviates on every non-empty shape"
     entries.append(_entry(label, deviates, "variant coincides somewhere"))
     if ctx.n == 4:
-        pinned = (Sign.PLUS, (2,))
+        pinned = (PLUS, (2,))
         got = variant(pinned, ctx)
         want = wants[basis.index[pinned]]
         entries.append(

@@ -691,11 +691,13 @@ def test_help_is_formatted_at_the_width_of_each_call(argv, capsys, monkeypatch):
     cli.build_parser.cache_clear()
     for columns in ("80", "50", "80"):
         monkeypatch.setenv("COLUMNS", columns)
-        got = _call(argv, capsys)
+        rc, out, text, err = _call(argv, capsys)
         if columns == "80":
-            assert got == expected
-        else:
-            assert got[:2] == expected[:2] and got[2:] != expected[2:]
+            assert (rc, out, text, err) == expected
+        elif recorded["exit"] == 0:  # help: on stdout alone
+            assert (rc, out, err) == (0, "", "") and text != recorded["stdout"]
+        else:  # a usage error: on stderr alone
+            assert (rc, out, text) == (recorded["exit"], "", "") and err != recorded["stderr"]
 
 
 # JSON trees of every type json writes, NaN and the infinities included, with
