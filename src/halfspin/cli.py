@@ -30,7 +30,7 @@ import sys
 from . import oracle
 from . import spinrep
 from . import clifford as cliff
-from .clifford import MAX_CLIFFORD_TERMS
+from .clifford import MAX_CLIFFORD_GENERATORS, MAX_CLIFFORD_TERMS
 from .diagram import format_diagram, format_fock_index, parse_decimal
 from .quiver import RankContext, format_dim_vector, state_u, dim_vector
 from .spinrep import (
@@ -54,12 +54,12 @@ MAX_BASIS_RANK = 14
 # one process on a shared 2-core Intel Xeon host, Python 3.11.7)
 MAX_VERIFY_RANK = 14
 # --dinfty: the capped family of shapes with at most this many boxes
-# (verify --dinfty --max-boxes 17 --n 32: about 7 s)
+# (verify --dinfty --max-boxes 17 --n 32: about 3 s, process start included)
 MAX_BOXES = 17
 # --dinfty: the ambient rank; the identity table has O(n^2) rows
 MAX_AMBIENT_RANK = 32
-# clifford: MAX_CLIFFORD_TERMS, imported from clifford, bounds each product
-# of an expression there, and --apply's terms times states here
+# clifford: MAX_CLIFFORD_GENERATORS and MAX_CLIFFORD_TERMS, imported from clifford, bound
+# an expression's generators and each of its products there, and --apply's terms times states here
 
 
 def _check_cap(value, cap, name, what):
@@ -528,8 +528,8 @@ def _clifford_options(p):
     p.add_argument("--json", action="store_true")
     p.add_argument(
         "expression",
-        help="e.g. \"a1*b1 + b1*a1\"; each product, and --apply's terms times states, "
-        "at most %d (MAX_CLIFFORD_TERMS)" % MAX_CLIFFORD_TERMS,
+        help="e.g. \"a1*b1 + b1*a1\"; its generators at most %d (MAX_CLIFFORD_GENERATORS); each product, "
+        "and --apply's terms times states, at most %d (MAX_CLIFFORD_TERMS)" % (MAX_CLIFFORD_GENERATORS, MAX_CLIFFORD_TERMS),
     )
     p.set_defaults(func=cmd_clifford)
 

@@ -155,9 +155,11 @@ class CliffordElement(Combination):
 
 # The product bound beyond which parse_clifford_expression refuses a product:
 # (a1 ... a12)(b1 ... b12) at the cap takes about 0.03 s, and each doubling
-# of the bound a little more than doubles the time.  It does not bound the
-# length of a word: each generator costs a copy of the monomial built so far.
+# of the bound a little more than doubles the time.
 MAX_CLIFFORD_TERMS = 4096
+# The generators an expression may hold: a word copies its monomial, and a sum
+# its terms, at each generator (b1 + b2 + ... + b1024: about 0.07 s).
+MAX_CLIFFORD_GENERATORS = 1024
 
 
 def product_bound(x: CliffordElement, y: CliffordElement) -> int:
@@ -293,10 +295,13 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
 
     Juxtaposition multiplies ("b1 b3 a2"), so canonical output re-parses to
     an equal element.  Numbers are rational scalars; parentheses group.
-    A product x * y whose product_bound exceeds MAX_CLIFFORD_TERMS raises
-    ValueError before it is multiplied.
+    Text of more than MAX_CLIFFORD_GENERATORS generators, or a product x * y whose product_bound
+    exceeds MAX_CLIFFORD_TERMS, raises ValueError before it is parsed or multiplied.
     """
     tokens = tokenize(text.strip(), _CLIFF_TOKEN)
+    count = sum(tok[0] in "ab" for tok in tokens)
+    if count > MAX_CLIFFORD_GENERATORS:
+        raise ValueError("generator count %d exceeds MAX_CLIFFORD_GENERATORS = %d" % (count, MAX_CLIFFORD_GENERATORS))
     state = {"pos": 0}
 
     def peek():

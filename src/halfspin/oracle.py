@@ -12,16 +12,17 @@ suites tabulate each operator as a sparse exact matrix over the whole
 rank-n basis and compare matrices.  The rank-free `check_dinfty` expands
 each side into operator words and merges a family's words, each token
 parsed once, into one prefix tree keyed by operator once per call, then
-walks it on one box-capped basis state at a time; since every operator
-sends a basis state to at most one signed basis state, a walk stops below
-the first zero image, and a prefix that many words share is applied once.
+walks it on one box-capped basis state at a time, with one image table
+per state for that column only; since every operator sends a basis state
+to at most one signed basis state, a walk stops below the first zero
+image, and a prefix that many words share is applied once.
 The module, weight and faithfulness suites are written out on their own.
 
 Every operator token of both models is read from one table of functions
-by name, `_OPERATORS`.  The rank-free evaluator and the command line go
-through its dispatch, `apply_operator`, on every call; the tabulator reads
-the table once per matrix and applies the function to the prebuilt
-one-state vectors of its basis.
+by name, `_OPERATORS`, when it is applied: by the command line through
+its dispatch, `apply_operator`, by the rank-free evaluator for each image
+it computes, and by the tabulator once per matrix, whose function then
+runs on the prebuilt one-state vectors of its basis.
 
 The suites of one `run_suites` call share one `RankTables` per rank: one
 rank context, one shape and one wedge basis with their one-state vectors,
@@ -623,37 +624,49 @@ def _tree(rows):
     return root
 
 
-class _ColumnImages(dict):
-    """One column's operator images, {((name, k), state): ((target, coeff), ...)}.
+class _StateImages(dict):
+    """One basis state's images in one column, {(name, k): ((target, coeff), ...)}.
 
-    A missing image is computed on the state's one-state vector, built once
-    per column in `vectors`, through `apply_operator` or `cliff.phi` and
-    stored, so each (operator, state) is applied once per column.
+    A miss is computed on the state's one-state vector, built with the table,
+    through `_OPERATORS[name]` (`cliff.phi` or `apply_operator` for phi,
+    kappa and identity) and stored.
     """
 
-    __slots__ = ("ctx", "vectors")
+    __slots__ = ("vec", "ctx")
+
+    def __init__(self, state, ctx):
+        self.vec, self.ctx = _one_state(state), ctx
+
+    def __missing__(self, op):
+        name, k = op
+        if name in _OPERATORS:
+            image = _OPERATORS[name](k, self.vec, self.ctx)
+        else:
+            image = cliff.phi(self.vec, self.ctx) if name == "phi" else apply_operator(name, k, self.vec, self.ctx)
+        image = self[op] = tuple(image.terms.items())
+        return image
+
+
+class _ColumnImages(dict):
+    """One column's image tables, {state: _StateImages}, each built on first use."""
+
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx):
-        super().__init__()
-        self.ctx, self.vectors = ctx, {}
+        self.ctx = ctx
 
-    def __missing__(self, key):
-        (name, k), state = key
-        vec = self.vectors.get(state)
-        if vec is None:
-            vec = self.vectors[state] = _one_state(state)
-        image = cliff.phi(vec, self.ctx) if name == "phi" else apply_operator(name, k, vec, self.ctx)
-        image = self[key] = tuple(image.terms.items())
-        return image
+    def __missing__(self, state):
+        table = self[state] = _StateImages(state, self.ctx)
+        return table
 
 
 def _sums(tree, state, images):
     """Each row's lhs minus rhs on one basis state, {(row, target): coeff}, zeros kept.
 
-    A depth-first walk from the root carries (state, coeff) and enters a
-    child only through the terms of a nonzero image, so each prefix that
-    survives is applied once, however many words share it, and a word
-    stops at its first zero step.
+    A depth-first walk from the root carries (state, coeff), reads a node's
+    child images from the state's one table, and enters a child only through
+    the terms of a nonzero image, so each prefix that survives is applied
+    once, however many words share it, and a word stops at its first zero step.
     """
     sums = {}
     stack = [(tree, state, 1)]
@@ -662,9 +675,11 @@ def _sums(tree, state, images):
         for pos, c in ends:
             key = pos, state
             sums[key] = sums.get(key, 0) + coeff * c
-        for op, child in children.items():
-            for target, v in images[op, state]:
-                stack.append((child, target, coeff * v))
+        if children:
+            table = images[state]
+            for op, child in children.items():
+                for target, v in table[op]:
+                    stack.append((child, target, coeff * v))
     return sums
 
 
@@ -889,12 +904,12 @@ def check_dinfty(max_boxes: int, n: int):
     of the tree sums every row's lhs minus rhs (`_sums`); a row fails when
     its sum is not zero, and the first failing row in table order gets the
     witness, its two sides walked again as one-row trees (`_image`) and
-    printed as wedge or shape vectors by their states.  Each operator's
-    image of each basis state, and each state's one-state vector, is
-    computed once per column and kept for that column only, since a cache
-    kept for the whole run costs memory for little more reuse.  The weight
-    family reads no column images: its routes are compared after the
-    columns, over all states at once (`_weight_witness`).
+    printed as wedge or shape vectors by their states.  A column's images
+    are held in one table per state (`_ColumnImages`), each computed once
+    and dropped with the column, since a cache kept for the whole run costs
+    memory for little more reuse.  The weight family reads no images: its
+    routes are compared after the columns, over all states at once
+    (`_weight_witness`).
     """
     t0 = time.perf_counter()
     ctx = RankContext(n)

@@ -32,9 +32,6 @@ from operator import sub
 
 from .diagram import (
     PLUS,
-    endpoint_count_below,
-    add_row_with_endpoint,
-    remove_row_with_endpoint,
     conjugate,
     format_diagram,
     parse_diagram,
@@ -156,7 +153,7 @@ def linear(kernel, vec, *args):
     kernel(state, *args) is the image of one basis state, a pair (target,
     coeff) with coeff nonzero, or None for zero; the result has the type
     of vec, and a zero result is that type's shared `ZERO`.  A one-state
-    vector, the common case, needs no sum.
+    vector, the common case, needs no sum, and a coefficient 1 no product.
     """
     terms = vec.terms
     if len(terms) == 1:
@@ -164,15 +161,10 @@ def linear(kernel, vec, *args):
         hit = kernel(state, *args)
         if hit is None:
             return vec.ZERO
-        v = c * hit[1]
+        v = hit[1] if c == 1 else c * hit[1]
         return vec._make({hit[0]: v if type(v) is int else exact(v)})
-    out = {}
-    for state, c in terms.items():
-        hit = kernel(state, *args)
-        if hit is not None:
-            target, v = hit
-            out[target] = out.get(target, 0) + c * v
-    out = {target: exact(v) for target, v in out.items() if v}
+    hits = ((kernel(state, *args), c) for state, c in terms.items())
+    out = sum_terms((hit[0], c * hit[1]) for hit, c in hits if hit is not None)
     return vec._make(out) if out else vec.ZERO
 
 
@@ -268,20 +260,23 @@ def kappa(vec: SpinVector, ctx=None) -> SpinVector:
     return linear(_flip, vec)
 
 
-def _ladder(state, k, ctx, parity, edit):
-    # kernel of a_k (parity 0, edit removes a row) and b_k (parity 1, edit
-    # adds one); both flip the family
+def _ladder(state, k, ctx, parity):
+    # kernel of a_k (parity 0: removes the row of length n - k) and b_k (parity 1:
+    # adds it); both flip the family, with phase (-1)**pos, pos the rows longer than n - k
     sign, rows = state
-    n = ctx.n
-    if k == n:
-        w_n = 1 if sign is PLUS else 0
-        if (w_n + len(rows)) % 2 != parity:
-            return None
-        return (sign.flip(), rows), (-1) ** len(rows)
-    moved = edit(rows, k, n)
-    if moved is None:
+    length = ctx.n - k
+    pos = 0
+    while pos < len(rows) and rows[pos] > length:
+        pos += 1
+    if length:
+        present = pos < len(rows) and rows[pos] == length
+    else:  # k = n: the marker n of diagram.fock_index, there when w_n + pos is even
+        present = (pos + (sign is PLUS)) % 2 == 0
+    if present == parity:  # a_k needs the row, b_k its absence
         return None
-    return (sign.flip(), moved), (-1) ** endpoint_count_below(rows, n, k)
+    if length:
+        rows = rows[:pos] + rows[pos + 1:] if present else rows[:pos] + (length,) + rows[pos:]
+    return (sign.flip(), rows), -1 if pos & 1 else 1
 
 
 def geometric_a(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
@@ -293,7 +288,7 @@ def geometric_a(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     (-1)**(number of rows).
     """
     ctx.check_index(k)
-    return linear(_ladder, vec, k, ctx, 0, remove_row_with_endpoint)
+    return linear(_ladder, vec, k, ctx, 0)
 
 
 def geometric_b(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
@@ -304,7 +299,7 @@ def geometric_b(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
     when w_n + (number of rows) is odd.
     """
     ctx.check_index(k)
-    return linear(_ladder, vec, k, ctx, 1, add_row_with_endpoint)
+    return linear(_ladder, vec, k, ctx, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,13 @@ A_14_B_14 = "(%s)(%s)" % (" ".join("a%d" % i for i in range(1, 15)), " ".join("b
 F_6 = "".join("(1+b%d+a%d)" % (i, i) for i in range(1, 7))
 # 65 wedge basis vectors, against the 64 terms of (1+b1)...(1+b6)
 WEDGE_65 = ["{%d}" % i for i in range(1, 41)] + ["{1,%d}" % i for i in range(2, 27)]
+# a word and a sum of one generator over the cap, and the word b10000 ... b1
+# and the sum b1 + ... + b10000 at MAX_RANK, which took about 2 s and 6 s
+# before the cap
+B_DOWN = " ".join("b%d" % i for i in range(cli.MAX_CLIFFORD_GENERATORS + 1, 0, -1))
+B_SUM = " + ".join("b%d" % i for i in range(1, cli.MAX_CLIFFORD_GENERATORS + 2))
+B_DOWN_MAX = " ".join("b%d" % i for i in range(cli.MAX_RANK, 0, -1))
+B_SUM_MAX = " + ".join("b%d" % i for i in range(1, cli.MAX_RANK + 1))
 
 
 @pytest.mark.parametrize(
@@ -446,6 +453,10 @@ WEDGE_65 = ["{%d}" % i for i in range(1, 41)] + ["{1,%d}" % i for i in range(2, 
         (("clifford", "--n", "40", "(%s)*(%s)" % (F_6, F_6)), cli.MAX_CLIFFORD_TERMS),
         (("clifford", "--n", "40", "--apply", " + ".join(WEDGE_65), "(1+b1)(1+b2)(1+b3)(1+b4)(1+b5)(1+b6)"),
          cli.MAX_CLIFFORD_TERMS),
+        (("clifford", "--n", str(cli.MAX_RANK), B_DOWN), cli.MAX_CLIFFORD_GENERATORS),
+        (("clifford", "--n", str(cli.MAX_RANK), B_SUM), cli.MAX_CLIFFORD_GENERATORS),
+        (("clifford", "--n", str(cli.MAX_RANK), B_DOWN_MAX), cli.MAX_CLIFFORD_GENERATORS),
+        (("clifford", "--n", str(cli.MAX_RANK), B_SUM_MAX), cli.MAX_CLIFFORD_GENERATORS),
     ],
 )
 def test_size_caps_refuse_with_exit_2(argv, cap, capsys):
@@ -497,6 +508,12 @@ def test_size_caps_admit_their_limits():
     a_k, b_k = (" ".join("%s%d" % (g, i) for i in range(1, k + 1)) for g in "ab")
     rc, text = run("clifford", "--n", str(k), "(%s)(%s)" % (a_k, b_k))
     assert rc == 0 and text.count(" + ") + text.count(" - ") + 1 == 2**k
+    # b_m ... b_1 at m = MAX_CLIFFORD_GENERATORS reverses m letters, an even
+    # permutation when m is a multiple of 4
+    m = cli.MAX_CLIFFORD_GENERATORS
+    assert m % 4 == 0
+    rc, text = run("clifford", "--n", str(m), " ".join("b%d" % i for i in range(m, 0, -1)))
+    assert (rc, text) == (0, " ".join("b%d" % i for i in range(1, m + 1)) + "\n")
 
 
 def test_size_caps_are_in_the_help(capsys):
@@ -505,7 +522,7 @@ def test_size_caps_are_in_the_help(capsys):
         ("enumerate", ("MAX_BASIS_RANK", "MAX_AMBIENT_RANK", "MAX_BOXES")),
         ("export-matrix", ("MAX_BASIS_RANK",)),
         ("act", ("MAX_RANK",)),
-        ("clifford", ("MAX_RANK", "MAX_CLIFFORD_TERMS")),
+        ("clifford", ("MAX_RANK", "MAX_CLIFFORD_GENERATORS", "MAX_CLIFFORD_TERMS")),
     ):
         with pytest.raises(SystemExit):
             cli.main([command, "--help"], io.StringIO())

@@ -25,6 +25,7 @@ from halfspin.clifford import (
     format_clifford_element,
     parse_clifford_expression,
     product_bound,
+    MAX_CLIFFORD_GENERATORS,
     MAX_CLIFFORD_TERMS,
 )
 
@@ -247,6 +248,17 @@ def test_parser_refuses_a_product_beyond_the_cap():
     a_k, b_k = (" ".join("%s%d" % (g, i) for i in range(1, k + 1)) for g in "ab")
     with pytest.raises(ValueError, match="product bound %d exceeds MAX_CLIFFORD_TERMS" % 2**k):
         parse_clifford_expression("(%s)(%s)" % (a_k, b_k))
+
+
+def test_parser_refuses_more_generators_than_the_cap():
+    # counted over the whole text before it is parsed, so a sum, whose terms
+    # never multiply, is refused as a word is; scalars are not generators
+    cap = MAX_CLIFFORD_GENERATORS
+    for join in (" ", " + ", "*"):
+        text = join.join("b%d" % i for i in range(1, cap + 1))
+        assert parse_clifford_expression("2 * (%s) + 1" % text)
+        with pytest.raises(ValueError, match="generator count %d exceeds MAX_CLIFFORD_GENERATORS = %d" % (cap + 1, cap)):
+            parse_clifford_expression(text + join + "a1")
 
 
 @given(clifford_elements(), clifford_elements(), clifford_elements())

@@ -25,7 +25,7 @@ from halfspin.oracle import (
     spin_basis,
 )
 from halfspin.quiver import RankContext
-from halfspin.spinrep import SpinVector, exact
+from halfspin.spinrep import SpinVector, exact, linear
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "halfspin").glob("*.py"))
 
@@ -682,6 +682,16 @@ def spin_tokens(n):
 
 def fock_tokens(n):
     return ["%s_%d" % (name, k) for name in ("create", "annihilate") for k in range(1, n + 1)] + ["identity"]
+
+
+@pytest.mark.parametrize("c", [1, -1, 3, Fraction(1, 2), Fraction(-3, 2)])
+def test_linear_scales_a_one_state_image_exactly(c):
+    # the one-state path skips the product for a coefficient 1, and any
+    # product or kernel coefficient that is integral comes out as an int
+    for v in (1, -2, Fraction(2, 3), Fraction(4, 2), Fraction(3, 2)):
+        [(target, got)] = linear(lambda state: ("t", v), SpinVector._make({"s": c})).terms.items()
+        assert target == "t" and got == c * v and type(got) is type(exact(c * v)), v
+    assert linear(lambda state: None, SpinVector._make({"s": c})) is SpinVector.ZERO
 
 
 @given(st.integers(2, 5), st.data())

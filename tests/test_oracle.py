@@ -435,6 +435,40 @@ def test_a_ladder_fault_fails_both_modes(monkeypatch):
     }
 
 
+def test_a_ladder_fault_at_the_fork_fails_both_modes(monkeypatch):
+    # b_n acts with the opposite sign: a fault in the k = n branch of the
+    # ladder kernel, which the _flip_ladder faults never reach.  geometric_b
+    # reads the kernel from spinrep on every call, so the bounded tables and
+    # the rank-free images both see it; the first failing row of each suite
+    # and family and its witness are pinned
+    from halfspin import spinrep
+
+    real = spinrep._ladder
+
+    def faulty(state, k, ctx, parity):
+        hit = real(state, k, ctx, parity)
+        return (hit[0], -hit[1]) if hit is not None and k == ctx.n and parity else hit
+
+    monkeypatch.setattr(spinrep, "_ladder", faulty)
+    failed = {
+        r["suite"]: next(e["identity"] + ": " + e["witness"] for e in r["checks"] if e["status"] == "fail")
+        for r in run_suites(SUITE_NAMES, [3])
+        if r["status"] == "fail"
+    }
+    assert failed == {
+        "clifford": "{a_3,b_3} = 1: entry ((plus,-) <- (plus,-)): got -1, expected 1",
+        "factorization": "E_2 = b_3 a_2: entry ((plus,2) <- (plus,2,1)): got 1, expected -1",
+        "intertwiner": "phi b_3 = create_3 phi: entry ({3} <- (plus,-)): got -1, expected 1",
+    }
+    report = oracle.check_dinfty(3, 6)
+    failed = {e["identity"].split(" (")[0]: e["witness"] for e in report["checks"] if e["status"] == "fail"}
+    assert failed == {
+        "ladder anticommutators": "{a_6,b_6} = 1 at state (plus,-): got -(plus,-), expected (plus,-)",
+        "dictionary intertwines the ladder operators": "phi b_6 = create_6 phi at state (plus,-): got -{6}, expected {6}",
+        "quadratic factorization of E/F": "F_6 = b_5 b_6 at state (plus,-): got (plus,1), expected -(plus,1)",
+    }
+
+
 def test_a_weight_route_fault_fails_both_modes(monkeypatch):
     # the closed form with its first and last coordinates swapped; (plus,-)
     # has equal ends, so the first state it gets wrong is (plus,1), and
@@ -523,7 +557,7 @@ def _images_against_matrix_columns(n):
         for pos, (label, expr, columns) in enumerate(sides):
             assert walked.get(pos, {}) == columns.get(j, {}), (label, state)
             assert oracle._image(expr, state, images) == columns.get(j, {}), (label, state)
-        multi_term |= any(len(image) > 1 for image in images.values())
+        multi_term |= any(len(image) > 1 for table in images.values() for image in table.values())
     return multi_term
 
 
@@ -617,20 +651,31 @@ def _prefix_image(prefix, state, ctx):
     return vec.terms
 
 
-def test_dinfty_enters_no_subtree_below_a_zero_image():
+def _table_state(table):
+    """The basis state of one column's image table."""
+    [state] = table.vec.terms
+    return state
+
+
+def test_dinfty_enters_no_subtree_below_a_zero_image(monkeypatch):
     # per column, each edge (prefix, next operator) of a family's words is
     # looked up once for each state in the prefix's image: a prefix that many
-    # words share is walked once, and one whose image is zero looks nothing up
+    # words share is walked once, and one whose image is zero looks nothing
+    # up.  A state's table is looked up once per node with children that the
+    # walk reaches with it, not once per child.
     ctx = RankContext(5)
-    lookups = []
+    lookups, tables = [], []
 
-    class Recording(oracle._ColumnImages):
-        __slots__ = ()
+    def image(table, op):
+        lookups.append((op, _table_state(table)))
+        return dict.__getitem__(table, op)
 
-        def __getitem__(self, key):
-            lookups.append(key)
-            return super().__getitem__(key)
+    def table(images, state):
+        tables.append(state)
+        return dict.__getitem__(images, state)
 
+    monkeypatch.setattr(oracle._StateImages, "__getitem__", image)
+    monkeypatch.setattr(oracle._ColumnImages, "__getitem__", table)
     families = []
     dead = shared = 0
     for suite in TABLE_SUITES:
@@ -641,31 +686,40 @@ def test_dinfty_enters_no_subtree_below_a_zero_image():
         families.append((oracle._tree(rows), edges))
     for state in truncated_spin_basis(ctx, 4).states:
         for tree, edges in families:
-            want = []
+            want, want_tables = [], []
             for prefix, op in edges:
                 image = _prefix_image(prefix, state, ctx)
                 dead += not image
                 want += [(op, target) for target in image]
+            for prefix in {prefix for prefix, _ in edges}:
+                want_tables += _prefix_image(prefix, state, ctx)
             lookups.clear()
-            oracle._sums(tree, state, Recording(ctx))
+            tables.clear()
+            oracle._sums(tree, state, oracle._ColumnImages(ctx))
             assert Counter(lookups) == Counter(want), state
+            assert Counter(tables) == Counter(want_tables), state
     assert dead > 0 and shared > 0
 
 
 def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
-    # a column starts with a fresh image cache; within it no (operator, state)
-    # image is computed twice.  The five family trees are built once per
-    # call, and a passing run builds no witness tree.
-    real = oracle._ColumnImages.__missing__
-    columns = []
+    # a column starts with fresh image tables; within it every (operator,
+    # state) image the walks look up is computed exactly once, so none is
+    # computed twice and none is read from another column.  The five family
+    # trees are built once per call, and a passing run builds no witness tree.
+    columns = []  # per column: the (operator, state) pairs looked up, and those computed
+    real_init, real_missing = oracle._ColumnImages.__init__, oracle._StateImages.__missing__
 
-    def missing(images, key):
-        if not columns or columns[-1][0] is not images:
-            columns.append((images, set()))
-        seen = columns[-1][1]
-        assert key not in seen, key
-        seen.add(key)
-        return real(images, key)
+    def init(images, ctx):
+        columns.append((set(), []))
+        real_init(images, ctx)
+
+    def image(table, op):
+        columns[-1][0].add((op, _table_state(table)))
+        return dict.__getitem__(table, op)
+
+    def missing(table, op):
+        columns[-1][1].append((op, _table_state(table)))
+        return real_missing(table, op)
 
     real_tree = oracle._tree
     trees = []
@@ -674,13 +728,16 @@ def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
         trees.append(len(rows))
         return real_tree(rows)
 
-    monkeypatch.setattr(oracle._ColumnImages, "__missing__", missing)
+    monkeypatch.setattr(oracle._ColumnImages, "__init__", init)
+    monkeypatch.setattr(oracle._StateImages, "__getitem__", image)
+    monkeypatch.setattr(oracle._StateImages, "__missing__", missing)
     monkeypatch.setattr(oracle, "_tree", tree)
     report = oracle.check_dinfty(3, 6)
     assert report["status"] == "pass"
-    # one column per capped state, each with images of its own
-    assert len(columns) == len({id(images) for images, _ in columns}) == 10
-    assert all(seen for _, seen in columns)
+    # one column per capped state, each computing what it looks up, once
+    assert len(columns) == 10
+    for looked_up, computed in columns:
+        assert looked_up and Counter(computed) == Counter(looked_up)
     ctx = RankContext(6)
     assert trees == [len(oracle.identities(s, ctx)) for s in TABLE_SUITES]
 
