@@ -21,11 +21,7 @@ from .diagram import (
     enumerate_diagrams_by_boxes,
     conjugate,
     endpoints,
-    endpoint_count_below,
     fock_index,
-    fock_index_inverse,
-    add_row_with_endpoint,
-    remove_row_with_endpoint,
 )
 from .quiver import (
     RankContext,
@@ -55,7 +51,6 @@ from .clifford import (
     embed_generator,
     fock_weight,
     phi,
-    phi_inverse,
 )
 from .oracle import (
     ExactMatrix,
@@ -71,51 +66,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Sign",
-    "enumerate_diagrams",
-    "enumerate_diagrams_by_boxes",
-    "conjugate",
-    "endpoints",
-    "endpoint_count_below",
-    "fock_index",
-    "fock_index_inverse",
-    "add_row_with_endpoint",
-    "remove_row_with_endpoint",
-    "RankContext",
-    "StringInterval",
-    "string_dim_vector",
-    "a_sets",
-    "dim_vector",
-    "weight_u",
-    "state_u",
-    "SpinVector",
-    "apply_E",
-    "apply_F",
-    "apply_H",
-    "kappa",
-    "geometric_a",
-    "geometric_b",
-    "weight_eps",
-    "FockVector",
-    "CliffordElement",
-    "create",
-    "annihilate",
-    "act",
-    "embed_generator",
-    "fock_weight",
-    "phi",
-    "phi_inverse",
-    "ExactMatrix",
-    "IndexedBasis",
-    "spin_basis",
-    "fock_basis",
-    "operator_matrix",
-    "run_suites",
-    "all_pass",
-    "SUITES",
-    "SUITE_NAMES",
-    "check_dinfty",
-    "__version__",
-]

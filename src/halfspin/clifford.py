@@ -13,8 +13,8 @@ a_i b_j = delta_ij - b_j a_i, a_i a_j = -a_j a_i, b_i b_j = -b_j b_i,
 a_i a_i = b_i b_i = 0: of (b_S1 a_T1)(b_S2 a_T2) one contraction pass
 rewrites a_T1 b_S2, and two signed merges join the blocks to its terms.
 
-phi / phi_inverse translate between this model and the shape model of
-`spinrep` by the subset bookkeeping of `diagram.fock_index`.
+phi translates the shape model of `spinrep` into this model by the
+subset bookkeeping of `diagram.fock_index`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .diagram import (
     fock_index,
-    fock_index_inverse,
     format_fock_index,
     parse_fock_index,
 )
@@ -246,12 +245,6 @@ def phi(vec: SpinVector, ctx: RankContext) -> FockVector:
     return FockVector(
         {phi_state(state, ctx): coeff for state, coeff in vec.terms.items()}
     )
-
-
-def phi_inverse(vec: FockVector, ctx: RankContext) -> SpinVector:
-    """The inverse of phi.  Public API, re-exported by `halfspin`, with no
-    caller in the package; the tests check it inverts phi at ranks 2..8."""
-    return SpinVector({fock_index_inverse(idx, ctx.n): coeff for idx, coeff in vec.terms.items()})
 
 
 # ---------------------------------------------------------------------------

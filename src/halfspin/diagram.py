@@ -114,11 +114,6 @@ def endpoints(rows, n: int) -> frozenset:
     return frozenset(n - l for l in rows)
 
 
-def endpoint_count_below(rows, n: int, k: int) -> int:
-    """Number of rows with endpoint strictly less than k (rows longer than n-k)."""
-    return len([l for l in rows if n - l < k])
-
-
 def fock_index(state, n: int) -> frozenset:
     """Subset of {1..n} attached to a signed shape, the basis state (sign, rows).
 
@@ -133,39 +128,6 @@ def fock_index(state, n: int) -> frozenset:
     if (len(rows) % 2 == 1) == (sign is PLUS):
         idx.add(n)
     return frozenset(idx)
-
-
-def fock_index_inverse(idx, n: int):
-    """Inverse of fock_index: recover the basis state (sign, rows) from a subset of {1..n}."""
-    idx = frozenset(int(i) for i in idx)
-    for i in idx:
-        if not 1 <= i <= n:
-            raise ValueError("index %r out of range 1..%d" % (i, n))
-    rows = tuple(sorted((n - i for i in idx if i < n), reverse=True))
-    sign = PLUS if (len(rows) % 2 == 1) == (n in idx) else MINUS
-    return sign, rows
-
-
-def add_row_with_endpoint(rows, k: int, n: int):
-    """Insert a row of length n-k, or None if a row with endpoint k exists."""
-    if not 1 <= k <= n - 1:
-        raise ValueError("endpoint %r out of range 1..%d" % (k, n - 1))
-    length = n - k
-    if length in rows:
-        return None
-    return tuple(sorted(rows + (length,), reverse=True))
-
-
-def remove_row_with_endpoint(rows, k: int, n: int):
-    """Delete the row of length n-k, or None if no row has endpoint k."""
-    if not 1 <= k <= n - 1:
-        raise ValueError("endpoint %r out of range 1..%d" % (k, n - 1))
-    length = n - k
-    if length not in rows:
-        return None
-    out = list(rows)
-    out.remove(length)
-    return tuple(out)
 
 
 def parse_decimal(text: str) -> int:

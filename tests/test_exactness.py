@@ -1,9 +1,9 @@
 """Exactness: no floating point in the package, and integral coefficients stored as ints.
 
 Also the package's unused-import, one-JSON-writer, unused-private-definition,
-written-once and one-argument-state lints, the two storage forms of
-ExactMatrix checked against a plain dict of entries, and the one combination
-base of the three vector types checked the same way.
+unread-public-definition, written-once and one-argument-state lints, the two
+storage forms of ExactMatrix checked against a plain dict of entries, and the
+one combination base of the three vector types checked the same way.
 """
 
 import ast
@@ -27,7 +27,8 @@ from halfspin.oracle import (
 from halfspin.quiver import RankContext
 from halfspin.spinrep import SpinVector, exact, linear
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "halfspin").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "halfspin").glob("*.py"))
 
 
 def float_uses(tree):
@@ -69,30 +70,31 @@ def test_the_lint_sees_each_float_use():
     ]
 
 
-def unused_imports(tree):
+def unused_imports(tree, package_init=False):
     """(line, name) for each name the module imports and never reads.
 
-    A name listed in the module's __all__ counts as read: that is how
-    __init__ re-exports.
+    In the package's __init__ (package_init), a public name imported from
+    one of the package's modules counts as read: that import is the export.
     """
     imported = {}
+    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+                name = alias.asname or alias.name
+                imported[name] = node.lineno
+                if package_init and node.level and node.module and not name.startswith("_"):
+                    exported.add(name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports_in_the_package(path):
-    found = unused_imports(ast.parse(path.read_text(), str(path)))
+    found = unused_imports(ast.parse(path.read_text(), str(path)), path.name == "__init__.py")
     assert not found, "%s: %s" % (path.name, found)
 
 
@@ -105,8 +107,7 @@ def test_the_lint_sees_each_unused_import():
         "import xml.dom\n"
         "from json import dumps, loads\n"
         "from . import sibling\n"
-        "from .m import exported\n"
-        "__all__ = ['exported']\n"
+        "from .m import exported, _private\n"
         "loads(xml.dom)\n"
     )
     assert unused_imports(ast.parse(code)) == [
@@ -115,6 +116,17 @@ def test_the_lint_sees_each_unused_import():
         (4, "regex"),
         (6, "dumps"),
         (7, "sibling"),
+        (8, "_private"),
+        (8, "exported"),
+    ]
+    # in __init__ only the public name from a package module is an export
+    assert unused_imports(ast.parse(code), package_init=True) == [
+        (2, "os"),
+        (3, "osp"),
+        (4, "regex"),
+        (6, "dumps"),
+        (7, "sibling"),
+        (8, "_private"),
     ]
 
 
@@ -155,14 +167,13 @@ def test_the_lint_sees_each_indented_json_dumps():
     assert indented_json_dumps(ast.parse(code)) == [6, 8]
 
 
-def unused_private_definitions(trees):
-    """(module, line, name) for each module-level private name that no tree reads.
+def unread_definitions(trees):
+    """(module, line, name) for each module-level name that no tree reads.
 
-    trees maps a module name to its parsed source.  A private name starts
-    with one underscore and is not a dunder; it is defined by a def, class
-    or assignment at module level.  It is read by a loaded name, an
-    attribute of that name (`oracle._tree`) or a from-import of it, in any
-    of the trees.
+    trees maps a module name to its parsed source.  A name is defined by a
+    def, class or assignment at module level.  It is read by a loaded name,
+    an attribute of that name (`oracle._tree`) or a from-import of it, in
+    any of the trees; so a name that __init__ re-exports counts as read.
     """
     defined = []
     read = set()
@@ -185,11 +196,29 @@ def unused_private_definitions(trees):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return sorted(
+    return sorted((module, line, name) for module, line, name in defined if name not in read)
+
+
+def unused_private_definitions(trees):
+    """The unread private names: one underscore first, and not a dunder."""
+    return [
         (module, line, name)
-        for module, line, name in defined
-        if name.startswith("_") and not (name.startswith("__") and name.endswith("__")) and name not in read
-    )
+        for module, line, name in unread_definitions(trees)
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def unread_public_definitions(trees, readme):
+    """The unread public names that the README does not name as `module.name`.
+
+    A public name no code reads is API only if it is documented; otherwise
+    it is a helper that only the tests call.
+    """
+    return [
+        (module, line, name)
+        for module, line, name in unread_definitions(trees)
+        if not name.startswith("_") and "%s.%s" % (module.removesuffix(".py"), name) not in readme
+    ]
 
 
 def test_no_unused_private_definitions_in_the_package():
@@ -229,6 +258,33 @@ def test_the_lint_sees_each_unused_private_definition():
         ("a.py", 6, "_second"),
         ("a.py", 13, "_Unused"),
         ("b.py", 4, "_unused"),
+    ]
+
+
+def test_no_unread_public_definitions_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert unread_public_definitions(trees, (ROOT / "README.md").read_text()) == []
+
+
+def test_the_lint_sees_each_unread_public_definition():
+    trees = {
+        "__init__.py": ast.parse("from .a import exported\n"),
+        "a.py": ast.parse(
+            "_PRIVATE = 1\n"
+            "def exported():\n"
+            "    return helper()\n"
+            "def helper():\n"
+            "    pass\n"
+            "def only_tests_call_me():\n"
+            "    pass\n"
+            "SCHEMAS = {}\n"
+            "TABLE = {}\n"
+        ),
+    }
+    readme = "The shapes are published as `halfspin.a.SCHEMAS`; a TABLE is a dict.\n"
+    assert unread_public_definitions(trees, readme) == [
+        ("a.py", 6, "only_tests_call_me"),
+        ("a.py", 9, "TABLE"),
     ]
 
 

@@ -469,6 +469,22 @@ def test_a_ladder_fault_at_the_fork_fails_both_modes(monkeypatch):
     }
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="no suite checks kappa yet; ROADMAP item 3's automorphism suite will catch this fault",
+)
+def test_a_kappa_fault_fails_some_suite(monkeypatch):
+    # kappa replaced by the identity: a known gap, pinned so that the suite
+    # which closes it turns this into an XPASS
+    from halfspin import spinrep
+
+    monkeypatch.setattr(spinrep, "kappa", lambda vec, ctx=None: vec)
+    reports = run_suites(SUITE_NAMES, range(2, 6)) + [oracle.check_dinfty(4, 8)]
+    assert len(reports) == 33
+    assert any(r["status"] == "fail" for r in reports)
+
+
 def test_a_weight_route_fault_fails_both_modes(monkeypatch):
     # the closed form with its first and last coordinates swapped; (plus,-)
     # has equal ends, so the first state it gets wrong is (plus,1), and

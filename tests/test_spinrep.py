@@ -10,13 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from halfspin import cli
 from halfspin.clifford import CliffordElement, FockVector, fock_weight
-from halfspin.diagram import (
-    Sign,
-    add_row_with_endpoint,
-    endpoint_count_below,
-    enumerate_diagrams,
-    remove_row_with_endpoint,
-)
+from halfspin.diagram import Sign, enumerate_diagrams
 from halfspin.oracle import weight_routes
 from halfspin.quiver import RankContext, state_u
 from halfspin.spinrep import (
@@ -234,19 +228,24 @@ def test_ladder_examples_n4():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ladder_kernel_is_the_row_edit_with_its_phase(n):
-    # the one-pass kernel against the public helpers on every state and k:
-    # below the fork a_k is remove_row_with_endpoint and b_k is
-    # add_row_with_endpoint, with phase (-1)**endpoint_count_below; at k = n
-    # the shape is kept, a_n acts when w_n + (number of rows) is even and b_n
-    # when it is odd, with phase (-1)**(number of rows), as the docstrings of
-    # geometric_a and geometric_b say
+    # the one-pass kernel against the row edit written out on every state
+    # and k: below the fork a_k deletes the row of length n-k if there is
+    # one and b_k inserts it if there is none, with phase
+    # (-1)**(number of rows longer than n-k); at k = n the shape is kept,
+    # a_n acts when w_n + (number of rows) is even and b_n when it is odd,
+    # with phase (-1)**(number of rows), as the docstrings of geometric_a
+    # and geometric_b say
     ctx = RankContext(n)
     for sign, rows in all_states(n):
         w_n = 1 if sign is Sign.PLUS else 0
-        for parity, edit in ((0, remove_row_with_endpoint), (1, add_row_with_endpoint)):
+        for parity in (0, 1):
             for k in range(1, n + 1):
                 if k < n:
-                    moved, phase = edit(rows, k, n), (-1) ** endpoint_count_below(rows, n, k)
+                    length = n - k
+                    moved = None
+                    if (length in rows) == (parity == 0):
+                        moved = tuple(sorted(set(rows) ^ {length}, reverse=True))
+                    phase = (-1) ** len([l for l in rows if l > length])
                 else:
                     moved = rows if (w_n + len(rows)) % 2 == parity else None
                     phase = (-1) ** len(rows)
