@@ -12,6 +12,9 @@ ascending index order.  The product is Wick's theorem for the relations
 a_i b_j = delta_ij - b_j a_i, a_i a_j = -a_j a_i, b_i b_j = -b_j b_i,
 a_i a_i = b_i b_i = 0: of (b_S1 a_T1)(b_S2 a_T2) one contraction pass
 rewrites a_T1 b_S2, and two signed merges join the blocks to its terms.
+Each pair of monomials costs one coefficient product, each term's sign is
+a negation, an empty a_T1 or b_S2 needs no contraction pass and an empty
+block no merge; a scalar times y is y scaled.
 
 phi translates the shape model of `spinrep` into this model by the
 subset bookkeeping of `diagram.fock_index`.
@@ -81,6 +84,8 @@ def annihilate(k: int, vec: FockVector, ctx: RankContext) -> FockVector:
 def _merge(left, right):
     """(sign, sorted left + right) for two ascending blocks, the sign that of
     the sort; None when they share an index, as b_i b_i = a_i a_i = 0."""
+    if not left or not right:
+        return 1, left or right
     if not set(left).isdisjoint(right):
         return None
     return (-1) ** sum(len(left) - bisect_left(left, i) for i in right), tuple(sorted(left + right))
@@ -138,14 +143,17 @@ class CliffordElement(Combination):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if len(self.terms) == 1 and ((), ()) in self.terms:
+            return other.scale(self.terms[(), ()])
         out = {}
         for (s1, t1), c1 in self.terms.items():
             for (s2, t2), c2 in other.terms.items():
-                for sign, s, t in _contract(t1, s2):
+                c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+                for sign, s, t in _contract(t1, s2) if t1 and s2 else ((1, s2, t1),):
                     left, right = _merge(s1, s), _merge(t, t2)
                     if left and right:
                         key = (left[1], right[1])
-                        out[key] = out.get(key, 0) + sign * left[0] * right[0] * c1 * c2
+                        out[key] = out.get(key, 0) + (c if sign * left[0] * right[0] > 0 else -c)
         return self._make({key: exact(c) for key, c in out.items() if c})
 
     def __repr__(self):
@@ -153,11 +161,11 @@ class CliffordElement(Combination):
 
 
 # The product bound beyond which parse_clifford_expression refuses a product:
-# (a1 ... a12)(b1 ... b12) at the cap takes about 0.03 s, and each doubling
+# (a1 ... a12)(b1 ... b12) at the cap takes about 0.008 s, and each doubling
 # of the bound a little more than doubles the time.
 MAX_CLIFFORD_TERMS = 4096
-# The generators an expression may hold: a word copies its monomial, and a sum
-# its terms, at each generator (b1 + b2 + ... + b1024: about 0.07 s).
+# The generators an expression may hold: a word copies its monomial at each
+# generator (b1024 ... b1: about 0.025 s); a sum is collected in one pass.
 MAX_CLIFFORD_GENERATORS = 1024
 
 
@@ -176,22 +184,23 @@ def product_bound(x: CliffordElement, y: CliffordElement) -> int:
 
 def act(x: CliffordElement, vec: FockVector, ctx: RankContext) -> FockVector:
     """Apply x to vec: per monomial, annihilators first, right to left."""
-    total = FockVector.ZERO
     if not vec:
-        return total
+        return FockVector.ZERO
+    out = {}
     for (creators, annihilators), coeff in x.terms.items():
         w = vec
-        for t in sorted(annihilators, reverse=True):
+        for t in reversed(annihilators):
             w = annihilate(t, w, ctx)
             if not w:
                 break
-        for s in sorted(creators, reverse=True):
+        for s in reversed(creators):
             if not w:
                 break
             w = create(s, w, ctx)
-        if w:
-            total = total + w.scale(coeff)
-    return total
+        for key, c in w.terms.items():
+            out[key] = out.get(key, 0) + coeff * c
+    out = {key: exact(c) for key, c in out.items() if c}
+    return FockVector._make(out) if out else FockVector.ZERO
 
 
 def embed_generator(kind: str, k: int, ctx: RankContext) -> CliffordElement:
@@ -295,15 +304,13 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
     count = sum(tok[0] in "ab" for tok in tokens)
     if count > MAX_CLIFFORD_GENERATORS:
         raise ValueError("generator count %d exceeds MAX_CLIFFORD_GENERATORS = %d" % (count, MAX_CLIFFORD_GENERATORS))
-    state = {"pos": 0}
+    tokens.reverse()
 
     def peek():
-        return tokens[state["pos"]] if state["pos"] < len(tokens) else None
+        return tokens[-1] if tokens else None
 
     def take():
-        tok = peek()
-        state["pos"] += 1
-        return tok
+        return tokens.pop() if tokens else None
 
     def is_atom_start(tok):
         return tok is not None and (tok == "(" or tok not in ("+", "-", "*", ")"))
@@ -323,14 +330,11 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
                 raise ValueError("generator index must be positive in %r" % text)
             if ctx is not None and k > ctx.n:
                 raise ValueError("generator index %d exceeds rank %d" % (k, ctx.n))
-            return (
-                CliffordElement.creator(k)
-                if tok[0] == "b"
-                else CliffordElement.annihilator(k)
-            )
+            return CliffordElement._make({((k,), ()) if tok[0] == "b" else ((), (k,)): 1})
         if not tok[0].isdigit():
             raise ValueError("unexpected token %r in %r" % (tok, text))
-        return CliffordElement.identity().scale(parse_scalar(tok, text))
+        c = exact(parse_scalar(tok, text))
+        return CliffordElement._make({((), ()): c} if c else {})
 
     def parse_product():
         result = parse_atom()
@@ -347,19 +351,15 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
             result = result * factor
 
     def parse_expr():
-        tok = peek()
-        negate = False
-        if tok in ("+", "-"):
-            take()
-            negate = tok == "-"
-        result = parse_product()
-        if negate:
-            result = -result
-        while peek() in ("+", "-"):
+        # one dict for the whole sum, its zeros purged once at the end
+        out = {}
+        op = take() if peek() in ("+", "-") else "+"
+        while True:
+            for key, c in parse_product().terms.items():
+                out[key] = out.get(key, 0) + (c if op == "+" else -c)
+            if peek() not in ("+", "-"):
+                return CliffordElement._make({key: exact(c) for key, c in out.items() if c})
             op = take()
-            nxt = parse_product()
-            result = result + (-nxt if op == "-" else nxt)
-        return result
 
     try:
         result = parse_expr()

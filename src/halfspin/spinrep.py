@@ -517,7 +517,7 @@ def parse_terms(text: str, atom: str, parse_atom, what: str) -> list:
             i += 1
         elif terms:
             raise ValueError("expected + or - in %r" % text)
-        coeff = Fraction(1)
+        coeff = 1
         if i < len(tokens) and tokens[i][0].isdigit():
             coeff = parse_scalar(tokens[i], text)
             i += 1

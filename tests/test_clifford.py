@@ -134,22 +134,20 @@ def test_act_on_the_zero_vector_calls_no_operator(monkeypatch):
     assert act(x, FockVector(), RankContext(2)) == FockVector()
 
 
+COEFFS = st.sampled_from((-2, -1, 1, 2, HALF, Fraction(-3, 4)))
+
+
 @st.composite
 def clifford_elements(draw, n=3):
-    """Sums of up to three monomials in the generators of rank n."""
-    terms = draw(
-        st.lists(
-            st.tuples(
-                st.sets(st.integers(1, n)),
-                st.sets(st.integers(1, n)),
-                st.sampled_from((-2, -1, 1, 2)),
-            ),
-            min_size=1,
-            max_size=3,
-        )
-    )
+    """A scalar, or a sum of up to three monomials in the generators of rank n,
+    the empty monomial among them; coefficients integral or not."""
+    if draw(st.integers(0, 4)) == 0:
+        return CliffordElement.identity().scale(draw(COEFFS))
+    blocks = st.tuples(st.sets(st.integers(1, n)), st.sets(st.integers(1, n)))
+    monomials = st.one_of(st.just((set(), set())), blocks)
+    terms = draw(st.lists(st.tuples(monomials, COEFFS), min_size=1, max_size=3))
     total = CliffordElement()
-    for creators, annihilators, coeff in terms:
+    for (creators, annihilators), coeff in terms:
         total = total + CliffordElement.monomial(sorted(creators), sorted(annihilators), coeff)
     return total
 
@@ -201,10 +199,15 @@ def reference_product(x, y):
     return total
 
 
+def typed(x):
+    """x's terms with each coefficient's type, so that 2 and Fraction(2) differ."""
+    return {key: (c, type(c)) for key, c in x.terms.items()}
+
+
 @given(clifford_elements(6), clifford_elements(6))
 @settings(deadline=None, max_examples=300)
 def test_product_matches_the_swap_by_swap_reference(x, y):
-    assert x * y == reference_product(x, y)
+    assert typed(x * y) == typed(reference_product(x, y))
 
 
 def test_reversed_creator_word_parses_to_one_monomial_within_a_second():
@@ -215,6 +218,89 @@ def test_reversed_creator_word_parses_to_one_monomial_within_a_second():
     assert time.perf_counter() - started < 1.0
     # reversing 800 creators takes 800 * 799 / 2 transpositions, an even number
     assert x.terms == {(tuple(range(1, 801)), ()): (-1) ** (800 * 799 // 2)}
+
+
+def test_a_sum_at_the_generator_cap_parses_within_a_second():
+    # the sum is collected in one dict, in about 0.003 s; copying the sum so
+    # far at each + took about 0.07 s, and grows with the square of the terms
+    cap = MAX_CLIFFORD_GENERATORS
+    started = time.perf_counter()
+    x = parse_clifford_expression(" + ".join("b%d" % i for i in range(1, cap + 1)))
+    assert time.perf_counter() - started < 1.0
+    assert x.terms == {((i,), ()): 1 for i in range(1, cap + 1)}
+
+
+# expression trees: ("gen", letter, k), ("scalar", p, q), ("paren", tree),
+# ("prod", x, y, joiner) and ("sum", sign, first, [(op, tree), ...]); a sum
+# of one term with sign "-" is a negation
+EXPRESSION_TREES = st.recursive(
+    st.one_of(
+        st.tuples(st.just("gen"), st.sampled_from("ab"), st.integers(1, 4)),
+        st.tuples(st.just("scalar"), st.integers(0, 5), st.sampled_from((1, 2, 4, 6))),
+    ),
+    lambda trees: st.one_of(
+        st.tuples(st.just("paren"), trees),
+        st.tuples(st.just("prod"), trees, trees, st.sampled_from(("*", " ", " * "))),
+        st.tuples(
+            st.just("sum"),
+            st.sampled_from(("", "+", "-")),
+            trees,
+            st.lists(st.tuples(st.sampled_from("+-"), trees), max_size=2),
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+def render(tree):
+    """The text of an expression tree; a sum inside a product or after a sign is parenthesised."""
+    kind = tree[0]
+    if kind == "gen":
+        return "%s%d" % tree[1:]
+    if kind == "scalar":
+        return "%d/%d" % tree[1:] if tree[2] != 1 else str(tree[1])
+    if kind == "paren":
+        return "(%s)" % render(tree[1])
+    if kind == "prod":
+        return _operand(tree[1]) + tree[3] + _operand(tree[2])
+    _, sign, first, rest = tree
+    return sign + _operand(first) + "".join(" %s %s" % (op, _operand(t)) for op, t in rest)
+
+
+def _operand(tree):
+    return "(%s)" % render(tree) if tree[0] == "sum" else render(tree)
+
+
+def tree_value(tree):
+    """The element of an expression tree, built with reference_product and +."""
+    kind = tree[0]
+    if kind == "gen":
+        return CliffordElement.creator(tree[2]) if tree[1] == "b" else CliffordElement.annihilator(tree[2])
+    if kind == "scalar":
+        return CliffordElement.identity().scale(Fraction(tree[1], tree[2]))
+    if kind == "paren":
+        return tree_value(tree[1])
+    if kind == "prod":
+        return reference_product(tree_value(tree[1]), tree_value(tree[2]))
+    _, sign, first, rest = tree
+    total = -tree_value(first) if sign == "-" else tree_value(first)
+    for op, t in rest:
+        total = total + (tree_value(t) if op == "+" else -tree_value(t))
+    return total
+
+
+def test_rendered_trees_read_as_intended():
+    x = ("sum", "", ("gen", "b", 1), [("-", ("gen", "a", 2))])
+    tree = ("prod", ("scalar", 3, 2), ("sum", "-", x, []), " ")
+    assert render(tree) == "3/2 (-(b1 - a2))"
+    assert typed(tree_value(tree)) == {((1,), ()): (Fraction(-3, 2), Fraction), ((), (2,)): (Fraction(3, 2), Fraction)}
+    assert typed(tree_value(("scalar", 4, 2))) == {((), ()): (2, int)}
+
+
+@given(EXPRESSION_TREES)
+@settings(deadline=None, max_examples=300)
+def test_parsed_expressions_match_the_reference_product(tree):
+    assert typed(parse_clifford_expression(render(tree))) == typed(tree_value(tree))
 
 
 @given(clifford_elements(), clifford_elements(), st.sets(st.integers(1, 3)))
@@ -424,6 +510,36 @@ def test_a_zero_wedge_image_is_the_shared_zero():
     assert annihilate(3, b(1) - b(2), ctx) is zero
     assert act(CliffordElement.annihilator(1), b(2, 3), ctx) is zero
     assert act(CliffordElement.identity(), zero, ctx) is zero
+    # b1 a1 - 1 cancels on {1}: the summed image is the shared zero too
+    assert act(CliffordElement({((1,), (1,)): 1, ((), ()): -1}), b(1), ctx) is zero
+
+
+def test_act_makes_the_same_wedge_calls_in_the_same_order(monkeypatch):
+    # per monomial, in the element's order: annihilators right to left, then
+    # creators right to left, and no call after the image turns zero
+    from halfspin import clifford
+
+    ctx = RankContext(4)
+    calls = []
+    for op in (create, annihilate):
+        def counted(k, vec, ctx, op=op):
+            calls.append((op.__name__, k))
+            return op(k, vec, ctx)
+
+        monkeypatch.setattr(clifford, op.__name__, counted)
+    v = FockVector({frozenset({1}): 1, frozenset({1, 3}): 2, frozenset({2, 4}): -1})
+    x = CliffordElement({
+        ((2, 3), (1,)): 1,  # nonzero throughout: {1} + 2 {1,3} -> {} + 2 {3} -> {3} -> {2,3}
+        ((4,), (1, 2, 3)): 2,  # a3 leaves -2 {1}, a2 kills it, a1 and b4 are not called
+        ((), ()): 3,  # no call
+        ((1, 2, 3), (4,)): HALF,  # a4 leaves {2}, b3 makes -{2,3}, b2 kills it, b1 is not called
+    })
+    assert act(x, v, ctx) == FockVector({frozenset({2, 3}): 1}) + 3 * v
+    assert calls == [
+        ("annihilate", 1), ("create", 3), ("create", 2),
+        ("annihilate", 3), ("annihilate", 2),
+        ("annihilate", 4), ("create", 3), ("create", 2),
+    ]
 
 
 def test_act_on_the_shared_zero():
