@@ -18,11 +18,12 @@ to at most one signed basis state, a walk stops below the first zero
 image, and a prefix that many words share is applied once.
 The module, weight and faithfulness suites are written out on their own.
 
-Every operator token of both models is read from one table of functions
-by name, `_OPERATORS`, when it is applied: by the command line through
-its dispatch, `apply_operator`, by the rank-free evaluator for each image
-it computes, and by the tabulator once per matrix, whose function then
-runs on the prebuilt one-state vectors of its basis.
+Every operator token but `phi`, the dictionary between the models, is
+read from one table of functions by name, `_OPERATORS`, when it is
+applied: by the command line through its dispatch, `apply_operator`, by
+the rank-free evaluator for each image it computes, and by the tabulator
+once per matrix, whose function then runs on the prebuilt one-state
+vectors of its basis.
 
 The suites of one `run_suites` call share one `RankTables` per rank: one
 rank context, one shape and one wedge basis with their one-state vectors,
@@ -31,10 +32,11 @@ matrices, each built on first use and dropped before the next rank
 starts.  A suite maps one `RankTables` to its entries, and `run_suites`
 alone builds the tables, times each suite and files its report.
 
-Reports are plain dicts, deterministic for a given (suite, rank), with
-entry statuses pass / fail / xfail / xpass / skip.  An xfail entry is a
-pinned, documented deviation (a regression guard): it does not fail the
-suite, but its unexpected success (xpass) does.
+Reports are plain dicts, deterministic for a given (suite, rank) in all
+but their `duration`, with entry statuses pass / fail / xfail / xpass /
+skip.  An xfail entry is a pinned, documented deviation (a regression
+guard): it does not fail the suite, but its unexpected success (xpass)
+does.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import itertools
 import time
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from types import MappingProxyType
 
 from .diagram import (
@@ -287,8 +289,8 @@ def fock_basis(ctx: RankContext) -> IndexedBasis:
     return IndexedBasis([frozenset(s) for s in subsets], label=format_fock_index)
 
 
-# every operator token's function by name, shape side then wedge side;
-# "identity" and "kappa" take no index and are handled by apply_operator
+# every token's function by name: shape side, wedge side, the two with no index;
+# kappa reads spinrep.kappa per call, so a patched spinrep.kappa reaches both evaluators
 _OPERATORS = {
     "E": spinrep.apply_E,
     "F": spinrep.apply_F,
@@ -297,6 +299,8 @@ _OPERATORS = {
     "b": spinrep.geometric_b,
     "create": cliff.create,
     "annihilate": cliff.annihilate,
+    "kappa": lambda k, vec, ctx: spinrep.kappa(vec, ctx),
+    "identity": lambda k, vec, ctx: vec,
 }
 
 # the operators that act on the wedge side
@@ -309,7 +313,7 @@ def parse_operator_token(token: str):
     if token in ("kappa", "identity", "id"):
         return ("identity" if token == "id" else token, None)
     name, sep, idx = token.partition("_")
-    if sep and name in _OPERATORS:
+    if sep and name in _OPERATORS and name not in ("kappa", "identity"):
         try:
             return (name, parse_decimal(idx))
         except ValueError:
@@ -319,10 +323,6 @@ def parse_operator_token(token: str):
 
 def apply_operator(name, k, vec, ctx: RankContext):
     """The operator (name, k) of parse_operator_token applied to a shape or wedge vector."""
-    if name == "identity":
-        return vec
-    if name == "kappa":
-        return spinrep.kappa(vec, ctx)
     if name not in _OPERATORS:
         raise ValueError("unknown operator %r" % name)
     return _OPERATORS[name](k, vec, ctx)
@@ -338,7 +338,7 @@ def operator_matrix(op: str, basis: IndexedBasis, ctx: RankContext) -> ExactMatr
     table to the general form, and a zero image leaves its column empty.
     """
     name, k = parse_operator_token(op)
-    apply = _OPERATORS.get(name) or partial(apply_operator, name)
+    apply = _OPERATORS[name]
     size = len(basis)
     position = basis.index
     cols = {}
@@ -628,8 +628,8 @@ class _StateImages(dict):
     """One basis state's images in one column, {(name, k): ((target, coeff), ...)}.
 
     A miss is computed on the state's one-state vector, built with the table,
-    through `_OPERATORS[name]` (`cliff.phi` or `apply_operator` for phi,
-    kappa and identity) and stored.
+    through `cliff.phi` for phi and `_OPERATORS[name]` for every other
+    operator, and stored.
     """
 
     __slots__ = ("vec", "ctx")
@@ -639,10 +639,7 @@ class _StateImages(dict):
 
     def __missing__(self, op):
         name, k = op
-        if name in _OPERATORS:
-            image = _OPERATORS[name](k, self.vec, self.ctx)
-        else:
-            image = cliff.phi(self.vec, self.ctx) if name == "phi" else apply_operator(name, k, self.vec, self.ctx)
+        image = cliff.phi(self.vec, self.ctx) if name == "phi" else _OPERATORS[name](k, self.vec, self.ctx)
         image = self[op] = tuple(image.terms.items())
         return image
 

@@ -20,8 +20,9 @@ single-box edits finds (`_moves`, filled by the E/F kernel
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 from .diagram import PLUS, Sign, validate_diagram
 
@@ -60,7 +61,7 @@ class RankContext:
         return "RankContext(n=%d)" % self.n
 
 
-class StringInterval(tuple):
+class StringInterval(namedtuple("StringInterval", "start end")):
     """An indecomposable string, named by its vertex interval.
 
     end <= n-1 is the chain start..end through vertex n-1's branch;
@@ -71,18 +72,6 @@ class StringInterval(tuple):
     """
 
     __slots__ = ()
-
-    def __new__(cls, start: int, end: int):
-        return tuple.__new__(cls, (start, end))
-
-    start = property(itemgetter(0))
-    end = property(itemgetter(1))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return "StringInterval(start=%r, end=%r)" % self
 
     def __str__(self):
         return "V(%d,%d)" % (self.start, self.end)

@@ -162,6 +162,17 @@ def test_parse_operator_token():
     for bad in ("G_1", "F_", "F_x", "E4", "", "F_1_0", "b_0_1", "F_+2", "F_-1", "a_\u0663"):
         with pytest.raises(ValueError):
             parse_operator_token(bad)
+    # kappa and identity take no index, and phi is no operator token
+    for bad in ("kappa_1", "identity_1", "id_1", "phi", "phi_1"):
+        with pytest.raises(ValueError, match="unknown operator token"):
+            parse_operator_token(bad)
+
+
+@pytest.mark.parametrize("name", ["phi", "G"])
+def test_apply_operator_refuses_a_name_outside_the_table(name):
+    ctx = RankContext(4)
+    with pytest.raises(ValueError, match="unknown operator '%s'" % name):
+        oracle.apply_operator(name, 1, oracle._one_state((Sign.PLUS, ())), ctx)
 
 
 def test_operator_matrix_f4():

@@ -417,6 +417,8 @@ def test_state_text_forms():
     assert parse_basis_state("( minus , - )") == (Sign.MINUS, ())
     with pytest.raises(ValueError):
         parse_basis_state("plus,3,1")
+    with pytest.raises(ValueError, match="cannot parse basis state"):
+        parse_basis_state("(plus)")
     with pytest.raises(ValueError):
         parse_basis_state("(plus,4,1)", ctx)
 
