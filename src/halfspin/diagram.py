@@ -45,8 +45,10 @@ def parse_sign(text: str) -> Sign:
 
 
 def validate_diagram(rows, n=None) -> tuple:
-    """Return rows as a tuple, checking strict decrease (and the rank bound)."""
-    rows = tuple(map(int, rows))
+    """Return rows as a tuple, checking int rows, strict decrease (and the rank bound)."""
+    rows = tuple(rows)
+    if not all(type(r) is int for r in rows):
+        raise ValueError("row lengths must be integers, got %r" % (rows,))
     if rows and min(rows) < 1:
         raise ValueError("row lengths must be positive, got %r" % (rows,))
     for a, b in zip(rows, rows[1:]):
@@ -110,8 +112,7 @@ def conjugate(rows) -> tuple:
 
 def endpoints(rows, n: int) -> frozenset:
     """The set {n - l : l a row length}; strictness makes all endpoints distinct."""
-    validate_diagram(rows, n)
-    return frozenset(n - l for l in rows)
+    return frozenset(n - l for l in validate_diagram(rows, n))
 
 
 def fock_index(state, n: int) -> frozenset:

@@ -9,13 +9,13 @@ anticommutators, the dictionary's intertwining, the quadratic
 factorization) are declared once, in the table of `identities`, as
 expressions over operator names.  Two evaluators read it.  The bounded
 suites tabulate each operator as a sparse exact matrix over the whole
-rank-n basis and compare matrices.  The rank-free `check_dinfty` expands
-each side into operator words and merges a family's words, each token
-parsed once, into one prefix tree keyed by operator once per call, then
-walks it on one box-capped basis state at a time, with one image table
-per state for that column only; since every operator sends a basis state
-to at most one signed basis state, a walk stops below the first zero
-image, and a prefix that many words share is applied once.
+rank-n basis and compare matrices.  The rank-free `check_dinfty` grows
+the words of every side of its five table families, each token parsed
+once, straight into one prefix tree keyed by operator once per call, and
+walks it once per box-capped basis state, with one image table per state
+for that column only; since every operator sends a basis state to at most
+one signed basis state, a walk stops below the first zero image, and a
+prefix that many words share is applied once.
 The module, weight and faithfulness suites are written out on their own.
 
 Every operator token but `phi`, the dictionary between the models, is
@@ -276,7 +276,7 @@ def spin_basis(ctx: RankContext) -> IndexedBasis:
 def truncated_spin_basis(ctx: RankContext, max_boxes: int) -> IndexedBasis:
     # a cap of n boxes or more admits the one-row shape (n,), which needs rank > n
     if max_boxes > ctx.n - 1:
-        raise ValueError("box cap %d needs rank > %d, got %d" % (max_boxes, ctx.n, ctx.n))
+        raise ValueError("box cap %d needs rank > %d, got %d" % (max_boxes, max_boxes, ctx.n))
     shapes = enumerate_diagrams_by_boxes(max_boxes)
     states = [(sign, rows) for sign in (PLUS, MINUS) for rows in shapes]
     return IndexedBasis(states, label=format_basis_state)
@@ -581,46 +581,43 @@ def _one_state(state):
     return (FockVector if isinstance(state, frozenset) else SpinVector)._make({state: 1})
 
 
-def _words(expr) -> dict:
-    """One side as operator words {tokens: coeff}, int coefficients; the rightmost token acts first.
+def _ends(node, expr, c, ops):
+    """The words of one side, times c, grown below node: the (node, coeff) pairs where they end.
 
-    "0" has no word and "1" the empty word.  A side expands from its own tokens only.
+    A node is (children, ends), children keyed by the operator acting next,
+    each token parsed once per tree into ops as (name, k), ("phi", None) for
+    phi.  A product grows its right factor, which acts first, then its left
+    factor from each end; a bracket adds the reversed product, signed.  A
+    word that two terms of a side share ends twice.
     """
     if isinstance(expr, str):
-        return {} if expr == "0" else {() if expr == "1" else (expr,): 1}
+        if expr in ("0", "1"):
+            return [(node, c)] if expr == "1" else []
+        if expr not in ops:
+            ops[expr] = ("phi", None) if expr == "phi" else parse_operator_token(expr)
+        return [(node[0].setdefault(ops[expr], ({}, [])), c)]
     op, x, y = expr
     if op == "scale":
-        return {w: x * c for w, c in _words(y).items()} if x else {}
-    xs, ys = _words(x), _words(y)
-    orders = [(1, xs, ys)] + ([] if op == "product" else [(-1 if op == "commutator" else 1, ys, xs)])
-    out = {}
-    for sign, left, right in orders:
-        for u, a in left.items():
-            for v, b in right.items():
-                out[u + v] = out.get(u + v, 0) + sign * a * b
-    return {w: c for w, c in out.items() if c}
+        return _ends(node, y, c * x, ops) if x else []
+    ends = [end for mid, b in _ends(node, y, c, ops) for end in _ends(mid, x, b, ops)]
+    if op != "product":
+        ends += _ends(node, ("product", y, x), -c if op == "commutator" else c, ops)
+    return ends
 
 
 def _tree(rows):
-    """A family's rows (label, lhs, rhs) as one prefix tree of operator words.
+    """Rows (label, lhs, rhs) as one prefix tree of operator words, grown by `_ends`.
 
-    A node is (children, ends).  children maps each operator that can act
-    next, parsed as (name, k) with ("phi", None) for phi, to its node, and
-    ends holds (row, coeff) for every word that stops there, the words of a
-    row's rhs with their coefficients negated.  The root is the empty word.
-    Each token is parsed once per tree.
+    A node's ends hold (row, coeff) for every word that stops there, the
+    words of a row's rhs with their coefficients negated.  The root is the
+    empty word.  Each token is parsed once per tree.
     """
     ops = {}
     root = ({}, [])
     for pos, (_, lhs, rhs) in enumerate(rows):
         for side, sign in ((lhs, 1), (rhs, -1)):
-            for word, c in _words(side).items():
-                node = root
-                for token in reversed(word):
-                    if token not in ops:
-                        ops[token] = ("phi", None) if token == "phi" else parse_operator_token(token)
-                    node = node[0].setdefault(ops[token], ({}, []))
-                node[1].append((pos, sign * c))
+            for node, c in _ends(root, side, sign, ops):
+                node[1].append((pos, c))
     return root
 
 
@@ -896,35 +893,32 @@ def check_dinfty(max_boxes: int, n: int):
     The operators never need the full rank-n state space, so the identities
     can be evaluated exactly on the capped family inside a large ambient
     rank; agreement here is what makes the rank-free limit well defined.
-    Each family's rows become one prefix tree of parsed operators once per
-    call (`_tree`).  For one basis state (one column) at a time, one walk
-    of the tree sums every row's lhs minus rhs (`_sums`); a row fails when
-    its sum is not zero, and the first failing row in table order gets the
-    witness, its two sides walked again as one-row trees (`_image`) and
-    printed as wedge or shape vectors by their states.  A column's images
-    are held in one table per state (`_ColumnImages`), each computed once
-    and dropped with the column, since a cache kept for the whole run costs
-    memory for little more reuse.  The weight family reads no images: its
-    routes are compared after the columns, over all states at once
-    (`_weight_witness`).
+    The rows of the five table families, each tagged with its family,
+    become one prefix tree of parsed operators once per call (`_tree`).
+    For one basis state (one column) at a time, one walk of the tree sums
+    every row's lhs minus rhs (`_sums`); a row fails when its sum is not
+    zero.  A family's witness is taken at the first state where one of its
+    rows fails, from its first failing row in table order, its two sides
+    walked again as one-row trees (`_image`) and printed as wedge or shape
+    vectors by their states; a family that has failed is still walked.  A
+    column's images are held in one table per state (`_ColumnImages`), each
+    computed once and dropped with the column, since a cache kept for the
+    whole run costs memory for little more reuse.  The weight family reads
+    no images: its routes are compared after the columns, over all states
+    at once (`_weight_witness`).  A capped shape's rows end at vertices
+    k >= n - max_boxes, so a fault far below that lies outside this mode.
     """
     t0 = time.perf_counter()
     ctx = RankContext(n)
     states = truncated_spin_basis(ctx, max_boxes).states
-    families = []
-    for suite, _ in _DINFTY_FAMILIES:
-        if suite != "weights":
-            rows = identities(suite, ctx)
-            families.append((suite, rows, _tree(rows)))
+    tagged = [(suite, row) for suite, _ in _DINFTY_FAMILIES if suite != "weights" for row in identities(suite, ctx)]
+    tree = _tree([row for _, row in tagged])
     bad = {}  # suite -> witness of the family's first failure, None for weights that agree
     for state in states:
         images = _ColumnImages(ctx)
-        for suite, rows, tree in families:
-            if suite in bad:
-                continue
-            failing = [pos for (pos, _), v in _sums(tree, state, images).items() if v]
-            if failing:
-                label, lhs, rhs = rows[min(failing)]
+        for pos in sorted(pos for (pos, _), v in _sums(tree, state, images).items() if v):
+            suite, (label, lhs, rhs) = tagged[pos]
+            if suite not in bad:
                 got, want = (_format_side(_image(side, state, images)) for side in (lhs, rhs))
                 bad[suite] = _pointwise_witness(label, state, got, want)
     routes = weight_routes()

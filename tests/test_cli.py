@@ -539,10 +539,14 @@ def test_readme_caps_table_matches_the_constants():
 
 def test_readme_suite_table_matches_the_suites():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("| suite | checks |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
-    names = re.findall(r"^\| `([a-z_]+)` \|", table, re.M)
-    assert len(names) == len(table.splitlines())
-    assert sorted(names) == list(oracle.SUITE_NAMES)
+    # the rank-free column gives each suite's entry label in verify --dinfty, or "none"
+    table = readme.split("| suite | checks | rank-free |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([a-z_]+)` \| [^|]+ \| ([^|(]+?)( \([^|]+\))? \|$", table, re.M)
+    assert len(rows) == len(table.splitlines())
+    assert sorted(name for name, _, _ in rows) == list(oracle.SUITE_NAMES)
+    families = dict(oracle._DINFTY_FAMILIES)
+    assert {name: label for name, label, _ in rows} == {name: families.get(name, "none") for name in oracle.SUITE_NAMES}
+    assert {name: note for name, _, note in rows if note} == {"intertwiner": " (the bijection entry is bounded only)"}
 
 
 def test_readme_operator_tokens_match_the_operator_table():

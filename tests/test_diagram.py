@@ -19,6 +19,8 @@ from halfspin.diagram import (
     parse_fock_index,
     parse_decimal,
 )
+from halfspin.quiver import RankContext, dim_vector
+from halfspin.spinrep import weight_eps
 
 
 SIGNS = (Sign.PLUS, Sign.MINUS)
@@ -58,6 +60,19 @@ def test_validate_diagram():
     assert validate_diagram([2, 1], 3) == (2, 1)
     with pytest.raises(ValueError):
         validate_diagram((2, 2), 5)
+    # rows must be ints: a float row is refused, not truncated, by every reader
+    for rows in ((2.7, 1), (2.0,), ("2",), (True,)):
+        with pytest.raises(ValueError, match="row lengths must be integers"):
+            validate_diagram(rows)
+    ctx = RankContext(4)
+    for read in (
+        lambda: fock_index((Sign.PLUS, (2.5,)), 4),
+        lambda: endpoints((2.5,), 4),
+        lambda: dim_vector((Sign.PLUS, (2.5,)), ctx),
+        lambda: weight_eps((Sign.PLUS, (2.5,)), ctx),
+    ):
+        with pytest.raises(ValueError, match="row lengths must be integers"):
+            read()
 
 
 def test_enumerate_small_ranks():

@@ -137,6 +137,8 @@ def test_truncated_spin_basis():
     assert (Sign.MINUS, (2, 1)) in basis.states
     with pytest.raises(ValueError):
         truncated_spin_basis(RankContext(3), 3)  # shape (3,) needs rank > 3
+    with pytest.raises(ValueError, match=r"^box cap 10 needs rank > 10, got 5$"):
+        truncated_spin_basis(RankContext(5), 10)
 
 
 def test_fock_basis_order():
@@ -603,40 +605,6 @@ def test_rank_free_walk_sums_two_term_images(monkeypatch):
     assert _images_against_matrix_columns(4)
 
 
-def test_words_expand_a_side_from_its_own_tokens():
-    assert oracle._words("0") == {}
-    assert oracle._words("1") == {(): 1}
-    assert oracle._words(("scale", 0, "E_1")) == {}
-    assert oracle._words(("scale", -2, "E_1")) == {("E_1",): -2}
-    assert oracle._words(("product", "b_2", "a_1")) == {("b_2", "a_1"): 1}
-    assert oracle._words(("anticommutator", "a_1", "a_1")) == {("a_1", "a_1"): 2}
-    # ad(E_1)^2 E_2: the two middle words merge
-    assert oracle._words(("commutator", "E_1", ("commutator", "E_1", "E_2"))) == {
-        ("E_1", "E_1", "E_2"): 1,
-        ("E_1", "E_2", "E_1"): -2,
-        ("E_2", "E_1", "E_1"): 1,
-    }
-
-
-@pytest.mark.parametrize("n", range(3, 6))
-def test_words_sum_to_the_matrix_of_their_side(n):
-    # sum of coeff * (product of the tokens' matrices) over the words of a
-    # side is the bounded evaluator's matrix of that side
-    tables = oracle.RankTables(n)
-    for suite in TABLE_SUITES:
-        for label, lhs, rhs in oracle.identities(suite, tables.ctx):
-            for side in (lhs, rhs):
-                want = oracle._matrix(side, tables.matrix)
-                total = ExactMatrix.zero(want.nrows, want.ncols)
-                for word, c in oracle._words(side).items():
-                    assert type(c) is int and c, (label, word)
-                    m = tables.matrix(word[0] if word else "1")
-                    for token in word[1:]:
-                        m = m * tables.matrix(token)
-                    total = total + m.scale(c)
-                assert total == want, (label, side)
-
-
 def _parsed(word):
     """A word's tokens as the tree keys them: (name, k), and ("phi", None) for phi."""
     return tuple(("phi", None) if token == "phi" else parse_operator_token(token) for token in word)
@@ -651,20 +619,74 @@ def _tree_words(node, prefix=()):
     return out
 
 
+def _side_tree(side):
+    """The one-row tree of one side, as `_image` builds it."""
+    return oracle._tree([(None, side, "0")])
+
+
+def _side_words(side):
+    """One side's words {parsed word: coeff}: its one-row tree's ends summed per word, zeros dropped."""
+    sums = Counter()
+    for _, word, c in _tree_words(_side_tree(side)):
+        sums[word] += c
+    return {word: c for word, c in sums.items() if c}
+
+
+def test_words_expand_a_side_from_its_own_tokens():
+    def words(expansion):
+        return {_parsed(word): c for word, c in expansion.items()}
+
+    assert _side_words("0") == {}
+    assert _side_words("1") == words({(): 1})
+    assert _side_words(("scale", 0, "E_1")) == {}
+    assert _side_words(("scale", -2, "E_1")) == words({("E_1",): -2})
+    assert _side_words(("product", "b_2", "a_1")) == words({("b_2", "a_1"): 1})
+    assert _side_words(("anticommutator", "a_1", "a_1")) == words({("a_1", "a_1"): 2})
+    # ad(E_1)^2 E_2: the middle word ends twice, -1 each, and sums to -2
+    serre = ("commutator", "E_1", ("commutator", "E_1", "E_2"))
+    assert _side_words(serre) == words({
+        ("E_1", "E_1", "E_2"): 1,
+        ("E_1", "E_2", "E_1"): -2,
+        ("E_2", "E_1", "E_1"): 1,
+    })
+    middle = _parsed(("E_1", "E_2", "E_1"))
+    assert [c for _, word, c in _tree_words(_side_tree(serre)) if word == middle] == [-1, -1]
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_words_sum_to_the_matrix_of_their_side(n):
+    # sum of coeff * (product of the tokens' matrices) over the words of a
+    # side, read off its one-row tree, is the bounded evaluator's matrix of
+    # that side
+    tables = oracle.RankTables(n)
+    for suite in TABLE_SUITES:
+        for label, lhs, rhs in oracle.identities(suite, tables.ctx):
+            for side in (lhs, rhs):
+                want = oracle._matrix(side, tables.matrix)
+                total = ExactMatrix.zero(want.nrows, want.ncols)
+                for word, c in _side_words(side).items():
+                    assert type(c) is int and c, (label, word)
+                    tokens = ["phi" if name == "phi" else "%s_%d" % (name, k) for name, k in word]
+                    m = tables.matrix(tokens[0] if tokens else "1")
+                    for token in tokens[1:]:
+                        m = m * tables.matrix(token)
+                    total = total + m.scale(c)
+                assert total == want, (label, side)
+
+
 @pytest.mark.parametrize("n", range(3, 6))
 def test_tree_word_ends_are_the_words_of_each_side(n):
-    # every word of a side ends in the tree exactly once, as its parsed
-    # operators: lhs words keep their coefficient and rhs words are
-    # negated; no word is merged across sides or rows, lost or repeated
+    # a table's tree holds the word ends of each side's one-row tree, as
+    # its parsed operators: lhs ends keep their coefficient and rhs ends
+    # are negated; no end is merged across sides or rows, lost or repeated
     ctx = RankContext(n)
     for suite in TABLE_SUITES:
         rows = oracle.identities(suite, ctx)
         got = _tree_words(oracle._tree(rows))
         want = []
         for pos, (_, lhs, rhs) in enumerate(rows):
-            want += [(pos, _parsed(word), c) for word, c in oracle._words(lhs).items()]
-            want += [(pos, _parsed(word), -c) for word, c in oracle._words(rhs).items()]
-        assert len(set(want)) == len(want)
+            want += [(pos, word, c) for _, word, c in _tree_words(_side_tree(lhs))]
+            want += [(pos, word, -c) for _, word, c in _tree_words(_side_tree(rhs))]
         assert Counter(got) == Counter(want), suite
 
 
@@ -678,6 +700,14 @@ def _prefix_image(prefix, state, ctx):
     return vec.terms
 
 
+def _tree_edges(node, prefix=()):
+    """Every edge (prefix, next operator) of a tree; prefix holds the operators in action order."""
+    out = []
+    for op, child in node[0].items():
+        out += [(prefix, op)] + _tree_edges(child, prefix + (op,))
+    return out
+
+
 def _table_state(table):
     """The basis state of one column's image table."""
     [state] = table.vec.terms
@@ -685,11 +715,11 @@ def _table_state(table):
 
 
 def test_dinfty_enters_no_subtree_below_a_zero_image(monkeypatch):
-    # per column, each edge (prefix, next operator) of a family's words is
-    # looked up once for each state in the prefix's image: a prefix that many
-    # words share is walked once, and one whose image is zero looks nothing
-    # up.  A state's table is looked up once per node with children that the
-    # walk reaches with it, not once per child.
+    # per column, each edge (prefix, next operator) of the one tree over the
+    # five tables is looked up once for each state in the prefix's image: a
+    # prefix that many words share is walked once, and one whose image is
+    # zero looks nothing up.  A state's table is looked up once per node
+    # with children that the walk reaches with it, not once per child.
     ctx = RankContext(5)
     lookups, tables = [], []
 
@@ -703,36 +733,32 @@ def test_dinfty_enters_no_subtree_below_a_zero_image(monkeypatch):
 
     monkeypatch.setattr(oracle._StateImages, "__getitem__", image)
     monkeypatch.setattr(oracle._ColumnImages, "__getitem__", table)
-    families = []
-    dead = shared = 0
-    for suite in TABLE_SUITES:
-        rows = oracle.identities(suite, ctx)
-        acting = [_parsed(w[::-1]) for _, *sides in rows for side in sides for w in oracle._words(side)]
-        edges = {(w[:i], w[i]) for w in acting for i in range(len(w))}
-        shared += sum(map(len, acting)) - len(edges)
-        families.append((oracle._tree(rows), edges))
+    tree = oracle._tree([row for suite in TABLE_SUITES for row in oracle.identities(suite, ctx)])
+    edges = _tree_edges(tree)
+    shared = sum(len(word) for _, word, _ in _tree_words(tree)) - len(edges)
+    dead = 0
     for state in truncated_spin_basis(ctx, 4).states:
-        for tree, edges in families:
-            want, want_tables = [], []
-            for prefix, op in edges:
-                image = _prefix_image(prefix, state, ctx)
-                dead += not image
-                want += [(op, target) for target in image]
-            for prefix in {prefix for prefix, _ in edges}:
-                want_tables += _prefix_image(prefix, state, ctx)
-            lookups.clear()
-            tables.clear()
-            oracle._sums(tree, state, oracle._ColumnImages(ctx))
-            assert Counter(lookups) == Counter(want), state
-            assert Counter(tables) == Counter(want_tables), state
+        want, want_tables = [], []
+        for prefix, op in edges:
+            image = _prefix_image(prefix, state, ctx)
+            dead += not image
+            want += [(op, target) for target in image]
+        for prefix in {prefix for prefix, _ in edges}:
+            want_tables += _prefix_image(prefix, state, ctx)
+        lookups.clear()
+        tables.clear()
+        oracle._sums(tree, state, oracle._ColumnImages(ctx))
+        assert Counter(lookups) == Counter(want), state
+        assert Counter(tables) == Counter(want_tables), state
     assert dead > 0 and shared > 0
 
 
 def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
     # a column starts with fresh image tables; within it every (operator,
-    # state) image the walks look up is computed exactly once, so none is
-    # computed twice and none is read from another column.  The five family
-    # trees are built once per call, and a passing run builds no witness tree.
+    # state) image the walk looks up is computed exactly once, so none is
+    # computed twice and none is read from another column.  One tree holds
+    # the rows of all five tables, built once per call, and a passing run
+    # builds no witness tree.
     columns = []  # per column: the (operator, state) pairs looked up, and those computed
     real_init, real_missing = oracle._ColumnImages.__init__, oracle._StateImages.__missing__
 
@@ -766,7 +792,7 @@ def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
     for looked_up, computed in columns:
         assert looked_up and Counter(computed) == Counter(looked_up)
     ctx = RankContext(6)
-    assert trees == [len(oracle.identities(s, ctx)) for s in TABLE_SUITES]
+    assert trees == [sum(len(oracle.identities(s, ctx)) for s in TABLE_SUITES)]
 
 
 # ---------------------------------------------------------------------------
