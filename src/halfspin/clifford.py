@@ -12,9 +12,10 @@ ascending index order.  The product is Wick's theorem for the relations
 a_i b_j = delta_ij - b_j a_i, a_i a_j = -a_j a_i, b_i b_j = -b_j b_i,
 a_i a_i = b_i b_i = 0: of (b_S1 a_T1)(b_S2 a_T2) one contraction pass
 rewrites a_T1 b_S2, and two signed merges join the blocks to its terms.
-Each pair of monomials costs one coefficient product, each term's sign is
-a negation, an empty a_T1 or b_S2 needs no contraction pass and an empty
-block no merge; a scalar times y is y scaled.
+Each pair of monomials costs one coefficient product, each sign is a
+parity test and a negation, an empty a_T1 or b_S2 needs no contraction
+pass, and a merge bisects each index of its right block into the left;
+the terms are summed once at the end, and a scalar times y is y scaled.
 
 phi translates the shape model of `spinrep` into this model by the
 subset bookkeeping of `diagram.fock_index`.
@@ -36,11 +37,12 @@ from .spinrep import (
     HALVES,
     Combination,
     SpinVector,
-    exact,
     format_terms,
+    exact,
     linear,
     parse_scalar,
     parse_terms,
+    sum_terms,
     tokenize,
 )
 
@@ -51,6 +53,7 @@ class FockVector(Combination):
     __slots__ = ()
 
     _key = frozenset
+    _token = re.compile(r"\s*(\{[^{}]*\}|[0-9]+(?:/[0-9]+)?|[+\-*])")
 
     def __repr__(self):
         return "FockVector(%s)" % format_fock_vector(self)
@@ -61,7 +64,10 @@ def _wedge(idx, k, inside):
     # create_k (k must be absent, and joins it), with the alternating phase
     if (k in idx) != inside:
         return None
-    phase = (-1) ** len([i for i in idx if i < k])
+    phase = 1
+    for i in idx:
+        if i < k:
+            phase = -phase
     return (idx - {k} if inside else idx | {k}), phase
 
 
@@ -83,12 +89,18 @@ def annihilate(k: int, vec: FockVector, ctx: RankContext) -> FockVector:
 
 def _merge(left, right):
     """(sign, sorted left + right) for two ascending blocks, the sign that of
-    the sort; None when they share an index, as b_i b_i = a_i a_i = 0."""
-    if not left or not right:
-        return 1, left or right
-    if not set(left).isdisjoint(right):
-        return None
-    return (-1) ** sum(len(left) - bisect_left(left, i) for i in right), tuple(sorted(left + right))
+    the sort; None when they share an index, as b_i b_i = a_i a_i = 0.  Each
+    index of right goes in by one bisection and a slice insert."""
+    if not left:
+        return 1, right
+    sign = 1
+    for i in right:
+        p = bisect_left(left, i)
+        if p < len(left) and left[p] == i:
+            return None
+        sign = -sign if (len(left) - p) & 1 else sign
+        left = left[:p] + (i,) + left[p:]
+    return sign, left
 
 
 def _contract(annihilators, creators):
@@ -99,10 +111,10 @@ def _contract(annihilators, creators):
     for t in reversed(annihilators):
         out = []
         for sign, s, passed in terms:
-            out.append(((-1) ** len(s) * sign, s, (t,) + passed))
+            out.append((-sign if len(s) & 1 else sign, s, (t,) + passed))
             if t in s:
                 r = s.index(t)
-                out.append(((-1) ** r * sign, s[:r] + s[r + 1:], passed))
+                out.append((-sign if r & 1 else sign, s[:r] + s[r + 1:], passed))
         terms = out
     return terms
 
@@ -152,9 +164,9 @@ class CliffordElement(Combination):
                 for sign, s, t in _contract(t1, s2) if t1 and s2 else ((1, s2, t1),):
                     left, right = _merge(s1, s), _merge(t, t2)
                     if left and right:
-                        key = (left[1], right[1])
-                        out[key] = out.get(key, 0) + (c if sign * left[0] * right[0] > 0 else -c)
-        return self._make({key: exact(c) for key, c in out.items() if c})
+                        key, v = (left[1], right[1]), c if sign * left[0] * right[0] > 0 else -c
+                        out[key] = v if (old := out.get(key)) is None else old + v
+        return self._make({key: c if type(c) is int else exact(c) for key, c in out.items() if c})
 
     def __repr__(self):
         return "CliffordElement(%s)" % format_clifford_element(self)
@@ -165,7 +177,7 @@ class CliffordElement(Combination):
 # of the bound a little more than doubles the time.
 MAX_CLIFFORD_TERMS = 4096
 # The generators an expression may hold: a word copies its monomial at each
-# generator (b1024 ... b1: about 0.025 s); a sum is collected in one pass.
+# generator (b1024 ... b1: about 0.014 s); a sum is collected in one pass.
 MAX_CLIFFORD_GENERATORS = 1024
 
 
@@ -184,22 +196,23 @@ def product_bound(x: CliffordElement, y: CliffordElement) -> int:
 
 def act(x: CliffordElement, vec: FockVector, ctx: RankContext) -> FockVector:
     """Apply x to vec: per monomial, annihilators first, right to left."""
-    if not vec:
+    if not vec.terms:
         return FockVector.ZERO
     out = {}
     for (creators, annihilators), coeff in x.terms.items():
         w = vec
         for t in reversed(annihilators):
             w = annihilate(t, w, ctx)
-            if not w:
+            if not w.terms:
                 break
         for s in reversed(creators):
-            if not w:
+            if not w.terms:
                 break
             w = create(s, w, ctx)
         for key, c in w.terms.items():
-            out[key] = out.get(key, 0) + coeff * c
-    out = {key: exact(c) for key, c in out.items() if c}
+            c = c if coeff == 1 else coeff * c
+            out[key] = c if (old := out.get(key)) is None else old + c
+    out = {key: c if type(c) is int else exact(c) for key, c in out.items() if c}
     return FockVector._make(out) if out else FockVector.ZERO
 
 
@@ -261,7 +274,7 @@ def phi(vec: SpinVector, ctx: RankContext) -> FockVector:
 
 
 def _fock_sort_key(idx):
-    return (len(idx), tuple(sorted(idx)))
+    return (len(idx), sorted(idx))
 
 
 def format_fock_vector(vec: FockVector) -> str:
@@ -270,7 +283,7 @@ def format_fock_vector(vec: FockVector) -> str:
 
 def parse_fock_vector(text: str, ctx=None) -> FockVector:
     n = ctx.n if ctx is not None else None
-    terms = parse_terms(text, r"\{[^{}]*\}", lambda tok: parse_fock_index(tok, n), "index set")
+    terms = parse_terms(text, FockVector._token, lambda tok: parse_fock_index(tok, n), "index set")
     return FockVector(terms)
 
 
@@ -333,7 +346,7 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
             return CliffordElement._make({((k,), ()) if tok[0] == "b" else ((), (k,)): 1})
         if not tok[0].isdigit():
             raise ValueError("unexpected token %r in %r" % (tok, text))
-        c = exact(parse_scalar(tok, text))
+        c = parse_scalar(tok, text)
         return CliffordElement._make({((), ()): c} if c else {})
 
     def parse_product():
@@ -351,14 +364,13 @@ def parse_clifford_expression(text: str, ctx=None) -> CliffordElement:
             result = result * factor
 
     def parse_expr():
-        # one dict for the whole sum, its zeros purged once at the end
-        out = {}
+        pairs = []
         op = take() if peek() in ("+", "-") else "+"
         while True:
-            for key, c in parse_product().terms.items():
-                out[key] = out.get(key, 0) + (c if op == "+" else -c)
+            terms = parse_product().terms.items()
+            pairs.extend(terms if op == "+" else [(key, -c) for key, c in terms])
             if peek() not in ("+", "-"):
-                return CliffordElement._make({key: exact(c) for key, c in out.items() if c})
+                return CliffordElement._make(sum_terms(pairs))
             op = take()
 
     try:

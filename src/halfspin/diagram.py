@@ -146,7 +146,7 @@ def parse_decimal(text: str) -> int:
 def format_diagram(rows) -> str:
     if not rows:
         return "-"
-    return ",".join(str(r) for r in rows)
+    return ",".join(map(str, rows))
 
 
 def parse_diagram(text: str, n=None) -> tuple:
@@ -161,7 +161,7 @@ def parse_diagram(text: str, n=None) -> tuple:
 
 
 def format_fock_index(idx) -> str:
-    return "{%s}" % ",".join(str(i) for i in sorted(idx))
+    return "{%s}" % ",".join(map(str, sorted(idx)))
 
 
 def parse_fock_index(text: str, n=None) -> frozenset:

@@ -87,7 +87,7 @@ class ExactMatrix:
                 raise ValueError("entry (%d,%d) out of bounds %dx%d" % (i, j, nrows, ncols))
         self.nrows = nrows
         self.ncols = ncols
-        self._map, self._general = _forms(entries.items())
+        self._map, self._general = _forms((ij, exact(v)) for ij, v in entries.items())
 
     @classmethod
     def _make(cls, nrows, ncols, cols, general=None):

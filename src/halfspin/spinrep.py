@@ -13,9 +13,9 @@ None, and `linear` extends a kernel to a vector: E and F share the kernel
 `_shift_state`, whose memoized sweep finds every E/F image of a state at
 once, and a and b share one parametrised by parity and row edit.
 `Combination` holds the arithmetic that the vectors of both models and
-the Clifford algebra's elements share, on plain {key: coeff} dicts
-(`add_terms`, `scale_terms`, `sum_terms`), and gives each of them one
-shared zero, which every zero image of `linear` is.
+the Clifford algebra's elements share, on plain {key: coeff} dicts, each
+sum made exact once per key (`add_terms`, `scale_terms`, `sum_terms`),
+and gives each of them one shared zero, which every zero image of `linear` is.
 
 Coefficients are exact: a plain int when integral, a Fraction otherwise
 (see `exact`).  Weights live in the epsilon coordinates, as length-n
@@ -56,13 +56,14 @@ def exact(v):
     return v
 
 
-def sum_terms(items):
-    """The combination {key: coeff} summed from (key, coeff) pairs, exact, zeros purged."""
-    data = {}
-    for key, coeff in items:
-        coeff = exact(coeff)
-        data[key] = exact(data[key] + coeff) if key in data else coeff
-    return {key: c for key, c in data.items() if c != 0}
+def sum_terms(items, start=()):
+    """The combination {key: coeff} summed from start and (key, coeff) pairs of
+    exact coefficients: a key's first coefficient is kept as it is and later
+    ones are added, each sum made exact once, zeros purged."""
+    data = dict(start)
+    for key, c in items:
+        data[key] = c if (old := data.get(key)) is None else old + c
+    return {key: c if type(c) is int else exact(c) for key, c in data.items() if c}
 
 
 def scale_terms(terms, c):
@@ -84,10 +85,7 @@ def add_terms(x, y, sign=1):
         return x
     if not x:
         return scale_terms(y, sign)
-    out = dict(x)
-    for key, c in y.items():
-        out[key] = out.get(key, 0) + sign * c
-    return {key: exact(c) for key, c in out.items() if c}
+    return sum_terms(y.items() if sign == 1 else [(key, -c) for key, c in y.items()], x)
 
 
 class Combination:
@@ -111,8 +109,7 @@ class Combination:
 
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms or ()
-        key = self._key
-        self.terms = sum_terms((key(k), c) for k, c in items)
+        self.terms = sum_terms((self._key(k), exact(c)) for k, c in items)
 
     @staticmethod
     def _key(key):
@@ -163,8 +160,13 @@ def linear(kernel, vec, *args):
             return vec.ZERO
         v = hit[1] if c == 1 else c * hit[1]
         return vec._make({hit[0]: v if type(v) is int else exact(v)})
-    hits = ((kernel(state, *args), c) for state, c in terms.items())
-    out = sum_terms((hit[0], c * hit[1]) for hit, c in hits if hit is not None)
+    out = {}
+    for state, c in terms.items():
+        hit = kernel(state, *args)
+        if hit is not None:
+            v = hit[1] if c == 1 else c * hit[1]
+            out[hit[0]] = v if (old := out.get(hit[0])) is None else old + v
+    out = {key: v if type(v) is int else exact(v) for key, v in out.items() if v}
     return vec._make(out) if out else vec.ZERO
 
 
@@ -172,6 +174,7 @@ class SpinVector(Combination):
     """Finite rational combination of basis states (sign, shape)."""
 
     __slots__ = ()
+    _token = re.compile(r"\s*(\([^()]*\)|[0-9]+(?:/[0-9]+)?|[+\-*])")
 
     def __repr__(self):
         return "SpinVector(%s)" % format_spin_vector(self)
@@ -455,18 +458,17 @@ def format_terms(terms, sort_key, body) -> str:
     """
     out = []
     for key in sorted(terms, key=sort_key):
-        coeff = terms[key]
-        mag = abs(coeff)
+        coeff = str(terms[key])
+        mag = coeff.lstrip("-")
         text = body(key)
         if not text:
-            text = str(mag)
-        elif mag != 1:
+            text = mag
+        elif mag != "1":
             text = "%s * %s" % (mag, text)
-        if out:
-            out.append(" - " if coeff < 0 else " + ")
-        elif coeff < 0:
-            out.append("-")
+        out.append(" - " if coeff[0] == "-" else " + ")
         out.append(text)
+    if out:
+        out[0] = "-" if out[0] == " - " else ""
     return "".join(out) or "0"
 
 
@@ -476,30 +478,28 @@ def format_spin_vector(vec: SpinVector) -> str:
 
 def tokenize(text: str, token) -> list:
     """Split text into the tokens that the compiled pattern token captures."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token.match(text, pos)
-        if m is None:
-            raise ValueError("cannot tokenize %r at position %d" % (text, pos))
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+    parts = token.split(text)
+    if any(parts[::2]):
+        pos = 0
+        while m := token.match(text, pos):
+            pos = m.end()
+        raise ValueError("cannot tokenize %r at position %d" % (text, pos))
+    return parts[1::2]
 
 
-def parse_scalar(token: str, text: str) -> Fraction:
-    """The rational number token of text; ValueError if it is none or divides by zero."""
+def parse_scalar(token: str, text: str):
+    """The rational number token of text, exact; ValueError if it is none or divides by zero."""
     try:
-        return Fraction(token)
+        return exact(Fraction(token)) if "/" in token else int(token)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text) from None
 
 
-def parse_terms(text: str, atom: str, parse_atom, what: str) -> list:
+def parse_terms(text: str, token, parse_atom, what: str) -> list:
     """Parse a signed sum such as "2 * X - 1/2 * Y" into (value, coefficient) pairs.
 
-    atom is the regular expression of one atom token, parse_atom turns such
-    a token into its value and what names it in error messages.  "0" is
+    token is a vector type's compiled `_token` pattern, parse_atom turns an
+    atom token into its value and what names it in error messages.  "0" is
     the empty sum and blank text is refused; repeated atoms are not merged.
     """
     stripped = text.strip()
@@ -507,7 +507,7 @@ def parse_terms(text: str, atom: str, parse_atom, what: str) -> list:
         return []
     if not stripped:
         raise ValueError("expected %s, got blank text" % what)
-    tokens = tokenize(stripped, re.compile(r"\s*(%s|[0-9]+(?:/[0-9]+)?|[+\-*])" % atom))
+    tokens = tokenize(stripped, token)
     terms = []
     i = 0
     while i < len(tokens):
@@ -532,5 +532,5 @@ def parse_terms(text: str, atom: str, parse_atom, what: str) -> list:
 
 def parse_spin_vector(text: str, ctx=None) -> SpinVector:
     """Inverse of format_spin_vector (also accepts unnormalized sums)."""
-    terms = parse_terms(text, r"\([^()]*\)", lambda tok: parse_basis_state(tok, ctx), "basis state")
+    terms = parse_terms(text, SpinVector._token, lambda tok: parse_basis_state(tok, ctx), "basis state")
     return SpinVector(terms)

@@ -140,6 +140,8 @@ def test_act_usage_errors(capsys):
         ("F_1", "\u0663 * (plus,-)", "cannot tokenize '\u0663 * (plus,-)' at position 0"),
     ):
         assert refusal(capsys, "act", "--n", "12", word, vector) == "error: %s\n" % message
+    # mid-text, a token is refused where the whitespace before it starts
+    assert refusal(capsys, "act", "--n", "4", "F_1", "(plus,-) + ?") == "error: cannot tokenize '(plus,-) + ?' at position 10\n"
 
 
 def test_weight_text():
@@ -200,6 +202,11 @@ def test_clifford_usage_errors(capsys):
     assert refusal(capsys, "clifford", "--n", "4", "--apply", "{1_0}", "a1") == "error: cannot parse index set '{1_0}'\n"
     assert refusal(capsys, "clifford", "--n", "4", "--apply", "{+1}", "a1") == "error: cannot parse index set '{+1}'\n"
     assert refusal(capsys, "clifford", "--n", "12", "b\u0663") == "error: cannot tokenize 'b\u0663' at position 0\n"
+    # mid-text, a token is refused where the whitespace before it starts
+    assert refusal(capsys, "clifford", "--n", "4", "a1 + b1 ?") == "error: cannot tokenize 'a1 + b1 ?' at position 7\n"
+    assert refusal(capsys, "clifford", "--n", "4", "--apply", "{1} + {2} x", "a1") == (
+        "error: cannot tokenize '{1} + {2} x' at position 9\n"
+    )
     assert refusal(capsys, "clifford", "--n", "2", "*") == "error: unexpected token '*' in '*'\n"
     assert refusal(capsys, "clifford", "--n", "2", "a1 )") == "error: trailing input ')' in 'a1 )'\n"
     assert refusal(capsys, "clifford", "--n", "2", ")") == "error: unexpected token ')' in ')'\n"

@@ -303,13 +303,15 @@ def test_parsed_expressions_match_the_reference_product(tree):
     assert typed(parse_clifford_expression(render(tree))) == typed(tree_value(tree))
 
 
-@given(clifford_elements(), clifford_elements(), st.sets(st.integers(1, 3)))
+@given(clifford_elements(), clifford_elements(), st.lists(st.tuples(st.sets(st.integers(1, 3)), COEFFS), min_size=1, max_size=3))
 @settings(deadline=None)
-def test_act_respects_products(x, y, idx):
+def test_act_respects_products(x, y, terms):
+    # on vectors of up to three terms with rational coefficients, compared
+    # coefficient type and all, so that an integral Fraction shows
     ctx = RankContext(3)
-    v = FockVector([(idx, 1)])
-    assert act(x * y, v, ctx) == act(x, act(y, v, ctx), ctx)
-    assert act(x + y, v, ctx) == act(x, v, ctx) + act(y, v, ctx)
+    v = FockVector(terms)
+    assert typed(act(x * y, v, ctx)) == typed(act(x, act(y, v, ctx), ctx))
+    assert typed(act(x + y, v, ctx)) == typed(act(x, v, ctx) + act(y, v, ctx))
 
 
 @given(clifford_elements(), clifford_elements())

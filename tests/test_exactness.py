@@ -750,6 +750,37 @@ def test_linear_scales_a_one_state_image_exactly(c):
     assert linear(lambda state: None, SpinVector._make({"s": c})) is SpinVector.ZERO
 
 
+@given(st.dictionaries(st.integers(0, 5), COEFFS.filter(bool).map(exact), min_size=2, max_size=6))
+@settings(deadline=None)
+def test_linear_merges_the_images_of_several_states_exactly(terms):
+    # a synthetic kernel: states 0 and 1 go to one target, state 2 is killed,
+    # the others keep a rational image coefficient; the result is the dict
+    # reference summed in Fractions, and an integral sum comes out as an int
+    images = {0: ("t", Fraction(1, 2)), 1: ("t", Fraction(-3, 2)), 2: None, 3: ("u", 2), 4: ("v", Fraction(2, 3)), 5: ("w", -1)}
+    ref = {}
+    for state, c in terms.items():
+        if images[state] is not None:
+            target, v = images[state]
+            ref[target] = ref.get(target, Fraction(0)) + Fraction(c) * v
+    got = linear(images.get, SpinVector._make(terms))
+    assert {key: (c, type(c)) for key, c in got.terms.items()} == {
+        key: (exact(c), type(exact(c))) for key, c in ref.items() if c
+    }
+    if not got.terms:
+        assert got is SpinVector.ZERO
+
+
+def test_linear_returns_an_int_or_the_shared_zero_when_a_sum_cancels():
+    kernel = {"s": ("t", Fraction(1, 2)), "r": ("t", Fraction(-1, 2)), "k": None, "j": None}.get
+    # 3 * 1/2 - 1 * 1/2 is 1: an int, not Fraction(1)
+    [(key, c)] = linear(kernel, SpinVector._make({"s": 3, "r": 1, "k": 2})).terms.items()
+    assert key == "t" and c == 1 and type(c) is int
+    for cls in (SpinVector, FockVector):
+        # a full cancellation, and a vector whose states are all killed
+        assert linear(kernel, cls._make({"s": Fraction(3, 2), "r": Fraction(3, 2)})) is cls.ZERO
+        assert linear(kernel, cls._make({"k": Fraction(1, 2), "j": -2})) is cls.ZERO
+
+
 @given(st.integers(2, 5), st.data())
 @settings(deadline=None, max_examples=40)
 def test_every_operator_is_the_sum_of_its_one_state_images(n, data):
