@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
+from operator import gt
 
 
 class Sign(Enum):
@@ -47,13 +48,12 @@ def parse_sign(text: str) -> Sign:
 def validate_diagram(rows, n=None) -> tuple:
     """Return rows as a tuple, checking int rows, strict decrease (and the rank bound)."""
     rows = tuple(rows)
-    if not all(type(r) is int for r in rows):
+    if not {int}.issuperset(map(type, rows)):  # exactly int: bool is refused
         raise ValueError("row lengths must be integers, got %r" % (rows,))
     if rows and min(rows) < 1:
         raise ValueError("row lengths must be positive, got %r" % (rows,))
-    for a, b in zip(rows, rows[1:]):
-        if a <= b:
-            raise ValueError("row lengths must strictly decrease, got %r" % (rows,))
+    if not all(map(gt, rows, rows[1:])):
+        raise ValueError("row lengths must strictly decrease, got %r" % (rows,))
     if n is not None:
         if n < 2:
             raise ValueError("rank must be at least 2, got %r" % n)

@@ -8,20 +8,19 @@ the fork at vertex 1.
 The functions of a signed shape take it as the basis state (sign, rows),
 the one form the operators and weights pass around.  A `RankContext` holds
 n and reads the graph's edges off it, so building one costs O(1).
-Computing u = w - Cv costs O(n); a dimension vector costs O(n + rows), its
-strings' vertex runs summed in one difference array.  An E/F step sweeps
-the shape's 2 * rows single-box edits, so it costs O(n) per edit.  A
-context memoizes three things per basis state it has validated, keyed by
-the state itself: the dimension vector (`_dim_vectors`), u = w - Cv (`_u`,
-filled by `state_u`), and the E/F images that one sweep over the state's
-single-box edits finds (`_moves`, filled by the E/F kernel
-`spinrep._shift_state`).  The memos live and die with their context.
+Computing u = w - Cv costs O(n); a dimension vector costs O(n + rows), read
+off the row lengths by the strings' rule.  An E/F step sweeps the shape's
+2 * rows single-box edits, so it costs O(n) per edit.  A context memoizes
+three things per basis state it has validated, keyed by the state itself:
+the dimension vector (`_dim_vectors`), u = w - Cv (`_u`, filled by
+`state_u`), and the E/F images that one sweep over the state's single-box
+edits finds (`_moves`, filled by the E/F kernel `spinrep._shift_state`).
+The memos live and die with their context.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
 from operator import add, sub
 
 from .diagram import PLUS, Sign, validate_diagram
@@ -90,54 +89,47 @@ def validate_string_interval(s: StringInterval, ctx: RankContext) -> StringInter
     return s
 
 
-def _string_runs(s: StringInterval, ctx: RankContext) -> tuple:
-    """The vertices of the string s, validated, as half-open runs (lo, hi) of vector indices."""
+def string_dim_vector(s: StringInterval, ctx: RankContext) -> tuple:
+    """Vertex-graded dimension of the string s: the reference that `dim_vector` is tested against."""
     validate_string_interval(s, ctx)
     n = ctx.n
+    v = [0] * n
     if s.end <= n - 1:  # vertices start..end
-        return ((s.start - 1, s.end),)
-    if s.end == n:  # vertices start..n-2 and n
-        return ((s.start - 1, n - 2), (n - 1, n)) if s.start <= n - 2 else ((n - 1, n),)
-    return ((s.start - 1, n),)  # fork, end == n + 1: vertices start..n
-
-
-def string_dim_vector(s: StringInterval, ctx: RankContext) -> tuple:
-    """Vertex-graded dimension of the string s."""
-    v = [0] * ctx.n
-    for lo, hi in _string_runs(s, ctx):
-        v[lo:hi] = [1] * (hi - lo)
+        v[s.start - 1:s.end] = [1] * (s.end - s.start + 1)
+    elif s.end == n:  # vertices start..n-2 and n
+        v[s.start - 1:n - 2] = [1] * (n - 1 - s.start)
+        v[n - 1] = 1
+    else:  # fork, end == n + 1: vertices start..n
+        v[s.start - 1:] = [1] * (n + 1 - s.start)
     return tuple(v)
 
 
-def a_sets(state, ctx: RankContext) -> list:
-    """The strings attached to the rows of a basis state (sign, rows), one per row.
+def _tip_n_rows(state):
+    """The rows of a basis state whose strings end at vertex n: odd positions for PLUS, even ones for MINUS.
 
-    Odd-position rows of the PLUS family end at vertex n, even-position
-    ones at vertex n-1; for MINUS the two roles are exchanged.
+    This is the rule attaching a string to each row: the string of a row of
+    length l starts at vertex n-l and ends at vertex n, skipping n-1, for
+    these rows, and at n-1 for the others.
     """
-    sign, rows = state
-    validate_diagram(rows, ctx.n)
-    n = ctx.n
-    out = []
-    for i, l in enumerate(rows, start=1):
-        odd_role = (i % 2 == 1) if sign is PLUS else (i % 2 == 0)
-        if odd_role:
-            if l > 1:
-                out.append(StringInterval(n - l, n))
-            else:
-                out.append(StringInterval(n, n))
-        else:
-            out.append(StringInterval(n - l, n - 1))
-    return out
+    return state[1][state[0] is not PLUS::2]
+
+
+def a_sets(state, ctx: RankContext) -> list:
+    """The strings attached to the rows of a basis state (sign, rows), one per row."""
+    rows, n = validate_diagram(state[1], ctx.n), ctx.n
+    tip_n = set(_tip_n_rows(state))
+    return [StringInterval(n - l if l > 1 else n, n) if l in tip_n else StringInterval(n - l, n - 1) for l in rows]
 
 
 def dim_vector(state, ctx: RankContext) -> tuple:
     """Sum of the string dimension vectors over the rows of a basis state.
 
-    Each string adds its vertex runs to one difference array, summed once at
-    the end, so a miss costs O(n + rows).  Memoized on ctx by the state
-    itself: only validated shapes are stored, so invalid rows raise on every
-    call.  Rows given as a list are keyed by their tuple.
+    Read off the validated rows by the rule of `_tip_n_rows`, building no
+    string: path vertex j < n-1 counts the rows of length at least n-j, in
+    runs between consecutive lengths, and the tips n-1 and n count the
+    strings ending there; O(n + rows).  Memoized on ctx by the state itself,
+    validated shapes only, so invalid rows raise on every call; list rows
+    are keyed by their tuple.
     """
     try:
         v = ctx._dim_vectors.get(state)
@@ -145,13 +137,15 @@ def dim_vector(state, ctx: RankContext) -> tuple:
         state = (state[0], tuple(state[1]))
         v = ctx._dim_vectors.get(state)
     if v is None:
-        steps = [0] * (ctx.n + 1)
-        for s in a_sets(state, ctx):
-            for lo, hi in _string_runs(s, ctx):
-                steps[lo] += 1
-                steps[hi] -= 1
-        del steps[-1]
-        v = ctx._dim_vectors[state] = tuple(accumulate(steps))
+        n = ctx.n
+        rows = validate_diagram(state[1], n)
+        v = []
+        for reached, (l, shorter) in enumerate(zip((n - 1,) + rows, rows + (0,))):
+            v += [reached] * (l - shorter)
+        tips = len(_tip_n_rows(state))
+        v[-1] -= tips
+        v.append(tips)
+        v = ctx._dim_vectors[state] = tuple(v)
     return v
 
 

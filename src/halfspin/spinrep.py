@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import sub
+from operator import ne
 
 from .diagram import (
     PLUS,
@@ -183,20 +183,15 @@ class SpinVector(Combination):
 def _single_box_edits(rows, n):
     """All shapes reachable from rows by one box: grow, shrink, add, delete."""
     out = set()
-    rows = list(rows)
+    rows = tuple(rows)
     for j, l in enumerate(rows):
+        head, tail = rows[:j], rows[j + 1:]
         if l + 1 <= n - 1 and (j == 0 or rows[j - 1] > l + 1):
-            grown = rows.copy()
-            grown[j] = l + 1
-            out.add(tuple(grown))
-        if l - 1 == 0:
-            out.add(tuple(rows[:j] + rows[j + 1:]))
-        elif j == len(rows) - 1 or rows[j + 1] < l - 1:
-            shrunk = rows.copy()
-            shrunk[j] = l - 1
-            out.add(tuple(shrunk))
+            out.add(head + (l + 1,) + tail)
+        if not tail or tail[0] < l - 1:  # a length-1 row is the last one, and shrinks away
+            out.add(head + (l - 1,) + tail if l > 1 else head)
     if 1 not in rows:
-        out.add(tuple(rows + [1]))
+        out.add(rows + (1,))
     return out
 
 
@@ -214,11 +209,14 @@ def _shift_state(state, k, direction, ctx):
         v = dim_vector(state, ctx)
         found = {}
         for cand in _single_box_edits(rows, n):
-            delta = list(map(sub, dim_vector((sign, cand), ctx), v))
-            if delta.count(0) == n - 1:
-                step = sum(delta)
+            cv = dim_vector((sign, cand), ctx)
+            # the entries where cv and v differ, read lazily: a match has exactly one
+            off = compress(range(n), map(ne, cv, v))
+            i = next(off, None)
+            if i is not None and next(off, None) is None:
+                step = cv[i] - v[i]
                 if step == 1 or step == -1:
-                    found.setdefault(step * (delta.index(step) + 1), []).append(cand)
+                    found.setdefault(step * (i + 1), []).append(cand)
         for j, matches in found.items():
             if len(matches) > 1:
                 raise RuntimeError(

@@ -436,6 +436,9 @@ B_DOWN = " ".join("b%d" % i for i in range(cli.MAX_CLIFFORD_GENERATORS + 1, 0, -
 B_SUM = " + ".join("b%d" % i for i in range(1, cli.MAX_CLIFFORD_GENERATORS + 2))
 B_DOWN_MAX = " ".join("b%d" % i for i in range(cli.MAX_RANK, 0, -1))
 B_SUM_MAX = " + ".join("b%d" % i for i in range(1, cli.MAX_RANK + 1))
+# one E/F token and one 100-row state over the act caps at MAX_RANK
+F_OVER = " ".join(["F_99"] * (cli.MAX_ACT_TOKENS + 1))
+SHAPES_OVER = " + ".join([SHAPE_100] * (cli.MAX_ACT_TERMS + 1))
 
 
 @pytest.mark.parametrize(
@@ -464,6 +467,8 @@ B_SUM_MAX = " + ".join("b%d" % i for i in range(1, cli.MAX_RANK + 1))
         (("clifford", "--n", str(cli.MAX_RANK), B_SUM), cli.MAX_CLIFFORD_GENERATORS),
         (("clifford", "--n", str(cli.MAX_RANK), B_DOWN_MAX), cli.MAX_CLIFFORD_GENERATORS),
         (("clifford", "--n", str(cli.MAX_RANK), B_SUM_MAX), cli.MAX_CLIFFORD_GENERATORS),
+        (("act", "--n", str(cli.MAX_RANK), F_OVER, SHAPE_100), cli.MAX_ACT_TOKENS),
+        (("act", "--n", str(cli.MAX_RANK), "F_99", SHAPES_OVER), cli.MAX_ACT_TERMS),
     ],
 )
 def test_size_caps_refuse_with_exit_2(argv, cap, capsys):
@@ -478,6 +483,19 @@ def test_size_caps_refuse_with_exit_2(argv, cap, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "= %d" % cap in err and "MAX_" in err
+
+
+def test_act_caps_admit_the_largest_word_and_vector_and_count_before_parsing(capsys):
+    # an even number of family swaps is the identity
+    word = " ".join(["kappa"] * cli.MAX_ACT_TOKENS)
+    vector = " + ".join("(plus,%d)" % l for l in range(1, cli.MAX_ACT_TERMS + 1))
+    assert cli.MAX_ACT_TOKENS % 2 == 0
+    assert run("act", "--n", "8", word, vector) == (0, vector + "\n")
+    # the caps are counted on the text, so an unparsable vector or token over a cap names the cap
+    assert refusal(capsys, "act", "--n", "8", word + " Q_1", "(plus,9)") == (
+        "error: word length %d exceeds MAX_ACT_TOKENS = %d\n" % (cli.MAX_ACT_TOKENS + 1, cli.MAX_ACT_TOKENS))
+    assert refusal(capsys, "act", "--n", "8", "F_1", vector + " + (minus,9)") == (
+        "error: vector terms %d exceeds MAX_ACT_TERMS = %d\n" % (cli.MAX_ACT_TERMS + 1, cli.MAX_ACT_TERMS))
 
 
 @pytest.mark.parametrize(

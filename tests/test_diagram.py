@@ -75,6 +75,28 @@ def test_validate_diagram():
             read()
 
 
+LONG = tuple(range(300, 1, -1))
+
+
+@pytest.mark.parametrize(
+    "rows, n, message",
+    [
+        ((3, True), None, "row lengths must be integers, got (3, True)"),
+        ((3, 2.0), 5, "row lengths must be integers, got (3, 2.0)"),
+        ((3, 0), None, "row lengths must be positive, got (3, 0)"),
+        ((3, -1), 5, "row lengths must be positive, got (3, -1)"),
+        (LONG + (2,), None, "row lengths must strictly decrease, got %r" % (LONG + (2,),)),
+        ((5, 1), 5, "row length 5 exceeds bound 4 for rank 5"),
+    ],
+)
+def test_validate_diagram_refusals_keep_their_messages(rows, n, message):
+    # one case per refusal, each failing only its own check: the type, the
+    # sign, the order (a repeat at the very end) and the rank bound
+    with pytest.raises(ValueError) as exc:
+        validate_diagram(list(rows), n)
+    assert str(exc.value) == message
+
+
 def test_enumerate_small_ranks():
     assert enumerate_diagrams(2) == [(), (1,)]
     assert enumerate_diagrams(3) == [(), (1,), (2,), (2, 1)]

@@ -370,6 +370,32 @@ def test_large_rank_dim_vector_and_u_match_their_references(ranked):
     assert state_u(state, ctx) == dense_u(v, framing_vector(state[0], ctx), n)
 
 
+MAX_RANK_CASES = [(10000, state) for state in max_rank_states()]
+
+
+@given(st.one_of(ranked_states(), st.sampled_from(MAX_RANK_CASES)))
+@example(MAX_RANK_CASES[2])
+@example(MAX_RANK_CASES[3])
+@example((2, (Sign.PLUS, (1,))))
+@example((3, (Sign.MINUS, (2, 1))))
+@settings(deadline=None, max_examples=60)
+def test_dim_vector_reads_the_strings_off_the_rows(ranked):
+    # dim_vector builds no string; the catalog pins it at the ranks the bench
+    # and MAX_RANK reach, row by row: appending a row adds that row's string
+    # of a_sets (the rows above keep their positions), so the whole vector
+    # is the sum of the strings
+    n, (sign, rows) = ranked
+    ctx = RankContext(n)
+    strings = a_sets((sign, rows), ctx)
+    before = dim_vector((sign, ()), ctx)
+    assert before == (0,) * n
+    for i, s in enumerate(strings, start=1):
+        after = dim_vector((sign, list(rows[:i])), ctx)
+        assert tuple(a - b for a, b in zip(after, before)) == string_dim_vector(s, ctx)
+        before = after
+    assert before == summed_strings((sign, rows), ctx)
+
+
 @pytest.mark.parametrize("state", max_rank_states(), ids=lambda state: "%s-%d-rows" % (state[0], len(state[1])))
 def test_max_rank_dim_vector_and_u_match_their_references(state):
     ctx = RankContext(10000)

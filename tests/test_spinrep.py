@@ -120,24 +120,64 @@ def test_ef_reject_every_vertex_out_of_range():
                     op(k, x, ctx)
 
 
+def per_k_search(state, edits, ctx):
+    """Assert that _shift_state finds, for each k and direction on its own, the one edit whose
+    dimension vector is the state's moved by the unit at k, or None when no edit is."""
+    from halfspin.quiver import dim_vector
+    from halfspin.spinrep import _shift_state
+
+    sign, rows = state
+    v = dim_vector(state, ctx)
+    for k in range(1, ctx.n + 1):
+        for direction in (+1, -1):
+            target = tuple(x + direction * (i == k - 1) for i, x in enumerate(v))
+            matches = [e for e in edits if dim_vector((sign, e), ctx) == target]
+            assert len(matches) <= 1
+            want = ((sign, matches[0]), 1) if matches else None
+            assert _shift_state(state, k, direction, ctx) == want
+
+
+def one_box_neighbours(rows, n):
+    """Every strict partition with parts at most n-1 one box away from rows, by brute force."""
+    out = set()
+    for j in range(len(rows)):
+        for d in (1, -1):
+            r = tuple(x for x in rows[:j] + (rows[j] + d,) + rows[j + 1:] if x)
+            if all(a > b for a, b in zip(r, r[1:])) and (not r or r[0] <= n - 1):
+                out.add(r)
+    if not rows or rows[-1] > 1:
+        out.add(rows + (1,))
+    return out
+
+
 def test_shift_sweep_agrees_with_the_per_k_search():
     # the one-sweep memo of _shift_state against a search of the single-box
     # edits for each (state, k, direction) on its own
-    from halfspin.quiver import dim_vector
-    from halfspin.spinrep import _shift_state, _single_box_edits
+    from halfspin.spinrep import _single_box_edits
 
     for n in range(2, 10):
         ctx = RankContext(n)
         for sign, rows in all_states(n):
-            v = dim_vector((sign, rows), ctx)
-            edits = _single_box_edits(rows, n)
-            for k in range(1, n + 1):
-                for direction in (+1, -1):
-                    target = tuple(x + direction * (i == k - 1) for i, x in enumerate(v))
-                    matches = [e for e in edits if dim_vector((sign, e), ctx) == target]
-                    assert len(matches) <= 1
-                    want = ((sign, matches[0]), 1) if matches else None
-                    assert _shift_state((sign, rows), k, direction, ctx) == want
+            per_k_search((sign, rows), _single_box_edits(rows, n), ctx)
+
+
+def test_shift_sweep_agrees_with_the_per_k_search_at_bench_ranks():
+    # the per-k search over brute-force neighbours on random states at the
+    # ranks a point query reaches, at most 8 rows, tips and ends included
+    from halfspin.spinrep import _single_box_edits
+
+    for n in range(2, 9):
+        for rows in enumerate_diagrams(n):
+            assert _single_box_edits(rows, n) == one_box_neighbours(rows, n)
+    rng = random.Random(256)
+    cases = [(256, (255, 254, 2, 1)), (256, (255, 128, 127, 1)), (10, tuple(range(9, 1, -1)))]
+    for _ in range(36):
+        n = rng.randint(10, 256)
+        cases.append((n, tuple(sorted(rng.sample(range(1, n), rng.randint(0, 8)), reverse=True))))
+    for n, rows in cases:
+        ctx = RankContext(n)
+        for sign in SIGNS:
+            per_k_search((sign, rows), one_box_neighbours(rows, n), ctx)
 
 
 @pytest.mark.parametrize(

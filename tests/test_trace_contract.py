@@ -134,3 +134,31 @@ def test_bounded_pass_does_the_pinned_work(monkeypatch):
     # objects per call, moves these counts
     metrics = _traced(monkeypatch, BOUNDED_ARGV)
     assert {name: metrics[name + ".calls"] for name in PINNED_BOUNDED_CALLS} == PINNED_BOUNDED_CALLS
+
+
+# per-layer calls of two of the slowest `point_queries` act queries, traced
+PINNED_POINT_CALLS = {
+    ("act", "--n", "121", "--json", "b_120 F_64 E_64 F_120 b_63 b_40",
+     "2 * (plus,119,86,57) + 1/2 * (minus,113,88,33) - (minus,111,28)"): {
+        "spinrep.shift": 6,
+        "quiver.dim_vector": 67,
+        "quiver.state_u": 0,
+        "spinrep.ladder": 3,
+        "spinrep.apply_H": 0,
+    },
+    ("act", "--n", "256", "--json", "F_254 b_44 F_255", "(plus,-) - (plus,221,176,34) - 3 * (plus,141)"): {
+        "spinrep.shift": 5,
+        "quiver.dim_vector": 32,
+        "quiver.state_u": 0,
+        "spinrep.ladder": 1,
+        "spinrep.apply_H": 0,
+    },
+}
+
+
+def test_point_queries_sweep_every_candidate_as_pinned(monkeypatch):
+    # a faster E/F sweep that skipped candidate edits, or a dimension vector
+    # taken without the traced call, moves the dim_vector counts
+    for argv, pinned in PINNED_POINT_CALLS.items():
+        metrics = _traced(monkeypatch, list(argv))
+        assert {name: metrics[name + ".calls"] for name in pinned} == pinned, argv
