@@ -45,10 +45,10 @@ class CliError(Exception):
     pass
 
 
-# act, weight and clifford: O(n) per weight query and per single-box edit of an E/F step
+# act, weight and clifford: O(n) per weight query, O(n + rows) per state an E/F step sweeps
 MAX_RANK = 10000
 # act: a word's tokens and a vector's written basis states; each E/F step sweeps every state it reaches,
-# and at n = 10000 8 F steps on 4 new 100-row states took 5.0 s and 507 MB peak RSS
+# and at n = 10000 8 F steps on 4 new 100-row states took 0.015 s and 19 MB peak RSS in one process
 MAX_ACT_TOKENS = 8
 MAX_ACT_TERMS = 4
 # enumerate and export-matrix: the whole basis of 2^n states
@@ -269,7 +269,9 @@ def _parse_rank_range(text, cap, name):
         hi = _integer(hi) if sep else lo
     except ValueError:
         raise CliError("cannot parse rank range %r" % text) from None
-    if lo > hi or lo < 2:
+    if lo > hi:
+        raise CliError("empty rank range %r: %d is above %d" % (text, lo, hi))
+    if lo < 2:
         raise CliError("ranks must be at least 2, got %r" % text)
     _check_cap(hi, cap, name, "rank")
     return list(range(lo, hi + 1))

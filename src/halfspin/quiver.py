@@ -10,12 +10,13 @@ the one form the operators and weights pass around.  A `RankContext` holds
 n and reads the graph's edges off it, so building one costs O(1).
 Computing u = w - Cv costs O(n); a dimension vector costs O(n + rows), read
 off the row lengths by the strings' rule.  An E/F step sweeps the shape's
-2 * rows single-box edits, so it costs O(n) per edit.  A context memoizes
-three things per basis state it has validated, keyed by the state itself:
-the dimension vector (`_dim_vectors`), u = w - Cv (`_u`, filled by
-`state_u`), and the E/F images that one sweep over the state's single-box
-edits finds (`_moves`, filled by the E/F kernel `spinrep._shift_state`).
-The memos live and die with their context.
+2 * rows single-box edits, each edit's change read off the one string it
+moves (`edit_change`) in O(1), so a swept state costs O(n + rows).  A
+context memoizes per basis state it has validated, keyed by the state: the
+dimension vector (`_dim_vectors`: one per swept state, none per edit),
+u = w - Cv (`_u`, filled by `state_u`) and the E/F edits that one sweep
+finds (`_moves`, filled by the E/F kernel `spinrep._shift_state`).  The
+memos live and die with their context.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class RankContext:
         self.n = n
         # (sign, rows) -> dimension vector, filled by dim_vector
         self._dim_vectors = {}
-        # (sign, rows) -> {+k: (F_k image, 1), -k: (E_k image, 1)}, filled by spinrep._shift_state
+        # (sign, rows) -> {+k: F_k edit, -k: E_k edit}, (position, new length) pairs, filled by spinrep._shift_state
         self._moves = {}
         # (sign, rows) -> u = w - Cv, filled by state_u
         self._u = {}
@@ -114,6 +115,16 @@ def _tip_n_rows(state):
     return state[1][state[0] is not PLUS::2]
 
 
+def edit_change(state, j, length, ctx: RankContext) -> int:
+    """The change of a basis state's dimension vector when row j (len(rows): a new row) grows or shrinks by one
+    box to length: +k or -k when vertex k gains or loses one.  Only row j's string moves; by `_tip_n_rows`,
+    its box l > 1 is vertex n-l and its first box is tip n at that rule's positions, tip n-1 at the others."""
+    old = state[1][j] if j < len(state[1]) else 0
+    box = length if length > old else old
+    k = ctx.n - box if box > 1 else ctx.n - (j + (state[0] is not PLUS)) % 2
+    return k if length > old else -k
+
+
 def a_sets(state, ctx: RankContext) -> list:
     """The strings attached to the rows of a basis state (sign, rows), one per row."""
     rows, n = validate_diagram(state[1], ctx.n), ctx.n
@@ -151,9 +162,7 @@ def dim_vector(state, ctx: RankContext) -> tuple:
 
 def unit_vector(k: int, ctx: RankContext) -> tuple:
     ctx.check_index(k)
-    v = [0] * ctx.n
-    v[k - 1] = 1
-    return tuple(v)
+    return (0,) * (k - 1) + (1,) + (0,) * (ctx.n - k)
 
 
 def framing_vector(sign: Sign, ctx: RankContext) -> tuple:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import ne
 
 from .diagram import (
     PLUS,
@@ -39,7 +38,7 @@ from .diagram import (
     validate_diagram,
     diagram_sort_key,
 )
-from .quiver import RankContext, dim_vector, state_u
+from .quiver import RankContext, dim_vector, edit_change, state_u
 
 
 def exact(v):
@@ -180,53 +179,48 @@ class SpinVector(Combination):
         return "SpinVector(%s)" % format_spin_vector(self)
 
 
-def _single_box_edits(rows, n):
-    """All shapes reachable from rows by one box: grow, shrink, add, delete."""
-    out = set()
+def _box_edits(rows, n):
+    """Single-box edits of rows, lazily, as (position, new length): grow, shrink, add (at len(rows)), delete (to 0)."""
+    for j, (above, l, below) in enumerate(zip((n,) + rows, rows, rows[1:] + (-1,))):
+        if l + 1 < above:
+            yield j, l + 1
+        if below < l - 1:  # the last row always shrinks, a length-1 row away
+            yield j, l - 1
+    if not rows or rows[-1] > 1:
+        yield len(rows), 1
+
+
+def _edited(rows, j, length):
+    return rows[:j] + (length,) + rows[j + 1:] if length else rows[:j]
+
+
+def _single_box_edits(rows, n, where=None):
+    """The shapes one box from rows (grow, shrink, add, delete), of the edits that where keeps if given."""
     rows = tuple(rows)
-    for j, l in enumerate(rows):
-        head, tail = rows[:j], rows[j + 1:]
-        if l + 1 <= n - 1 and (j == 0 or rows[j - 1] > l + 1):
-            out.add(head + (l + 1,) + tail)
-        if not tail or tail[0] < l - 1:  # a length-1 row is the last one, and shrinks away
-            out.add(head + (l - 1,) + tail if l > 1 else head)
-    if 1 not in rows:
-        out.add(rows + (1,))
-    return out
+    return {_edited(rows, *e) for e in _box_edits(rows, n) if where is None or where(*e)}
 
 
 def _shift_state(state, k, direction, ctx):
-    # kernel of E_k (direction -1) and F_k (+1): the state of the same sign
-    # whose dimension vector differs by the unit at k (lowered for E, raised
-    # for F).  The single-box edits do not depend on k, so one sweep over
-    # them finds every E and F image of the state; it is memoized on ctx as
-    # {+k: (F_k image, 1), -k: (E_k image, 1)}.  At most one edit may match
-    # a delta.
+    # kernel of E_k (direction -1) and F_k (+1): the same-sign state whose dimension vector differs by
+    # the unit at k (lowered for E, raised for F).  One sweep after the dimension vector, which validates
+    # the state, reads each single-box edit's change off the one string it moves, O(n + rows), into the
+    # memo {+k: F_k edit, -k: E_k edit} on ctx; at most one edit may have a change.  Images are built on request.
     moves = ctx._moves.get(state)
     if moves is None:
-        sign, rows = state
-        n = ctx.n
-        v = dim_vector(state, ctx)
-        found = {}
-        for cand in _single_box_edits(rows, n):
-            cv = dim_vector((sign, cand), ctx)
-            # the entries where cv and v differ, read lazily: a match has exactly one
-            off = compress(range(n), map(ne, cv, v))
-            i = next(off, None)
-            if i is not None and next(off, None) is None:
-                step = cv[i] - v[i]
-                if step == 1 or step == -1:
-                    found.setdefault(step * (i + 1), []).append(cand)
-        for j, matches in found.items():
-            if len(matches) > 1:
+        dim_vector(state, ctx)
+        moves = {}
+        for edit in _box_edits(state[1], ctx.n):
+            j = edit_change(state, *edit, ctx)
+            if moves.setdefault(j, edit) is not edit:
+                matches = sorted(_single_box_edits(state[1], ctx.n, lambda *e: edit_change(state, *e, ctx) == j))
                 raise RuntimeError(
                     "%s_%d on %s: dimension-vector equation has %d solutions %r; "
                     "the component dictionary promises at most one"
-                    % ("F" if j > 0 else "E", abs(j), format_basis_state(state),
-                       len(matches), matches)
+                    % ("F" if j > 0 else "E", abs(j), format_basis_state(state), len(matches), matches)
                 )
-        moves = ctx._moves[state] = {j: ((sign, matches[0]), 1) for j, matches in found.items()}
-    return moves.get(direction * k)
+        ctx._moves[state] = moves
+    edit = moves.get(direction * k)
+    return None if edit is None else ((state[0], _edited(state[1], *edit)), 1)
 
 
 def apply_F(k: int, vec: SpinVector, ctx: RankContext) -> SpinVector:
@@ -372,13 +366,9 @@ def weight_eps_alpha(state, ctx: RankContext) -> tuple:
 
     mu = conjugate(rows)
     if mu:
-        hi, lo = (mu[0] + 1) // 2, mu[0] // 2
-        if sign is PLUS:
-            subtract(n, hi)
-            subtract(n - 1, lo)
-        else:
-            subtract(n - 1, hi)
-            subtract(n, lo)
+        own, other = (n, n - 1) if sign is PLUS else (n - 1, n)
+        subtract(own, (mu[0] + 1) // 2)
+        subtract(other, mu[0] // 2)
         for i in range(2, len(mu) + 1):
             subtract(n - i, mu[i - 1])
     return _halves(twice)
@@ -393,9 +383,7 @@ def _closed_form(state, ctx, twice_per_row):
     twice = [1] * (n - 1) + [0]
     for l in rows:
         twice[n - l - 1] -= twice_per_row
-    s = len(rows)
-    plus_tip = (s % 2 == 0) if sign is PLUS else (s % 2 == 1)
-    twice[n - 1] = 1 if plus_tip else -1
+    twice[n - 1] = 1 if (len(rows) % 2 == 0) == (sign is PLUS) else -1
     return _halves(twice)
 
 

@@ -17,8 +17,9 @@ from hypothesis import event, given, settings, strategies as st
 from jsonschema import validate
 
 from halfspin import cli, oracle, spinrep
+from halfspin.diagram import Sign
 from halfspin.quiver import RankContext, dim_vector
-from halfspin.spinrep import parse_basis_state, parse_spin_vector
+from halfspin.spinrep import SpinVector, parse_basis_state, parse_spin_vector
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -401,8 +402,9 @@ SHAPE_100 = "(plus,%s)" % ",".join(map(str, [*range(9900, 1000, -100), 999, *ran
 
 
 def test_point_queries_at_max_rank_stay_linear_in_n():
-    # each E/F step sweeps the 2 * rows single-box edits at O(n) each; when each
-    # edit's dimension vector added one n-tuple per row, this act took 10-30 s
+    # each E/F step sweeps a state in O(n + rows): one dimension vector, then
+    # O(1) per single-box edit; when each edit took its own dimension vector,
+    # one n-tuple per row at first, this act took 10-30 s
     def timed(*argv):
         started = time.perf_counter()
         rc, text = run(*argv)
@@ -422,6 +424,55 @@ def test_point_queries_at_max_rank_stay_linear_in_n():
     doc = timed("weight", "--n", str(n), "--json", SHAPE_100)
     for route in (spinrep.weight_eps_alpha, spinrep.weight_eps_closed):
         assert doc["eps"] == [str(c) for c in route(before, ctx)]
+
+
+# the largest `act` and `weight` requests at MAX_RANK, run in a child whose
+# address space is capped; it prints its exit codes, outputs, the seconds
+# both calls took and its peak RSS in kB
+WORST_CASE_CHILD = """
+import io, json, resource, sys, time
+limit = int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from halfspin import cli
+calls = json.loads(sys.stdin.read())
+started, done = time.perf_counter(), []
+for argv in calls:
+    out = io.StringIO()
+    done.append((cli.main(argv, out), out.getvalue()))
+took = time.perf_counter() - started
+print(json.dumps([done, took, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+def test_act_and_weight_at_their_caps_run_in_bounded_time_and_memory():
+    # MAX_ACT_TOKENS E/F steps on MAX_ACT_TERMS states of about 3000 rows,
+    # each step moving every state by one box, then the weight of the
+    # 9999-row shape; one n-tuple per swept state would need gigabytes here
+    n = cli.MAX_RANK
+    rows = tuple(range(9000, 0, -3))
+    states = [(sign, r) for sign in (Sign.PLUS, Sign.MINUS) for r in (rows, rows + (1,))]
+    assert len(states) == cli.MAX_ACT_TERMS
+    # row 9000 - 300 * i grows (F) for even i and shrinks (E) for odd i
+    steps = [(9000 - 300 * i, 1 if i % 2 == 0 else -1) for i in range(cli.MAX_ACT_TOKENS)]
+    word = " ".join("F_%d" % (n - l - 1) if d > 0 else "E_%d" % (n - l) for l, d in reversed(steps))
+    moved = {l: l + d for l, d in steps}
+    want = SpinVector({(sign, tuple(moved.get(l, l) for l in r)): 1 for sign, r in states})
+    vector = " + ".join(map(spinrep.format_basis_state, states))
+    tall = (Sign.MINUS, tuple(range(n - 1, 0, -1)))
+    calls = [["act", "--n", str(n), word, vector], ["weight", "--n", str(n), "--json", spinrep.format_basis_state(tall)]]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-c", WORST_CASE_CHILD, "256"], input=json.dumps(calls), env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    [(act_rc, act_out), (weight_rc, weight_out)], took, peak_kb = json.loads(child.stdout)
+    assert act_rc == weight_rc == 0
+    assert parse_spin_vector(act_out, RankContext(n)) == want
+    assert json.loads(weight_out)["eps"] == [str(c) for c in spinrep.weight_eps_closed(tall, RankContext(n))]
+    # measured 0.17-0.26 s and 57 MB peak RSS on a shared 2-core Intel Xeon host
+    assert took < 5.0
+    assert peak_kb < 128 * 1024
 
 
 ONE_PLUS_B_14 = "".join("(1+b%d)" % i for i in range(1, 15))
@@ -622,9 +673,10 @@ def test_options_the_command_would_ignore_are_refused(argv, options, capsys):
 
 # stdout, stderr and exit code of each command in text, --csv and --json and
 # of each usage-error branch, recorded before the command line's usage checks
-# were gathered into one set of helpers, with timings masked.  One entry has
-# changed since: verify's "too small" refusal now names the rank it needs, as
-# enumerate's always did.
+# were gathered into one set of helpers, with timings masked.  Two entries
+# have changed since: verify's "too small" refusal now names the rank it
+# needs, as enumerate's always did, and a reversed verify range is refused as
+# empty, no longer as too low.
 RECORDED = json.loads((DATA / "cli_outputs.json").read_text())
 
 

@@ -20,6 +20,7 @@ from halfspin.quiver import (
     string_dim_vector,
     a_sets,
     dim_vector,
+    edit_change,
     unit_vector,
     framing_vector,
     weight_u,
@@ -394,6 +395,51 @@ def test_dim_vector_reads_the_strings_off_the_rows(ranked):
         assert tuple(a - b for a, b in zip(after, before)) == string_dim_vector(s, ctx)
         before = after
     assert before == summed_strings((sign, rows), ctx)
+
+
+def one_box_edits(rows, n):
+    """Every (position, new length, shape) one box from rows, by brute force: each
+    row and one new row moved one box either way, kept if the shape is valid."""
+    out = set()
+    for j in range(len(rows) + 1):
+        old = rows[j] if j < len(rows) else 0
+        for length in (old - 1, old + 1):
+            r = rows[:j] + ((length,) if length else ()) + rows[j + 1:]
+            if length >= 0 and all(a > b for a, b in zip(r, r[1:])) and all(1 <= x < n for x in r):
+                out.add((j, length, r))
+    return out
+
+
+def check_edit_changes(n, state):
+    # the change the E/F sweep reads for each single-box edit is the edit's
+    # dimension vector less the state's, one entry of +1 or -1
+    from halfspin.spinrep import _box_edits
+
+    ctx = RankContext(n)
+    sign, rows = state
+    v = dim_vector(state, ctx)
+    edits = one_box_edits(rows, n)
+    assert sorted(_box_edits(rows, n)) == sorted((j, length) for j, length, _ in edits)
+    for j, length, r in edits:
+        change = edit_change(state, j, length, ctx)
+        moved = [(i, a - b) for i, (a, b) in enumerate(zip(dim_vector((sign, r), ctx), v), start=1) if a != b]
+        assert moved == [(abs(change), 1 if change > 0 else -1)], (state, j, length)
+
+
+def test_edit_change_is_the_dim_vector_difference_at_small_ranks():
+    for n in range(2, 10):
+        for sign in SIGNS:
+            for rows in enumerate_diagrams(n):
+                check_edit_changes(n, (sign, rows))
+
+
+@given(st.one_of(ranked_states(), st.sampled_from(MAX_RANK_CASES)))
+@example(MAX_RANK_CASES[1])
+@example(MAX_RANK_CASES[3])
+@example((300, (Sign.MINUS, tuple(range(299, 0, -2)))))
+@settings(deadline=None, max_examples=60)
+def test_edit_change_is_the_dim_vector_difference_at_large_ranks(ranked):
+    check_edit_changes(*ranked)
 
 
 @pytest.mark.parametrize("state", max_rank_states(), ids=lambda state: "%s-%d-rows" % (state[0], len(state[1])))

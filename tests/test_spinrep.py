@@ -3,6 +3,7 @@
 import io
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -184,23 +185,27 @@ def test_shift_sweep_agrees_with_the_per_k_search_at_bench_ranks():
     "apply, rows, impostor, twin, opname",
     [
         # (plus,2) grows to (3) and gains the row (2,1): one F each, made to collide
-        (apply_F, (2,), (3,), (2, 1), "F"),
+        (apply_F, (2,), (0, 3), (1, 1), "F"),
         # (plus,2,1) shrinks to (2) and its top row grows to (3,1): made E twins
-        (apply_E, (2, 1), (3, 1), (2,), "E"),
+        (apply_E, (2, 1), (0, 3), (1, 0), "E"),
     ],
 )
 def test_shift_sweep_refuses_two_edits_with_one_delta(monkeypatch, apply, rows, impostor, twin, opname):
+    # impostor and twin are edits (position, new length); the impostor's
+    # change is read as the twin's, and the message names both shapes
     from halfspin import spinrep
-    from halfspin.quiver import dim_vector
+    from halfspin.quiver import edit_change
 
-    def colliding(state, ctx):
-        sign, r = state
-        return dim_vector((sign, twin if tuple(r) == impostor else r), ctx)
+    def colliding(state, j, length, ctx):
+        return edit_change(state, *(twin if (j, length) == impostor else (j, length)), ctx)
 
-    monkeypatch.setattr(spinrep, "dim_vector", colliding)
+    monkeypatch.setattr(spinrep, "edit_change", colliding)
     ctx = RankContext(4)
-    message = r"^%s_\d on \(plus,%s\): .* has 2 solutions" % (opname, ",".join(map(str, rows)))
-    with pytest.raises(RuntimeError, match=message):
+    k = abs(edit_change((Sign.PLUS, rows), *twin, ctx))
+    shapes = sorted(rows[:j] + ((l,) if l else ()) + rows[j + 1:] for j, l in (impostor, twin))
+    message = "%s_%d on (plus,%s): dimension-vector equation has 2 solutions %r; " % (
+        opname, k, ",".join(map(str, rows)), shapes) + "the component dictionary promises at most one"
+    with pytest.raises(RuntimeError, match="^%s$" % re.escape(message)):
         apply(1, state(Sign.PLUS, *rows), ctx)
 
 

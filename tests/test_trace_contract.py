@@ -89,14 +89,15 @@ def test_tracer_reads_the_rank_free_layers(monkeypatch):
     assert metrics["oracle.tabulate.calls"] == 0
 
 
-# per-layer calls of one traced `verify --dinfty --max-boxes 7 --n 12`
+# per-layer calls of one traced `verify --dinfty --max-boxes 7 --n 12`; the
+# E/F sweep takes one dimension vector per swept state, none per edit
 PINNED_RANK_FREE_CALLS = {
     "spinrep.shift": 4072,
     "spinrep.ladder": 11856,
     "spinrep.apply_H": 1920,
     "clifford.create_annihilate": 912,
     "quiver.state_u": 1958,
-    "quiver.dim_vector": 340,
+    "quiver.dim_vector": 114,
     "oracle.tabulate": 0,
 }
 
@@ -110,9 +111,11 @@ def test_rank_free_pass_applies_each_operator_as_often_as_pinned(monkeypatch):
     assert {name: metrics[name + ".calls"] for name in PINNED_RANK_FREE_CALLS} == PINNED_RANK_FREE_CALLS
 
 
-# per-layer calls of one traced `verify --n 2..4` over the suites of BOUNDED_ARGV
+# per-layer calls of one traced `verify --n 2..4` over the suites of BOUNDED_ARGV;
+# dim_vector counts the calls of state_u's misses and one per state the E/F
+# sweep starts from, none per edit
 PINNED_BOUNDED_CALLS = {
-    "quiver.dim_vector": 104,
+    "quiver.dim_vector": 56,
     "quiver.state_u": 124,
     "spinrep.shift": 192,
     "spinrep.apply_H": 96,
@@ -141,14 +144,14 @@ PINNED_POINT_CALLS = {
     ("act", "--n", "121", "--json", "b_120 F_64 E_64 F_120 b_63 b_40",
      "2 * (plus,119,86,57) + 1/2 * (minus,113,88,33) - (minus,111,28)"): {
         "spinrep.shift": 6,
-        "quiver.dim_vector": 67,
+        "quiver.dim_vector": 6,
         "quiver.state_u": 0,
         "spinrep.ladder": 3,
         "spinrep.apply_H": 0,
     },
     ("act", "--n", "256", "--json", "F_254 b_44 F_255", "(plus,-) - (plus,221,176,34) - 3 * (plus,141)"): {
         "spinrep.shift": 5,
-        "quiver.dim_vector": 32,
+        "quiver.dim_vector": 5,
         "quiver.state_u": 0,
         "spinrep.ladder": 1,
         "spinrep.apply_H": 0,
@@ -157,8 +160,10 @@ PINNED_POINT_CALLS = {
 
 
 def test_point_queries_sweep_every_candidate_as_pinned(monkeypatch):
-    # a faster E/F sweep that skipped candidate edits, or a dimension vector
-    # taken without the traced call, moves the dim_vector counts
+    # each E/F sweep takes one dimension vector, through the traced call, for
+    # the state it starts from and none for its edits: a sweep that skipped
+    # that call, or went back to one vector per edit, moves the dim_vector
+    # counts, here equal to the shift counts
     for argv, pinned in PINNED_POINT_CALLS.items():
         metrics = _traced(monkeypatch, list(argv))
         assert {name: metrics[name + ".calls"] for name in pinned} == pinned, argv
