@@ -53,6 +53,8 @@ MAX_ACT_TOKENS = 8
 MAX_ACT_TERMS = 4
 # enumerate and export-matrix: the whole basis of 2^n states
 MAX_BASIS_RANK = 14
+# export-matrix: a word's tokens, each tabulated over the whole basis and multiplied in
+MAX_EXPORT_TOKENS = 8
 # verify: exact matrices over the 2^n states, for every suite; the largest
 # rank whose --all run stays near 30 s (n = 14: 8.6 s and 194 MB peak RSS in
 # one process on a shared 2-core Intel Xeon host, Python 3.11.7)
@@ -430,6 +432,7 @@ def cmd_verify(args, out):
 def cmd_export_matrix(args, out):
     ctx = _context(args, MAX_BASIS_RANK, "MAX_BASIS_RANK")
     tokens = args.operator.split()
+    _check_cap(len(tokens), MAX_EXPORT_TOKENS, "MAX_EXPORT_TOKENS", "word length")
     if not tokens:
         raise CliError("empty operator word")
     fock_side = args.basis == "fock"
@@ -565,7 +568,8 @@ def _export_matrix_options(p):
     p.add_argument("--basis", choices=("spin", "fock"), default="spin")
     p.add_argument("--out", dest="out_path", default=None, help="write to a file instead of stdout")
     p.add_argument("--json", action="store_true")
-    p.add_argument("operator", help="operator word, e.g. \"F_4\" or \"b_2 a_1\"")
+    p.add_argument("operator", help="operator word, e.g. \"F_4\" or \"b_2 a_1\"; its tokens at most %d "
+                   "(MAX_EXPORT_TOKENS)" % MAX_EXPORT_TOKENS)
     p.set_defaults(func=cmd_export_matrix)
 
 

@@ -6,16 +6,17 @@ concrete witness on failure.
 
 The operator identities (Chevalley and degree-bound relations, ladder
 anticommutators, the dictionary's intertwining, the quadratic
-factorization) are declared once, in the table of `identities`, as
-expressions over operator names.  Two evaluators read it.  The bounded
-suites tabulate each operator as a sparse exact matrix over the whole
-rank-n basis and compare matrices.  The rank-free `check_dinfty` grows
-the words of every side of its five table families, each token parsed
-once, straight into one prefix tree keyed by operator once per call, and
-walks it once per box-capped basis state, with one image table per state
-for that column only; since every operator sends a basis state to at most
-one signed basis state, a walk stops below the first zero image, and a
-prefix that many words share is applied once.
+factorization) are declared once, in the registry `IDENTITY_TABLES`:
+each table's row builder, whose rows are expressions over operator names,
+the basis that labels its rows and its rank-free label.  Two evaluators
+read it.  The bounded suites tabulate each operator as a sparse exact
+matrix over the whole rank-n basis and compare matrices.  The rank-free
+`check_dinfty` grows the words of every side of every table, each token
+parsed once, straight into one prefix tree keyed by operator once per
+call, and walks it once per box-capped basis state, with one image table
+per state for that column only; since every operator sends a basis state
+to at most one signed basis state, a walk stops below the first zero
+image, and a prefix that many words share is applied once.
 The module, weight and faithfulness suites are written out on their own.
 
 Every operator token but `phi`, the dictionary between the models, is
@@ -483,68 +484,81 @@ def _op(name, k):
     return "%s_%d" % (name, k)
 
 
+def _chevalley_rows(ctx):
+    """[E_i,F_j] = delta_ij H_i and the H brackets."""
+    vertices = range(1, ctx.n + 1)
+    for i, j in itertools.product(vertices, repeat=2):
+        want = _op("H", i) if i == j else "0"
+        yield "[E_%d,F_%d] = %s" % (i, j, want), ("commutator", _op("E", i), _op("F", j)), want
+    for i, j in itertools.product(vertices, repeat=2):
+        c = ctx.cartan_entry(i, j)
+        for x, scale in (("E", c), ("F", -c)):
+            xj = _op(x, j)
+            yield "[H_%d,%s] = %d %s" % (i, xj, scale, xj), ("commutator", _op("H", i), xj), ("scale", scale, xj)
+    for i, j in itertools.combinations(vertices, 2):
+        yield "[H_%d,H_%d] = 0" % (i, j), ("commutator", _op("H", i), _op("H", j)), "0"
+
+
+def _serre_rows(ctx):
+    """Degree bounds on the raising/lowering operators between vertices."""
+    for i, j in itertools.permutations(range(1, ctx.n + 1), 2):
+        for x in "EF":
+            xi, xj = _op(x, i), _op(x, j)
+            if ctx.adjacent(i, j):
+                yield "ad(%s)^2 %s = 0" % (xi, xj), ("commutator", xi, ("commutator", xi, xj)), "0"
+            else:
+                yield "[%s,%s] = 0" % (xi, xj), ("commutator", xi, xj), "0"
+
+
+def _clifford_rows(ctx):
+    """Anticommutation of the row ladder operators on the shape basis."""
+    vertices = range(1, ctx.n + 1)
+    for i, j in itertools.combinations_with_replacement(vertices, 2):
+        for x in "ab":
+            xi, xj = _op(x, i), _op(x, j)
+            yield "{%s,%s} = 0" % (xi, xj), ("anticommutator", xi, xj), "0"
+    for i, j in itertools.product(vertices, repeat=2):
+        want = "1" if i == j else "0"
+        yield "{a_%d,b_%d} = %s" % (i, j, want), ("anticommutator", _op("a", i), _op("b", j)), want
+
+
+def _intertwiner_rows(ctx):
+    """The basis dictionary carries each ladder operator to its wedge twin."""
+    for k in range(1, ctx.n + 1):
+        for ladder, twin in (("a", "annihilate"), ("b", "create")):
+            x, y = _op(ladder, k), _op(twin, k)
+            yield "phi %s = %s phi" % (x, y), ("product", "phi", x), ("product", y, "phi")
+
+
+def _factorization_rows(ctx):
+    """Chevalley operators factor through quadratic ladder words."""
+    n = ctx.n
+    words = []
+    for k in range(1, n):
+        words.append((_op("E", k), _op("b", k + 1), _op("a", k)))
+        words.append((_op("F", k), _op("b", k), _op("a", k + 1)))
+    words.append((_op("E", n), _op("a", n), _op("a", n - 1)))
+    words.append((_op("F", n), _op("b", n - 1), _op("b", n)))
+    for x, p, q in words:
+        yield "%s = %s %s" % (x, p, q), x, ("product", p, q)
+
+
+# every identity table, in the order of the rank-free report: its row builder,
+# the RankTables basis that labels its rows, and its entry label in check_dinfty
+IDENTITY_TABLES = {
+    "chevalley": (_chevalley_rows, "sbasis", "Chevalley brackets on all pairs"),
+    "serre": (_serre_rows, "sbasis", "degree bounds between vertices"),
+    "clifford": (_clifford_rows, "sbasis", "ladder anticommutators"),
+    "intertwiner": (_intertwiner_rows, "fbasis", "dictionary intertwines the ladder operators"),
+    "factorization": (_factorization_rows, "sbasis", "quadratic factorization of E/F"),
+}
+
+
 def identities(suite: str, ctx: RankContext) -> list:
     """The operator identities of one suite at rank ctx.n, as (label, lhs, rhs)."""
-    n = ctx.n
-    vertices = range(1, n + 1)
-    rows = []
-    if suite == "chevalley":
-        for i in vertices:
-            for j in vertices:
-                want = _op("H", i) if i == j else "0"
-                label = "[E_%d,F_%d] = %s" % (i, j, want)
-                rows.append((label, ("commutator", _op("E", i), _op("F", j)), want))
-        for i in vertices:
-            for j in vertices:
-                c = ctx.cartan_entry(i, j)
-                for x, scale in (("E", c), ("F", -c)):
-                    xj = _op(x, j)
-                    label = "[H_%d,%s] = %d %s" % (i, xj, scale, xj)
-                    rows.append((label, ("commutator", _op("H", i), xj), ("scale", scale, xj)))
-        for i in vertices:
-            for j in range(i + 1, n + 1):
-                label = "[H_%d,H_%d] = 0" % (i, j)
-                rows.append((label, ("commutator", _op("H", i), _op("H", j)), "0"))
-    elif suite == "serre":
-        for i in vertices:
-            for j in vertices:
-                if i == j:
-                    continue
-                for x in "EF":
-                    xi, xj = _op(x, i), _op(x, j)
-                    if ctx.adjacent(i, j):
-                        label = "ad(%s)^2 %s = 0" % (xi, xj)
-                        rows.append((label, ("commutator", xi, ("commutator", xi, xj)), "0"))
-                    else:
-                        rows.append(("[%s,%s] = 0" % (xi, xj), ("commutator", xi, xj), "0"))
-    elif suite == "clifford":
-        for i in vertices:
-            for j in range(i, n + 1):
-                for x in "ab":
-                    xi, xj = _op(x, i), _op(x, j)
-                    rows.append(("{%s,%s} = 0" % (xi, xj), ("anticommutator", xi, xj), "0"))
-        for i in vertices:
-            for j in vertices:
-                want = "1" if i == j else "0"
-                label = "{a_%d,b_%d} = %s" % (i, j, want)
-                rows.append((label, ("anticommutator", _op("a", i), _op("b", j)), want))
-    elif suite == "intertwiner":
-        for k in vertices:
-            for ladder, twin in (("a", "annihilate"), ("b", "create")):
-                x, y = _op(ladder, k), _op(twin, k)
-                label = "phi %s = %s phi" % (x, y)
-                rows.append((label, ("product", "phi", x), ("product", y, "phi")))
-    elif suite == "factorization":
-        words = []
-        for k in range(1, n):
-            words.append((_op("E", k), _op("b", k + 1), _op("a", k)))
-            words.append((_op("F", k), _op("b", k), _op("a", k + 1)))
-        words.append((_op("E", n), _op("a", n), _op("a", n - 1)))
-        words.append((_op("F", n), _op("b", n - 1), _op("b", n)))
-        rows = [("%s = %s %s" % (x, p, q), x, ("product", p, q)) for x, p, q in words]
-    else:
+    if suite not in IDENTITY_TABLES:
         raise ValueError("no identity table for suite %r" % suite)
-    return rows
+    return list(IDENTITY_TABLES[suite][0](ctx))
 
 
 def _matrix(expr, leaf):
@@ -560,12 +574,14 @@ def _matrix(expr, leaf):
     return x * y - y * x if op == "commutator" else x * y + y * x
 
 
-def _table_entries(suite, tables, rows):
+def _table_entries(suite, tables):
     """The bounded evaluator: every row of the suite's table, as exact matrices.
 
     Tokens are tabulated by tables, once per rank.  The sides map the shape
-    basis to rows, the shape or the wedge basis, which labels the witnesses.
+    basis to the basis that the suite's registry entry names, the shape or
+    the wedge basis, which labels the witnesses' rows.
     """
+    rows = getattr(tables, IDENTITY_TABLES[suite][1])
     entries = []
     for label, lhs, rhs in identities(suite, tables.ctx):
         got, want = _matrix(lhs, tables.matrix), _matrix(rhs, tables.matrix)
@@ -687,23 +703,22 @@ def _image(side, state, images):
 # suites
 
 
-def check_chevalley(tables: RankTables) -> list:
-    """[E_i,F_j] = delta_ij H_i and the H brackets, as exact matrices."""
-    return _table_entries("chevalley", tables, tables.sbasis)
+def _table_suite(suite):
+    """The bounded suite of one identity table: a function of one RankTables."""
+    def check(tables: RankTables) -> list:
+        return _table_entries(suite, tables)
+    return check
 
 
-def check_serre(tables: RankTables) -> list:
-    """Degree bounds on the raising/lowering operators between vertices."""
-    return _table_entries("serre", tables, tables.sbasis)
-
-
-def check_clifford(tables: RankTables) -> list:
-    """Anticommutation of the row ladder operators on the shape basis."""
-    return _table_entries("clifford", tables, tables.sbasis)
+# module-level names: the benchmark's tracer wraps each suite function by its name here
+check_chevalley = _table_suite("chevalley")
+check_serre = _table_suite("serre")
+check_clifford = _table_suite("clifford")
+check_factorization = _table_suite("factorization")
 
 
 def check_intertwiner(tables: RankTables) -> list:
-    """The basis dictionary carries each ladder operator to its wedge twin."""
+    """The dictionary is a basis bijection, then the intertwiner table's rows."""
     P = tables.phi
     size = len(tables.sbasis)
     cells = P.entries
@@ -715,12 +730,7 @@ def check_intertwiner(tables: RankTables) -> list:
     )
     label = "phi is a basis bijection (all coefficients 1)"
     entries = [_entry(label, ok_bijection, "phi matrix nnz=%d" % P.nnz)]
-    return entries + _table_entries("intertwiner", tables, tables.fbasis)
-
-
-def check_factorization(tables: RankTables) -> list:
-    """Chevalley operators factor through quadratic ladder words."""
-    return _table_entries("factorization", tables, tables.sbasis)
+    return entries + _table_entries("intertwiner", tables)
 
 
 def _f_closure(start, down):
@@ -867,17 +877,7 @@ def check_faithfulness(tables: RankTables) -> list:
 
 
 # ---------------------------------------------------------------------------
-# rank-free mode: the same table, pointwise on a box-capped state family
-
-# one entry per family: the rows of a suite's identity table, or the weight routes
-_DINFTY_FAMILIES = (
-    ("chevalley", "Chevalley brackets on all pairs"),
-    ("serre", "degree bounds between vertices"),
-    ("clifford", "ladder anticommutators"),
-    ("intertwiner", "dictionary intertwines the ladder operators"),
-    ("factorization", "quadratic factorization of E/F"),
-    ("weights", "weight routes agree"),
-)
+# rank-free mode: the same tables, pointwise on a box-capped state family
 
 
 def _format_side(comb):
@@ -893,8 +893,8 @@ def check_dinfty(max_boxes: int, n: int):
     The operators never need the full rank-n state space, so the identities
     can be evaluated exactly on the capped family inside a large ambient
     rank; agreement here is what makes the rank-free limit well defined.
-    The rows of the five table families, each tagged with its family,
-    become one prefix tree of parsed operators once per call (`_tree`).
+    The rows of every table of `IDENTITY_TABLES`, each tagged with its
+    table, become one prefix tree of parsed operators once per call (`_tree`).
     For one basis state (one column) at a time, one walk of the tree sums
     every row's lhs minus rhs (`_sums`); a row fails when its sum is not
     zero.  A family's witness is taken at the first state where one of its
@@ -911,9 +911,9 @@ def check_dinfty(max_boxes: int, n: int):
     t0 = time.perf_counter()
     ctx = RankContext(n)
     states = truncated_spin_basis(ctx, max_boxes).states
-    tagged = [(suite, row) for suite, _ in _DINFTY_FAMILIES if suite != "weights" for row in identities(suite, ctx)]
+    tagged = [(suite, row) for suite in IDENTITY_TABLES for row in identities(suite, ctx)]
     tree = _tree([row for _, row in tagged])
-    bad = {}  # suite -> witness of the family's first failure, None for weights that agree
+    bad = {}  # suite -> witness of the table's first failure
     for state in states:
         images = _ColumnImages(ctx)
         for pos in sorted(pos for (pos, _), v in _sums(tree, state, images).items() if v):
@@ -923,11 +923,10 @@ def check_dinfty(max_boxes: int, n: int):
                 bad[suite] = _pointwise_witness(label, state, got, want)
     routes = weight_routes()
     wants = (routes[0][1](state, ctx) for state in states)
-    bad["weights"] = _weight_witness(routes[1:], states, wants, ctx)
-    entries = []
-    for suite, family in _DINFTY_FAMILIES:
-        label = "%s (pointwise on %d states)" % (family, len(states))
-        entries.append(_entry(label, bad.get(suite) is None, bad.get(suite)))
+    families = [(family, bad.get(suite)) for suite, (_, _, family) in IDENTITY_TABLES.items()]
+    families.append(("weight routes agree", _weight_witness(routes[1:], states, wants, ctx)))
+    entries = [_entry("%s (pointwise on %d states)" % (family, len(states)), witness is None, witness)
+               for family, witness in families]
     return _finalize("dinfty", n, entries, t0, max_boxes=max_boxes, mode="truncated")
 
 

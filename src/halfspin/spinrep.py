@@ -194,12 +194,6 @@ def _edited(rows, j, length):
     return rows[:j] + (length,) + rows[j + 1:] if length else rows[:j]
 
 
-def _single_box_edits(rows, n, where=None):
-    """The shapes one box from rows (grow, shrink, add, delete), of the edits that where keeps if given."""
-    rows = tuple(rows)
-    return {_edited(rows, *e) for e in _box_edits(rows, n) if where is None or where(*e)}
-
-
 def _shift_state(state, k, direction, ctx):
     # kernel of E_k (direction -1) and F_k (+1): the same-sign state whose dimension vector differs by
     # the unit at k (lowered for E, raised for F).  One sweep after the dimension vector, which validates
@@ -212,7 +206,8 @@ def _shift_state(state, k, direction, ctx):
         for edit in _box_edits(state[1], ctx.n):
             j = edit_change(state, *edit, ctx)
             if moves.setdefault(j, edit) is not edit:
-                matches = sorted(_single_box_edits(state[1], ctx.n, lambda *e: edit_change(state, *e, ctx) == j))
+                twins = (e for e in _box_edits(state[1], ctx.n) if edit_change(state, *e, ctx) == j)
+                matches = sorted(_edited(state[1], *e) for e in twins)
                 raise RuntimeError(
                     "%s_%d on %s: dimension-vector equation has %d solutions %r; "
                     "the component dictionary promises at most one"

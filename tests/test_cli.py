@@ -426,9 +426,9 @@ def test_point_queries_at_max_rank_stay_linear_in_n():
         assert doc["eps"] == [str(c) for c in route(before, ctx)]
 
 
-# the largest `act` and `weight` requests at MAX_RANK, run in a child whose
-# address space is capped; it prints its exit codes, outputs, the seconds
-# both calls took and its peak RSS in kB
+# the largest requests a command admits, run in a child whose address space
+# is capped; it prints its exit codes, outputs, the seconds all calls took
+# and its own peak RSS in kB
 WORST_CASE_CHILD = """
 import io, json, resource, sys, time
 limit = int(sys.argv[1]) * 2**20
@@ -440,8 +440,24 @@ for argv in calls:
     out = io.StringIO()
     done.append((cli.main(argv, out), out.getvalue()))
 took = time.perf_counter() - started
-print(json.dumps([done, took, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+try:  # this process's own peak: ru_maxrss also keeps the peak of the process that spawned it
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([done, took, peak]))
 """
+
+
+def worst_case(calls, limit_mb=256):
+    """[(exit code, output)] of the argv calls, their seconds and the peak RSS in kB, from one capped child."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-c", WORST_CASE_CHILD, str(limit_mb)], input=json.dumps(calls),
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    return json.loads(child.stdout)
 
 
 def test_act_and_weight_at_their_caps_run_in_bounded_time_and_memory():
@@ -460,19 +476,78 @@ def test_act_and_weight_at_their_caps_run_in_bounded_time_and_memory():
     vector = " + ".join(map(spinrep.format_basis_state, states))
     tall = (Sign.MINUS, tuple(range(n - 1, 0, -1)))
     calls = [["act", "--n", str(n), word, vector], ["weight", "--n", str(n), "--json", spinrep.format_basis_state(tall)]]
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    child = subprocess.run(
-        [sys.executable, "-c", WORST_CASE_CHILD, "256"], input=json.dumps(calls), env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert child.returncode == 0, child.stderr[-2000:]
-    [(act_rc, act_out), (weight_rc, weight_out)], took, peak_kb = json.loads(child.stdout)
+    [(act_rc, act_out), (weight_rc, weight_out)], took, peak_kb = worst_case(calls)
     assert act_rc == weight_rc == 0
     assert parse_spin_vector(act_out, RankContext(n)) == want
     assert json.loads(weight_out)["eps"] == [str(c) for c in spinrep.weight_eps_closed(tall, RankContext(n))]
     # measured 0.17-0.26 s and 57 MB peak RSS on a shared 2-core Intel Xeon host
     assert took < 5.0
     assert peak_kb < 128 * 1024
+
+
+def test_clifford_at_its_caps_runs_in_bounded_time_and_memory():
+    # the widest product MAX_CLIFFORD_TERMS admits, (a1 ... a12)(b1 ... b12)
+    # with its 2^12 terms; the longest word, b1024 ... b1, an even
+    # permutation of its letters; and --apply's terms times states at the cap
+    k = cli.MAX_CLIFFORD_TERMS.bit_length() - 1
+    a_k, b_k = (" ".join("%s%d" % (g, i) for i in range(1, k + 1)) for g in "ab")
+    m = cli.MAX_CLIFFORD_GENERATORS
+    assert m % 4 == 0
+    word = " ".join("b%d" % i for i in range(m, 0, -1))
+    wedge = " + ".join(WEDGE_65[:64])
+    calls = [
+        ["clifford", "--n", str(k), "(%s)(%s)" % (a_k, b_k)],
+        ["clifford", "--n", str(m), word],
+        ["clifford", "--n", "40", "--apply", wedge, "(1+b1)(1+b2)(1+b3)(1+b4)(1+b5)(1+b6)"],
+    ]
+    [(wide_rc, wide), (word_rc, sorted_word), (apply_rc, _)], took, peak_kb = worst_case(calls)
+    assert wide_rc == word_rc == apply_rc == 0
+    assert wide.count(" + ") + wide.count(" - ") + 1 == 2**k
+    assert sorted_word == " ".join("b%d" % i for i in range(1, m + 1)) + "\n"
+    # measured 0.06-0.08 s and 19 MB peak RSS on a shared 2-core Intel Xeon host
+    assert took < 3.0
+    assert peak_kb < 64 * 1024
+
+
+def test_export_matrix_at_its_caps_runs_in_bounded_time_and_memory():
+    # MAX_EXPORT_TOKENS tokens at MAX_BASIS_RANK, each tabulated over the
+    # whole basis: F_7^8 = 0, kappa^8 = 1 with every entry printed, and the
+    # product of four wedge number operators create_k annihilate_k
+    n, w = cli.MAX_BASIS_RANK, cli.MAX_EXPORT_TOKENS
+    assert w % 2 == 0
+    numbers = " ".join("create_%d annihilate_%d" % (k, k) for k in range(1, w // 2 + 1))
+    calls = [
+        ["export-matrix", "--n", str(n), "--json", " ".join(["F_7"] * w)],
+        ["export-matrix", "--n", str(n), "--json", " ".join(["kappa"] * w)],
+        ["export-matrix", "--n", str(n), "--basis", "fock", "--json", numbers],
+    ]
+    done, took, peak_kb = worst_case(calls)
+    assert [rc for rc, _ in done] == [0, 0, 0]
+    zero, identity, projection = (json.loads(out)["entries"] for _, out in done)
+    assert zero == []
+    assert identity == [[i, i, "1"] for i in range(2**n)]
+    # the subsets holding 1 .. w/2, each fixed
+    assert len(projection) == 2 ** (n - w // 2) and all(i == j and v == "1" for i, j, v in projection)
+    # measured 1.1-1.3 s and 45-46 MB peak RSS on a shared 2-core Intel Xeon host
+    assert took < 10.0
+    assert peak_kb < 96 * 1024
+
+
+def test_enumerate_at_its_caps_runs_in_bounded_time_and_memory():
+    # the whole basis at MAX_BASIS_RANK, and the capped family at MAX_BOXES in
+    # MAX_AMBIENT_RANK, both as JSON
+    n = cli.MAX_BASIS_RANK
+    calls = [
+        ["enumerate", "--n", str(n), "--json"],
+        ["enumerate", "--dinfty", "--max-boxes", str(cli.MAX_BOXES), "--n", str(cli.MAX_AMBIENT_RANK), "--json"],
+    ]
+    [(bounded_rc, bounded), (capped_rc, capped)], took, peak_kb = worst_case(calls)
+    assert bounded_rc == capped_rc == 0
+    assert len(json.loads(bounded)["rows"]) == 2**n
+    assert json.loads(capped)["max_boxes"] == cli.MAX_BOXES
+    # measured 0.87-0.96 s and 96 MB peak RSS on a shared 2-core Intel Xeon host
+    assert took < 10.0
+    assert peak_kb < 192 * 1024
 
 
 ONE_PLUS_B_14 = "".join("(1+b%d)" % i for i in range(1, 15))
@@ -520,6 +595,10 @@ SHAPES_OVER = " + ".join([SHAPE_100] * (cli.MAX_ACT_TERMS + 1))
         (("clifford", "--n", str(cli.MAX_RANK), B_SUM_MAX), cli.MAX_CLIFFORD_GENERATORS),
         (("act", "--n", str(cli.MAX_RANK), F_OVER, SHAPE_100), cli.MAX_ACT_TOKENS),
         (("act", "--n", str(cli.MAX_RANK), "F_99", SHAPES_OVER), cli.MAX_ACT_TERMS),
+        # uncapped, about 25 ms a token at n = 14, so about 12 minutes here;
+        # the tokens are counted before any is parsed
+        (("export-matrix", "--n", str(cli.MAX_BASIS_RANK), " ".join(["H_3"] * 30000)), cli.MAX_EXPORT_TOKENS),
+        (("export-matrix", "--n", "2", " ".join(["kappa"] * cli.MAX_EXPORT_TOKENS + ["Q_1"])), cli.MAX_EXPORT_TOKENS),
     ],
 )
 def test_size_caps_refuse_with_exit_2(argv, cap, capsys):
@@ -596,7 +675,7 @@ def test_size_caps_are_in_the_help(capsys):
     for command, caps in (
         ("verify", ("MAX_VERIFY_RANK", "MAX_AMBIENT_RANK", "MAX_BOXES")),
         ("enumerate", ("MAX_BASIS_RANK", "MAX_AMBIENT_RANK", "MAX_BOXES")),
-        ("export-matrix", ("MAX_BASIS_RANK",)),
+        ("export-matrix", ("MAX_BASIS_RANK", "MAX_EXPORT_TOKENS")),
         ("act", ("MAX_RANK",)),
         ("clifford", ("MAX_RANK", "MAX_CLIFFORD_GENERATORS", "MAX_CLIFFORD_TERMS")),
     ):
@@ -620,7 +699,8 @@ def test_readme_suite_table_matches_the_suites():
     rows = re.findall(r"^\| `([a-z_]+)` \| [^|]+ \| ([^|(]+?)( \([^|]+\))? \|$", table, re.M)
     assert len(rows) == len(table.splitlines())
     assert sorted(name for name, _, _ in rows) == list(oracle.SUITE_NAMES)
-    families = dict(oracle._DINFTY_FAMILIES)
+    families = {name: label for name, (_, _, label) in oracle.IDENTITY_TABLES.items()}
+    families["weights"] = "weight routes agree"
     assert {name: label for name, label, _ in rows} == {name: families.get(name, "none") for name in oracle.SUITE_NAMES}
     assert {name: note for name, _, note in rows if note} == {"intertwiner": " (the bijection entry is bounded only)"}
 

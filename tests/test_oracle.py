@@ -395,6 +395,9 @@ def test_identity_table_covers_the_bounded_suites():
         rows = oracle.identities(suite, ctx)
         assert len(rows) == count
         assert len({label for label, _, _ in rows}) == count
+    # the registry holds the five tables in the order of the rank-free entries, each a bounded suite
+    assert list(oracle.IDENTITY_TABLES) == ["chevalley", "serre", "clifford", "intertwiner", "factorization"]
+    assert set(oracle.IDENTITY_TABLES) <= set(oracle.SUITES)
     rows = dict((label, (lhs, rhs)) for label, lhs, rhs in oracle.identities("chevalley", ctx))
     assert rows["[E_2,F_2] = H_2"] == (("commutator", "E_2", "F_2"), "H_2")
     assert rows["[H_2,F_4] = 1 F_4"] == (("commutator", "H_2", "F_4"), ("scale", 1, "F_4"))
@@ -552,7 +555,7 @@ def test_a_ladder_fault_fails_verify_all(monkeypatch):
     assert failed == {"clifford", "intertwiner", "factorization"}
 
 
-TABLE_SUITES = ("chevalley", "serre", "clifford", "intertwiner", "factorization")
+TABLE_SUITES = tuple(oracle.IDENTITY_TABLES)
 
 
 def _images_against_matrix_columns(n):
@@ -567,7 +570,7 @@ def _images_against_matrix_columns(n):
     ctx = tables.ctx
     sides = []
     for suite in TABLE_SUITES:
-        rows = tables.fbasis if suite == "intertwiner" else tables.sbasis
+        rows = getattr(tables, oracle.IDENTITY_TABLES[suite][1])
         for label, *exprs in oracle.identities(suite, ctx):
             for expr in exprs:
                 columns = {}

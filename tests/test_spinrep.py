@@ -151,25 +151,28 @@ def one_box_neighbours(rows, n):
     return out
 
 
+def box_neighbours(rows, n):
+    """The shapes of the sweep's single-box edits of rows."""
+    from halfspin.spinrep import _box_edits, _edited
+
+    return {_edited(rows, *edit) for edit in _box_edits(rows, n)}
+
+
 def test_shift_sweep_agrees_with_the_per_k_search():
     # the one-sweep memo of _shift_state against a search of the single-box
     # edits for each (state, k, direction) on its own
-    from halfspin.spinrep import _single_box_edits
-
     for n in range(2, 10):
         ctx = RankContext(n)
         for sign, rows in all_states(n):
-            per_k_search((sign, rows), _single_box_edits(rows, n), ctx)
+            per_k_search((sign, rows), box_neighbours(rows, n), ctx)
 
 
 def test_shift_sweep_agrees_with_the_per_k_search_at_bench_ranks():
     # the per-k search over brute-force neighbours on random states at the
     # ranks a point query reaches, at most 8 rows, tips and ends included
-    from halfspin.spinrep import _single_box_edits
-
     for n in range(2, 9):
         for rows in enumerate_diagrams(n):
-            assert _single_box_edits(rows, n) == one_box_neighbours(rows, n)
+            assert box_neighbours(rows, n) == one_box_neighbours(rows, n)
     rng = random.Random(256)
     cases = [(256, (255, 254, 2, 1)), (256, (255, 128, 127, 1)), (10, tuple(range(9, 1, -1)))]
     for _ in range(36):

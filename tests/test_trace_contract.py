@@ -12,6 +12,7 @@ drive every layer of the `verify_bounded` workload's `busy` list.
 """
 
 import io
+import types
 from pathlib import Path
 
 from halfspin import cli
@@ -33,6 +34,21 @@ def _traced(monkeypatch, argv):
     t.end_pass()
     assert rc == 0
     return t.layer_metrics()
+
+
+def test_every_bounded_suite_is_the_function_the_tracer_binds(monkeypatch):
+    # the tracer wraps each suite as oracle.<name in _SUITE_FUNCS>; a SUITES
+    # entry holding another function would read zero in its oracle.suite.*
+    # layer, which only a traced run of that suite would show
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    from halfspin import oracle
+
+    assert set(oracle.SUITES) == set(tracer.SUITES) - {"dinfty"}
+    for name, suite in oracle.SUITES.items():
+        assert suite is getattr(oracle, tracer._SUITE_FUNCS[name]), name
+        assert type(suite) is types.FunctionType, name
+    assert type(oracle.check_dinfty) is types.FunctionType
 
 
 TRACED_SUITES = "chevalley,factorization,intertwiner,weights,faithfulness"
