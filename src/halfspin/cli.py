@@ -55,9 +55,9 @@ MAX_ACT_TERMS = 4
 MAX_BASIS_RANK = 14
 # export-matrix: a word's tokens, each tabulated over the whole basis and multiplied in
 MAX_EXPORT_TOKENS = 8
-# verify: exact matrices over the 2^n states, for every suite; the largest
-# rank whose --all run stays near 30 s (n = 14: 8.6 s and 194 MB peak RSS in
-# one process on a shared 2-core Intel Xeon host, Python 3.11.7)
+# verify: exact matrices over the 2^n states, for every suite (--all at n = 14:
+# 8.6 s and 194 MB peak RSS in one process on a shared 2-core Intel Xeon host,
+# Python 3.11.7)
 MAX_VERIFY_RANK = 14
 # --dinfty: the capped family of shapes with at most this many boxes
 # (verify --dinfty --max-boxes 17 --n 32: about 3 s, process start included)
@@ -185,11 +185,8 @@ _encode_string = json.encoder.encode_basestring_ascii
 
 def _json_text(doc):
     """json.dumps(doc, indent=2), byte for byte, without json's pure-Python encoder;
-    a document holding a type or a dict key that _json_value refuses goes to json whole."""
-    try:
-        return _json_value(doc, "\n")
-    except TypeError:
-        return json.dumps(doc, indent=2)
+    a tuple, another type json has no literal for or a dict key that is not a str raises TypeError."""
+    return _json_value(doc, "\n")
 
 
 def _json_value(x, newline):

@@ -13,8 +13,8 @@ read it.  The bounded suites tabulate each operator as a sparse exact
 matrix over the whole rank-n basis and compare matrices.  The rank-free
 `check_dinfty` grows the words of every side of every table, each token
 parsed once, straight into one prefix tree keyed by operator once per
-call, and walks it once per box-capped basis state, with one image table
-per state for that column only; since every operator sends a basis state
+call, and walks it once per box-capped basis state, with one plain dict
+of images for that column only; since every operator sends a basis state
 to at most one signed basis state, a walk stops below the first zero
 image, and a prefix that many words share is applied once.
 The module, weight and faithfulness suites are written out on their own.
@@ -637,46 +637,16 @@ def _tree(rows):
     return root
 
 
-class _StateImages(dict):
-    """One basis state's images in one column, {(name, k): ((target, coeff), ...)}.
-
-    A miss is computed on the state's one-state vector, built with the table,
-    through `cliff.phi` for phi and `_OPERATORS[name]` for every other
-    operator, and stored.
-    """
-
-    __slots__ = ("vec", "ctx")
-
-    def __init__(self, state, ctx):
-        self.vec, self.ctx = _one_state(state), ctx
-
-    def __missing__(self, op):
-        name, k = op
-        image = cliff.phi(self.vec, self.ctx) if name == "phi" else _OPERATORS[name](k, self.vec, self.ctx)
-        image = self[op] = tuple(image.terms.items())
-        return image
-
-
-class _ColumnImages(dict):
-    """One column's image tables, {state: _StateImages}, each built on first use."""
-
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-
-    def __missing__(self, state):
-        table = self[state] = _StateImages(state, self.ctx)
-        return table
-
-
-def _sums(tree, state, images):
+def _sums(tree, state, images, ctx):
     """Each row's lhs minus rhs on one basis state, {(row, target): coeff}, zeros kept.
 
-    A depth-first walk from the root carries (state, coeff), reads a node's
-    child images from the state's one table, and enters a child only through
-    the terms of a nonzero image, so each prefix that survives is applied
-    once, however many words share it, and a word stops at its first zero step.
+    A depth-first walk from the root carries (state, coeff).  images is the
+    column's memo: for each state the walk reaches, its one-state vector and
+    its images {(name, k): ((target, coeff), ...)}.  A missing image is
+    computed through `cliff.phi` for phi and `_OPERATORS[name]` for every
+    other operator, and stored.  The walk enters a child only through the
+    terms of a nonzero image, so each prefix that survives is applied once,
+    however many words share it, and a word stops at its first zero step.
     """
     sums = {}
     stack = [(tree, state, 1)]
@@ -686,16 +656,24 @@ def _sums(tree, state, images):
             key = pos, state
             sums[key] = sums.get(key, 0) + coeff * c
         if children:
-            table = images[state]
+            memo = images.get(state)
+            if memo is None:
+                memo = images[state] = _one_state(state), {}
+            vec, table = memo
             for op, child in children.items():
-                for target, v in table[op]:
+                image = table.get(op)
+                if image is None:
+                    name, k = op
+                    image = cliff.phi(vec, ctx) if name == "phi" else _OPERATORS[name](k, vec, ctx)
+                    image = table[op] = tuple(image.terms.items())
+                for target, v in image:
                     stack.append((child, target, coeff * v))
     return sums
 
 
-def _image(side, state, images):
+def _image(side, state, images, ctx):
     """One side's image of one basis state, {target: coeff}, from a one-row tree."""
-    sums = _sums(_tree([(None, side, "0")]), state, images)
+    sums = _sums(_tree([(None, side, "0")]), state, images, ctx)
     return {t: v for (_, t), v in sums.items() if v}
 
 
@@ -901,11 +879,11 @@ def check_dinfty(max_boxes: int, n: int):
     rows fails, from its first failing row in table order, its two sides
     walked again as one-row trees (`_image`) and printed as wedge or shape
     vectors by their states; a family that has failed is still walked.  A
-    column's images are held in one table per state (`_ColumnImages`), each
-    computed once and dropped with the column, since a cache kept for the
-    whole run costs memory for little more reuse.  The weight family reads
-    no images: its routes are compared after the columns, over all states
-    at once (`_weight_witness`).  A capped shape's rows end at vertices
+    column's images are held in one plain dict, {state: (one-state vector,
+    images)}, each image computed once and dropped with the column, since a
+    memo kept for the whole run costs memory for little more reuse.  The
+    weight family reads no images: its routes are compared after the
+    columns, over all states at once (`_weight_witness`).  A capped shape's rows end at vertices
     k >= n - max_boxes, so a fault far below that lies outside this mode.
     """
     t0 = time.perf_counter()
@@ -915,11 +893,11 @@ def check_dinfty(max_boxes: int, n: int):
     tree = _tree([row for _, row in tagged])
     bad = {}  # suite -> witness of the table's first failure
     for state in states:
-        images = _ColumnImages(ctx)
-        for pos in sorted(pos for (pos, _), v in _sums(tree, state, images).items() if v):
+        images = {}
+        for pos in sorted(pos for (pos, _), v in _sums(tree, state, images, ctx).items() if v):
             suite, (label, lhs, rhs) = tagged[pos]
             if suite not in bad:
-                got, want = (_format_side(_image(side, state, images)) for side in (lhs, rhs))
+                got, want = (_format_side(_image(side, state, images, ctx)) for side in (lhs, rhs))
                 bad[suite] = _pointwise_witness(label, state, got, want)
     routes = weight_routes()
     wants = (routes[0][1](state, ctx) for state in states)

@@ -130,18 +130,16 @@ def test_the_lint_sees_each_unused_import():
     ]
 
 
-def indented_json_dumps(tree, writer="_json_text"):
-    """Line of each json.dumps(..., indent=...) call outside the function named writer.
+def indented_json_dumps(tree):
+    """Line of each json.dumps(..., indent=...) call.
 
-    indent sends json to its pure-Python encoder; cli's writer falls back to
-    that call alone, for a document it does not write itself.
+    indent sends json to its pure-Python encoder; cli's writer, `_json_text`,
+    writes every indented document without it.
     """
-    exempt = {id(node) for f in ast.walk(tree) if getattr(f, "name", None) == writer for node in ast.walk(f)}
     return sorted(
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and id(node) not in exempt
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
         and any(k.arg == "indent" for k in node.keywords)
     )
@@ -164,7 +162,7 @@ def test_the_lint_sees_each_indented_json_dumps():
         "compact = json.dumps({}, sort_keys=True)\n"
         "other = dumps([], indent=4)\n"
     )
-    assert indented_json_dumps(ast.parse(code)) == [6, 8]
+    assert indented_json_dumps(ast.parse(code)) == [4, 6, 8]
 
 
 def unread_definitions(trees):

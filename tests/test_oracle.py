@@ -581,15 +581,15 @@ def _images_against_matrix_columns(n):
     multi_term = False
     for state in truncated_spin_basis(ctx, n - 1).states:
         j = tables.sbasis.index[state]
-        images = oracle._ColumnImages(ctx)
+        images = {}
         walked = {}
-        for (pos, target), v in oracle._sums(tree, state, images).items():
+        for (pos, target), v in oracle._sums(tree, state, images, ctx).items():
             if v:
                 walked.setdefault(pos, {})[target] = v
         for pos, (label, expr, columns) in enumerate(sides):
             assert walked.get(pos, {}) == columns.get(j, {}), (label, state)
-            assert oracle._image(expr, state, images) == columns.get(j, {}), (label, state)
-        multi_term |= any(len(image) > 1 for table in images.values() for image in table.values())
+            assert oracle._image(expr, state, images, ctx) == columns.get(j, {}), (label, state)
+        multi_term |= any(len(image) > 1 for _, table in images.values() for image in table.values())
     return multi_term
 
 
@@ -693,108 +693,138 @@ def test_tree_word_ends_are_the_words_of_each_side(n):
         assert Counter(got) == Counter(want), suite
 
 
-def _prefix_image(prefix, state, ctx):
-    """A word's image of one basis state, its operators applied in action order on vectors."""
+def _walk_needs(tree, state, ctx):
+    """What one walk of tree from a basis state must apply, computed on whole vectors.
+
+    Returns the (operator, state) pairs of every edge (prefix, operator),
+    one per state in the prefix's image; the states at which each node with
+    children is reached, one per state in its prefix's image; and the number
+    of edges whose prefix's image is zero.
+    """
     from halfspin import clifford
 
-    vec = oracle._one_state(state)
-    for name, k in prefix:
-        vec = clifford.phi(vec, ctx) if name == "phi" else oracle.apply_operator(name, k, vec, ctx)
-    return vec.terms
+    pairs, visits = Counter(), Counter()
+    dead = 0
+
+    def walk(node, vec):
+        nonlocal dead
+        children = node[0]
+        if children:
+            visits.update(list(vec.terms))
+        for op, child in children.items():
+            pairs.update((op, target) for target in vec.terms)
+            dead += not vec.terms
+            name, k = op
+            walk(child, clifford.phi(vec, ctx) if name == "phi" else oracle.apply_operator(name, k, vec, ctx))
+
+    walk(tree, oracle._one_state(state))
+    return pairs, visits, dead
 
 
-def _tree_edges(node, prefix=()):
-    """Every edge (prefix, next operator) of a tree; prefix holds the operators in action order."""
-    out = []
-    for op, child in node[0].items():
-        out += [(prefix, op)] + _tree_edges(child, prefix + (op,))
-    return out
+def _count_applications(monkeypatch):
+    """Record every application of an `_OPERATORS` entry and of `clifford.phi`.
+
+    These are the seams the bench tracer wraps in place.  Each application
+    appends ((name, k), state) for the one-state vector it acts on to the
+    returned list.
+    """
+    from halfspin import clifford
+
+    applied = []
+
+    def record(op, vec):
+        [state] = vec.terms
+        applied.append((op, state))
+
+    def counted(name, apply):
+        def wrapped(k, vec, ctx):
+            record((name, k), vec)
+            return apply(k, vec, ctx)
+        return wrapped
+
+    def phi(vec, ctx):
+        record(("phi", None), vec)
+        return real_phi(vec, ctx)
+
+    for name, apply in list(oracle._OPERATORS.items()):
+        monkeypatch.setitem(oracle._OPERATORS, name, counted(name, apply))
+    real_phi = clifford.phi
+    monkeypatch.setattr(clifford, "phi", phi)
+    return applied
 
 
-def _table_state(table):
-    """The basis state of one column's image table."""
-    [state] = table.vec.terms
-    return state
+def _tree_edges(node):
+    """Every edge of a tree, as its child node."""
+    return [edge for child in node[0].values() for edge in [child] + _tree_edges(child)]
+
+
+class _ForgetfulMemo(dict):
+    """A column memo that never returns a stored entry, and records each state looked up."""
+
+    def __init__(self):
+        self.looked_up = Counter()
+
+    def get(self, state, default=None):
+        self.looked_up[state] += 1
+        return default
 
 
 def test_dinfty_enters_no_subtree_below_a_zero_image(monkeypatch):
-    # per column, each edge (prefix, next operator) of the one tree over the
-    # five tables is looked up once for each state in the prefix's image: a
+    # with a memo that never returns a stored entry, every traversal of an
+    # edge (prefix, next operator) of the one tree over the five tables
+    # applies its operator, once for each state in the prefix's image: a
     # prefix that many words share is walked once, and one whose image is
-    # zero looks nothing up.  A state's table is looked up once per node
-    # with children that the walk reaches with it, not once per child.
+    # zero applies nothing.  The memo is looked up once per node with
+    # children that the walk reaches with a state, not once per child.
     ctx = RankContext(5)
-    lookups, tables = [], []
-
-    def image(table, op):
-        lookups.append((op, _table_state(table)))
-        return dict.__getitem__(table, op)
-
-    def table(images, state):
-        tables.append(state)
-        return dict.__getitem__(images, state)
-
-    monkeypatch.setattr(oracle._StateImages, "__getitem__", image)
-    monkeypatch.setattr(oracle._ColumnImages, "__getitem__", table)
     tree = oracle._tree([row for suite in TABLE_SUITES for row in oracle.identities(suite, ctx)])
-    edges = _tree_edges(tree)
-    shared = sum(len(word) for _, word, _ in _tree_words(tree)) - len(edges)
+    shared = sum(len(word) for _, word, _ in _tree_words(tree)) - len(_tree_edges(tree))
+    needs = [(state, _walk_needs(tree, state, ctx)) for state in truncated_spin_basis(ctx, 4).states]
+    applied = _count_applications(monkeypatch)
     dead = 0
-    for state in truncated_spin_basis(ctx, 4).states:
-        want, want_tables = [], []
-        for prefix, op in edges:
-            image = _prefix_image(prefix, state, ctx)
-            dead += not image
-            want += [(op, target) for target in image]
-        for prefix in {prefix for prefix, _ in edges}:
-            want_tables += _prefix_image(prefix, state, ctx)
-        lookups.clear()
-        tables.clear()
-        oracle._sums(tree, state, oracle._ColumnImages(ctx))
-        assert Counter(lookups) == Counter(want), state
-        assert Counter(tables) == Counter(want_tables), state
+    for state, (pairs, visits, zeros) in needs:
+        dead += zeros
+        applied.clear()
+        memo = _ForgetfulMemo()
+        oracle._sums(tree, state, memo, ctx)
+        assert Counter(applied) == pairs, state
+        assert memo.looked_up == visits, state
     assert dead > 0 and shared > 0
 
 
 def test_dinfty_applies_each_token_once_per_state_and_column(monkeypatch):
-    # a column starts with fresh image tables; within it every (operator,
-    # state) image the walk looks up is computed exactly once, so none is
-    # computed twice and none is read from another column.  One tree holds
+    # every column starts from an empty memo; within it every (operator,
+    # state) image the walk needs is applied exactly once, so none is
+    # applied twice and none is read from another column.  One tree holds
     # the rows of all five tables, built once per call, and a passing run
     # builds no witness tree.
-    columns = []  # per column: the (operator, state) pairs looked up, and those computed
-    real_init, real_missing = oracle._ColumnImages.__init__, oracle._StateImages.__missing__
-
-    def init(images, ctx):
-        columns.append((set(), []))
-        real_init(images, ctx)
-
-    def image(table, op):
-        columns[-1][0].add((op, _table_state(table)))
-        return dict.__getitem__(table, op)
-
-    def missing(table, op):
-        columns[-1][1].append((op, _table_state(table)))
-        return real_missing(table, op)
-
-    real_tree = oracle._tree
+    applied = _count_applications(monkeypatch)
+    columns = []  # per column: its tree, its state, whether its memo came empty, its applications
+    real_sums, real_tree = oracle._sums, oracle._tree
     trees = []
+
+    def sums(tree, state, images, ctx):
+        start, fresh = len(applied), not images
+        out = real_sums(tree, state, images, ctx)
+        columns.append((tree, state, fresh, applied[start:]))
+        return out
 
     def tree(rows):
         trees.append(len(rows))
         return real_tree(rows)
 
-    monkeypatch.setattr(oracle._ColumnImages, "__init__", init)
-    monkeypatch.setattr(oracle._StateImages, "__getitem__", image)
-    monkeypatch.setattr(oracle._StateImages, "__missing__", missing)
+    monkeypatch.setattr(oracle, "_sums", sums)
     monkeypatch.setattr(oracle, "_tree", tree)
     report = oracle.check_dinfty(3, 6)
     assert report["status"] == "pass"
-    # one column per capped state, each computing what it looks up, once
-    assert len(columns) == 10
-    for looked_up, computed in columns:
-        assert looked_up and Counter(computed) == Counter(looked_up)
+    monkeypatch.undo()
+    # one column per capped state, each applying what it needs, once
     ctx = RankContext(6)
+    assert len(columns) == 10
+    for walked, state, fresh, column in columns:
+        pairs, _, _ = _walk_needs(walked, state, ctx)
+        assert fresh and column, state
+        assert Counter(column) == Counter(set(pairs)), state
     assert trees == [sum(len(oracle.identities(s, ctx)) for s in TABLE_SUITES)]
 
 
