@@ -915,19 +915,31 @@ def test_the_json_writer_is_json_dumps_with_indent_2(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2)
 
 
-@pytest.mark.parametrize("doc", [
-    [], {}, [[]], {"a": {}}, [1, True], ["a", 1], "\x00 \ud800", -0.0, 10**40, {"u": [0, -1], "eps": ["1/2"]},
-], ids=repr)
-def test_the_json_writer_on_edge_cases(doc):
-    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+# each document with the text json.dumps(doc, indent=2) gives, or TypeError:
+# a tuple has no JSON literal of its own, and json.dumps would write it as a
+# list; no document the commands build holds one, so the writer refuses it
+_EDGE_DOCS = [
+    *((doc, json.dumps(doc, indent=2)) for doc in [
+        [], {}, [[]], {"a": {}}, [1, True], ["a", 1], "\x00 \ud800", -0.0, 10**40, {"u": [0, -1], "eps": ["1/2"]},
+    ]),
+    ({"a": [1], "pair": (1, "x")}, TypeError),
+]
 
 
-@pytest.mark.parametrize("doc", [{"a": [1], "pair": (1, "x")}, {"a": [1], 2: None}], ids=repr)
-def test_the_json_writer_refuses_a_tuple_and_a_key_that_is_not_a_str(doc):
-    # no document the commands build holds either; json.dumps would write
-    # them as a list and as the key "2", and the writer does not guess
+@pytest.mark.parametrize("doc, expected", [pytest.param(*case, id=repr(case[0])) for case in _EDGE_DOCS])
+def test_the_json_writer_on_edge_cases(doc, expected):
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+    else:
+        assert cli._json_text(doc) == expected
+
+
+def test_the_json_writer_refuses_a_key_that_is_not_a_str():
+    # json.dumps would write the key 2 as "2"; no document the commands build
+    # holds such a key, and the writer does not guess
     with pytest.raises(TypeError):
-        cli._json_text(doc)
+        cli._json_text({"a": [1], 2: None})
 
 
 # the argv grammar, drawn without regard to which command an option belongs
