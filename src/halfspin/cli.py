@@ -175,9 +175,13 @@ SCHEMAS = {
 
 
 def _emit(text, out):
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
+    # a reader that stopped early (`... | head`) leaves the command's own exit status standing
+    try:
+        out.write(text)
+        if not text.endswith("\n"):
+            out.write("\n")
+    except BrokenPipeError:
+        pass
 
 
 _encode_string = json.encoder.encode_basestring_ascii
@@ -593,9 +597,7 @@ def build_parser():
 def main(argv=None, out=None):
     out = out or sys.stdout
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv)  # argv None: argparse reads sys.argv[1:]
     try:
         _refuse_ignored(args)
         for dest in ("n", "max_boxes"):  # verify's --n, a range, is read by _parse_rank_range
@@ -609,8 +611,6 @@ def main(argv=None, out=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

@@ -87,17 +87,14 @@ def enumerate_diagrams_by_boxes(max_boxes: int) -> list:
     """
     if max_boxes < 0:
         raise ValueError("box cap must be non-negative, got %r" % max_boxes)
-    shapes = [()]
-
-    def extend(prefix, budget):
-        # next part must be strictly smaller than the last one
-        cap = min(budget, (prefix[-1] - 1) if prefix else budget)
-        for part in range(cap, 0, -1):
-            shape = prefix + (part,)
-            shapes.append(shape)
-            extend(shape, budget - part)
-
-    extend((), max_boxes)
+    # a strict partition with s parts has at least s(s+1)/2 boxes
+    shapes = [
+        rows
+        for size in range(max_boxes + 1)
+        if size * (size + 1) <= 2 * max_boxes
+        for rows in itertools.combinations(range(max_boxes, 0, -1), size)
+        if sum(rows) <= max_boxes
+    ]
     shapes.sort(key=diagram_sort_key)
     return shapes
 

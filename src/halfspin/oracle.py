@@ -28,10 +28,10 @@ vectors of its basis.
 
 The suites of one `run_suites` call share one `RankTables` per rank: one
 rank context, one shape and one wedge basis with their one-state vectors,
-one `phi` matrix, the Cartan-route weights and one table of operator
-matrices, each built on first use and dropped before the next rank
-starts.  A suite maps one `RankTables` to its entries, and `run_suites`
-alone builds the tables, times each suite and files its report.
+the Cartan-route weights and one table of matrices, `phi` among them,
+each built on first use and dropped before the next rank starts.  A
+suite maps one `RankTables` to its entries, and `run_suites` alone
+builds the tables, times each suite and files its report.
 
 Reports are plain dicts, deterministic for a given (suite, rank) in all
 but their `duration`, with entry statuses pass / fail / xfail / xpass /
@@ -364,7 +364,7 @@ class RankTables:
     """What the bounded suites of one rank read, each part built on first use.
 
     `run_suites` builds one per rank for all its suites.  `matrix`
-    tabulates an operator token once and hands the same matrix to every
+    builds the matrix of a token once and hands the same matrix to every
     later caller; "0", "1" and "phi" name the zero and identity maps of
     the shape space and the dictionary's matrix.
     """
@@ -382,12 +382,6 @@ class RankTables:
         return fock_basis(self.ctx)
 
     @cached_property
-    def phi(self) -> ExactMatrix:
-        position = self.fbasis.index
-        cols = {j: (position[cliff.phi_state(state, self.ctx)], 1) for j, state in enumerate(self.sbasis.states)}
-        return ExactMatrix._make(len(self.fbasis), len(self.sbasis), cols)
-
-    @cached_property
     def weights(self) -> list:
         """The reference (Cartan) route's weight of each shape basis state, in basis order."""
         reference = weight_routes()[0][1]
@@ -397,7 +391,9 @@ class RankTables:
         m = self._matrices.get(token)
         if m is None:
             if token == "phi":
-                m = self.phi
+                position = self.fbasis.index
+                cols = {j: (position[cliff.phi_state(state, self.ctx)], 1) for j, state in enumerate(self.sbasis.states)}
+                m = ExactMatrix._make(len(self.fbasis), len(self.sbasis), cols)
             elif token in ("0", "1"):
                 size = len(self.sbasis)
                 m = ExactMatrix.identity(size) if token == "1" else ExactMatrix.zero(size, size)
@@ -697,7 +693,7 @@ check_factorization = _table_suite("factorization")
 
 def check_intertwiner(tables: RankTables) -> list:
     """The dictionary is a basis bijection, then the intertwiner table's rows."""
-    P = tables.phi
+    P = tables.matrix("phi")
     size = len(tables.sbasis)
     cells = P.entries
     ok_bijection = (

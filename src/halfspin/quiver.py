@@ -12,11 +12,10 @@ Computing u = w - Cv costs O(n); a dimension vector costs O(n + rows), read
 off the row lengths by the strings' rule.  An E/F step sweeps the shape's
 2 * rows single-box edits, each edit's change read off the one string it
 moves (`edit_change`) in O(1), so a swept state costs O(n + rows).  A
-context memoizes per basis state it has validated, keyed by the state: the
-dimension vector (`_dim_vectors`: one per swept state, none per edit),
+context memoizes per basis state it has validated, keyed by the state:
 u = w - Cv (`_u`, filled by `state_u`) and the E/F edits that one sweep
-finds (`_moves`, filled by the E/F kernel `spinrep._shift_state`).  The
-memos live and die with their context.
+finds (`_moves`, filled by the E/F kernel `spinrep._shift_state`), but
+not the dimension vector.  The memos live and die with their context.
 """
 
 from __future__ import annotations
@@ -28,14 +27,12 @@ from .diagram import PLUS, Sign, validate_diagram
 
 
 class RankContext:
-    """Rank data: the rank n, and the dimension-vector, u and sweep memos."""
+    """Rank data: the rank n, and the u and sweep memos."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("rank must be at least 2, got %r" % n)
         self.n = n
-        # (sign, rows) -> dimension vector, filled by dim_vector
-        self._dim_vectors = {}
         # (sign, rows) -> {+k: F_k edit, -k: E_k edit}, (position, new length) pairs, filled by spinrep._shift_state
         self._moves = {}
         # (sign, rows) -> u = w - Cv, filled by state_u
@@ -138,26 +135,17 @@ def dim_vector(state, ctx: RankContext) -> tuple:
     Read off the validated rows by the rule of `_tip_n_rows`, building no
     string: path vertex j < n-1 counts the rows of length at least n-j, in
     runs between consecutive lengths, and the tips n-1 and n count the
-    strings ending there; O(n + rows).  Memoized on ctx by the state itself,
-    validated shapes only, so invalid rows raise on every call; list rows
-    are keyed by their tuple.
+    strings ending there.  Not memoized: O(n + rows) on every call.
     """
-    try:
-        v = ctx._dim_vectors.get(state)
-    except TypeError:  # unhashable list rows
-        state = (state[0], tuple(state[1]))
-        v = ctx._dim_vectors.get(state)
-    if v is None:
-        n = ctx.n
-        rows = validate_diagram(state[1], n)
-        v = []
-        for reached, (l, shorter) in enumerate(zip((n - 1,) + rows, rows + (0,))):
-            v += [reached] * (l - shorter)
-        tips = len(_tip_n_rows(state))
-        v[-1] -= tips
-        v.append(tips)
-        v = ctx._dim_vectors[state] = tuple(v)
-    return v
+    n = ctx.n
+    rows = validate_diagram(state[1], n)
+    v = []
+    for reached, (l, shorter) in enumerate(zip((n - 1,) + rows, rows + (0,))):
+        v += [reached] * (l - shorter)
+    tips = len(_tip_n_rows(state))
+    v[-1] -= tips
+    v.append(tips)
+    return tuple(v)
 
 
 def unit_vector(k: int, ctx: RankContext) -> tuple:
@@ -191,7 +179,7 @@ def weight_u(v, w, ctx: RankContext) -> tuple:
 
 
 def state_u(state, ctx: RankContext) -> tuple:
-    """u = w - Cv of a basis state, memoized on ctx like its dimension vector."""
+    """u = w - Cv of a basis state, memoized on ctx by the state, list rows by their tuple."""
     try:
         u = ctx._u.get(state)
     except TypeError:  # unhashable list rows

@@ -93,8 +93,9 @@ class Combination:
     The vectors of both models and the Clifford algebra's elements share
     this arithmetic; a subclass names its keys (`_key` normalises one) and
     its text form.  Coefficients are exact and nonzero.  Two combinations
-    are equal when they have the same type and the same terms.  There is
-    no hash: the terms are a plain dict, so a combination is not a key.
+    are equal when they have the same type and the same terms; only two of
+    one type add or subtract, so the keys of two models never mix.  There
+    is no hash: the terms are a plain dict, so a combination is not a key.
     A result may share its terms with an operand (v + zero holds v's
     dict), and each subclass has one shared zero, `ZERO`, that operators
     return for a zero image, so terms are never changed in place.
@@ -128,9 +129,13 @@ class Combination:
         return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self._make(add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self._make(add_terms(self.terms, other.terms, -1))
 
     def __neg__(self):
@@ -196,9 +201,9 @@ def _edited(rows, j, length):
 
 def _shift_state(state, k, direction, ctx):
     # kernel of E_k (direction -1) and F_k (+1): the same-sign state whose dimension vector differs by
-    # the unit at k (lowered for E, raised for F).  One sweep after the dimension vector, which validates
-    # the state, reads each single-box edit's change off the one string it moves, O(n + rows), into the
-    # memo {+k: F_k edit, -k: E_k edit} on ctx; at most one edit may have a change.  Images are built on request.
+    # the unit at k (lowered for E, raised for F).  `dim_vector` only validates the state here (the bench
+    # tracer counts it per sweep).  One sweep reads each single-box edit's change off the one string it moves,
+    # O(n + rows), into the memo {+k: F_k edit, -k: E_k edit} on ctx; at most one edit may have a change.
     moves = ctx._moves.get(state)
     if moves is None:
         dim_vector(state, ctx)

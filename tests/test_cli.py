@@ -374,6 +374,27 @@ def test_verify_failure_exit_code_via_stub(monkeypatch):
     assert text.splitlines()[-1] == "overall: fail"
 
 
+class ClosedStdout:
+    """An output whose reader has gone away, as `halfspin ... | head` leaves stdout."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_keeps_the_exit_status(monkeypatch):
+    argv = ["verify", "--n", "3", "--suite", "clifford"]
+    assert cli.main(["enumerate", "--n", "3"], ClosedStdout()) == 0
+    assert cli.main(argv, ClosedStdout()) == 0
+
+    def negated(k, vec, ctx):
+        image = spinrep.geometric_a(k, vec, ctx)
+        return image.scale(-1) if k == 2 else image
+
+    monkeypatch.setitem(oracle._OPERATORS, "a", negated)
+    assert cli.main(argv, io.StringIO()) == 1
+    assert cli.main(argv, ClosedStdout()) == 1
+
+
 def test_export_matrix_io_error(tmp_path, capsys):
     rc, text = run("export-matrix", "--n", "2", "F_1", "--out", str(tmp_path / "missing" / "f1.txt"))
     assert rc == 2

@@ -19,6 +19,7 @@ from halfspin.diagram import (
     parse_fock_index,
     parse_decimal,
 )
+from halfspin.cli import MAX_BOXES
 from halfspin.quiver import RankContext, dim_vector
 from halfspin.spinrep import weight_eps
 
@@ -137,11 +138,12 @@ def test_enumerate_by_boxes():
 
 
 def test_enumerate_by_boxes_matches_bounded_enumeration():
-    # with cap B, the capped list is the size-<=B slice of any large rank
-    for cap in (2, 4, 6):
-        capped = set(enumerate_diagrams_by_boxes(cap))
-        bounded = {s for s in enumerate_diagrams(cap + 2) if sum(s) <= cap}
+    # with cap B, the capped list is the size-<=B slice of any large rank, in its order
+    for cap in range(13):
+        capped = enumerate_diagrams_by_boxes(cap)
+        bounded = [s for s in enumerate_diagrams(cap + 2) if sum(s) <= cap]
         assert capped == bounded
+    assert len(enumerate_diagrams_by_boxes(MAX_BOXES)) == 207
 
 
 def test_conjugate_examples():

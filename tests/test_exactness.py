@@ -730,6 +730,17 @@ def test_the_combination_base_agrees_with_a_dict_reference(kind, data):
         hash(x)
 
 
+@pytest.mark.parametrize("left, right", [(a, b) for a in COMBINATIONS for b in COMBINATIONS if a != b])
+def test_combinations_of_two_types_do_not_add(left, right):
+    (lcls, lkeys), (rcls, rkeys) = COMBINATIONS[left], COMBINATIONS[right]
+    x = lcls({lkeys(2)[0]: 1})
+    for y in (rcls({rkeys(2)[0]: 1}), rcls.ZERO):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+
+
 def spin_tokens(n):
     return ["%s_%d" % (name, k) for name in "EFHab" for k in range(1, n + 1)] + ["kappa", "identity"]
 

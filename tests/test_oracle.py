@@ -237,7 +237,9 @@ def test_ladder_matrices_are_transposes():
 
 def test_phi_matrix_is_permutation():
     for n in (2, 3, 4):
-        p = oracle.RankTables(n).phi
+        tables = oracle.RankTables(n)
+        p = tables.matrix("phi")
+        assert tables.matrix("phi") is p
         assert p.nnz == 2**n
         assert all(v == 1 for v in p.entries.values())
         assert p * transpose(p) == ExactMatrix.identity(2**n)

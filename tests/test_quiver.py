@@ -318,35 +318,39 @@ def test_u_is_affine_in_v(n, lengths):
         assert diff == tuple(-ctx.cartan_entry(i, k) for i in range(1, n + 1))
 
 
-def test_dim_vector_memo_keeps_validation():
+def test_state_u_memo_keeps_validation():
     ctx = RankContext(4)
     for sign in SIGNS:
         for rows in enumerate_diagrams(4):
-            dim_vector((sign, rows), ctx)
-    cached = dict(ctx._dim_vectors)
+            state_u((sign, rows), ctx)
+            assert dim_vector((sign, list(rows)), ctx) == dim_vector((sign, rows), ctx)
+    cached = dict(ctx._u)
     assert len(cached) == 16
-    # a hit returns the stored vector, also for rows given as a list
-    assert dim_vector((Sign.PLUS, [3, 1]), ctx) is cached[(Sign.PLUS, (3, 1))]
-    assert state_u((Sign.PLUS, [3, 1]), ctx) is state_u((Sign.PLUS, (3, 1)), ctx)
+    # a hit returns the stored u, also for rows given as a list
+    assert state_u((Sign.PLUS, [3, 1]), ctx) is cached[(Sign.PLUS, (3, 1))]
     for bad in ((1, 2), (2, 2), (4,), (4, 1), (0,)):
-        for rows in (bad, list(bad)):
+        for rows in (bad, list(bad), bad):  # the repeat raises too
             with pytest.raises(ValueError):
                 dim_vector((Sign.PLUS, rows), ctx)
             with pytest.raises(ValueError):
                 state_u((Sign.PLUS, rows), ctx)
-    assert ctx._dim_vectors == cached
-    assert set(ctx._u) == {(Sign.PLUS, (3, 1))}
+    assert ctx._u == cached
 
 
-def test_dim_vector_memo_is_per_context():
+def test_state_u_memo_is_per_context():
     small, large = RankContext(4), RankContext(5)
     assert dim_vector((Sign.PLUS, (1,)), small) == (0, 0, 0, 1)
     assert dim_vector((Sign.PLUS, (1,)), large) == (0, 0, 0, 0, 1)
     assert dim_vector((Sign.MINUS, (4,)), large) == (1, 1, 1, 1, 0)
-    assert set(small._dim_vectors) == {(Sign.PLUS, (1,))}
+    assert vars(small) == {"n": 4, "_moves": {}, "_u": {}}  # dim_vector stores nothing
+    state_u((Sign.PLUS, (1,)), small)
+    state_u((Sign.MINUS, (4,)), large)
+    assert set(small._u) == {(Sign.PLUS, (1,))}
+    assert set(large._u) == {(Sign.MINUS, (4,))}
     with pytest.raises(ValueError):
-        dim_vector((Sign.MINUS, (4,)), small)  # row 4 exceeds rank 4's bound
-    assert RankContext(4)._dim_vectors == {}
+        state_u((Sign.MINUS, (4,)), small)  # row 4 exceeds rank 4's bound
+    assert set(small._u) == {(Sign.PLUS, (1,))}
+    assert RankContext(4)._u == {}
 
 
 @given(st.data())
